@@ -1,9 +1,12 @@
 """Static per-image operation counting for convolutional classifiers.
 
 Architectures are plain dataflow graphs (see graph.py). Shapes are
-inferred once per graph, then each layer's multiply-accumulate count
-follows from its kind and resolved shapes. Sixteen reference graphs for
-well-known ImageNet classifiers ship in zoo.py.
+inferred once per graph and input shape, then each layer's
+multiply-accumulate count follows from its kind and resolved shapes.
+The inferred shapes are memoized on the spec instance, so validation,
+counting and shape tables share one walk; this holds because specs are
+immutable values that are never changed in place. Sixteen reference
+graphs for well-known ImageNet classifiers ship in zoo.py.
 """
 from .counting import (
     DEFAULT_COUNTED_KINDS,

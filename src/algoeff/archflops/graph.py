@@ -8,7 +8,8 @@ in ``counting``.
 
 Everything here is immutable. Treat specs as values: helpers return new
 objects and never mutate their arguments, so sharing instances across
-threads is safe.
+threads is safe. Shape inference relies on this: it memoizes its result
+on each spec instance, so a spec must not be changed in place once built.
 """
 from __future__ import annotations
 
@@ -45,7 +46,8 @@ LAYER_KINDS = frozenset({
 })
 
 # Required parameter names by kind. Optional parameters are filled with
-# defaults by `node_param`.
+# defaults by `node_param`. Validation rejects any name in neither table,
+# and a value that is not a bool where the default is one.
 _REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
     "conv2d": ("out_channels", "kernel_h", "kernel_w"),
     "linear": ("out_features",),
@@ -169,12 +171,6 @@ class ArchitectureSpec:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
-    def node(self, node_id: str) -> LayerNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise GraphError(f"{self.name}: no node with id {node_id!r}")
-
 
 def validate_arch(arch: ArchitectureSpec) -> list[str]:
     """Return a list of human-readable contract violations, empty if valid.
@@ -192,11 +188,14 @@ def validate_arch(arch: ArchitectureSpec) -> list[str]:
         problems.append("architecture has no nodes")
     for node in arch.nodes:
         label = f"node {node.id!r}"
+        if not isinstance(node.id, str):
+            problems.append(f"{label}: id must be a string")
+            continue
         if node.id == INPUT_ID:
             problems.append(f"{label}: id {INPUT_ID!r} is reserved for the network input")
         if node.id in seen:
             problems.append(f"{label}: duplicate id")
-        if node.kind not in LAYER_KINDS:
+        if not isinstance(node.kind, str) or node.kind not in LAYER_KINDS:
             problems.append(f"{label}: unknown kind {node.kind!r}")
             seen.add(node.id)
             continue
@@ -228,7 +227,20 @@ def validate_arch(arch: ArchitectureSpec) -> list[str]:
 
 
 def _check_params(node: LayerNode) -> Iterable[str]:
-    for name in _REQUIRED_PARAMS.get(node.kind, ()):
+    required = _REQUIRED_PARAMS.get(node.kind, ())
+    optional = _OPTIONAL_PARAMS[node.kind]
+    unknown = []
+    for name, value in node.params.items():
+        if name in optional:
+            if isinstance(optional[name], bool) and not isinstance(value, bool):
+                yield f"parameter {name!r} must be true or false, got {value!r}"
+        elif name not in required:
+            unknown.append(name)
+    if unknown:
+        known = sorted((*required, *optional))
+        yield f"unknown parameter(s) {unknown}; {node.kind} takes {known}"
+        return
+    for name in required:
         if name not in node.params:
             yield f"missing required parameter {name!r}"
             return

@@ -10,8 +10,6 @@ Every error names the offending node.
 """
 from __future__ import annotations
 
-import math
-
 from .graph import (
     INPUT_ID,
     ArchitectureSpec,
@@ -46,12 +44,18 @@ def window_out_dim(
             f"window (kernel {kernel}, dilation {dilation}) exceeds "
             f"padded input of size {in_dim} + 2*{padding}"
         )
-    div = math.ceil if ceil else math.floor
-    out = div(span / stride) + 1
+    # integer division stays exact where float division rounds (span > 2**53)
+    out = (-(-span // stride) if ceil else span // stride) + 1
     if ceil and (out - 1) * stride >= in_dim + padding:
         # last window would start beyond the real input; drop it
         out -= 1
     return out
+
+
+# Instance attribute of an ArchitectureSpec that holds its inferred
+# shapes by input shape. It is not a dataclass field, so equality, repr
+# and dataclasses.replace ignore it.
+_MEMO_ATTR = "_inferred_shapes"
 
 
 def infer_shapes(
@@ -61,8 +65,24 @@ def infer_shapes(
 
     input_shape defaults to the architecture's default_input. The
     returned dict also carries the network input under ``"input"``.
+
+    The graph is walked once per spec and input shape: a successful
+    result is memoized on the spec instance, and later calls return a
+    fresh copy of it, so callers may change what they get back. Failed
+    inference is not memoized and raises again on every call. This is
+    sound because specs are immutable values (see graph.py); a spec whose
+    nodes or parameters are changed in place after inference keeps
+    reporting the shapes of its earlier state.
     """
-    shapes: dict[str, TensorShape] = {INPUT_ID: input_shape or arch.default_input}
+    key = input_shape or arch.default_input
+    memo = arch.__dict__.setdefault(_MEMO_ATTR, {})
+    if key not in memo:
+        memo[key] = _walk(arch, key)
+    return dict(memo[key])
+
+
+def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> dict[str, TensorShape]:
+    shapes: dict[str, TensorShape] = {INPUT_ID: input_shape}
     for node in arch.nodes:
         ins = []
         for ref in node.inputs:

@@ -80,7 +80,7 @@ class _Builder:
     def avgpool(self, x: str, id: str, k: int, s: int, p: int = 0) -> str:
         return self.add("avgpool", x, id, kernel=k, stride=s, padding=p)
 
-    def classifier(self, x: str, in_note: str = "", features: int = 1000,
+    def classifier(self, x: str, features: int = 1000,
                    pool_target: int | None = 1, dropout: bool = False) -> str:
         if pool_target is not None:
             x = self.add("global_avgpool", x, "head.pool", target=pool_target)

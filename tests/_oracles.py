@@ -31,6 +31,36 @@ def out_dim_floor(in_dim, kernel, stride=1, padding=0, dilation=1) -> int:
     return len(window_positions_floor(in_dim, kernel, stride, padding, dilation))
 
 
+def out_dim_by_bisection(in_dim, kernel, stride=1, padding=0, dilation=1,
+                         ceil=False) -> int:
+    """Window count found by bisection with integer products only.
+
+    Floor mode: the most windows whose last one still ends inside the
+    padded extent. Ceil mode: the fewest windows whose last one reaches
+    its end, less one when that last window would start in the right
+    padding. Exact for dimensions far beyond float precision.
+    """
+    eff = dilation * (kernel - 1) + 1
+    extent = in_dim + 2 * padding
+
+    def first_true(pred) -> int:
+        lo, hi = 1, extent + 1   # pred(hi) holds in both modes
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pred(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    if not ceil:
+        return first_true(lambda n: n * stride + eff > extent)
+    n = first_true(lambda n: (n - 1) * stride + eff >= extent)
+    if (n - 1) * stride >= in_dim + padding:
+        n -= 1
+    return n
+
+
 def shapes_oracle(arch, input_shape) -> dict[str, tuple[int, int, int]]:
     """Shape inference by position walking; mirrors only the kind semantics."""
     shapes = {INPUT_ID: (input_shape.channels, input_shape.height, input_shape.width)}

@@ -1,11 +1,15 @@
 """End-to-end command line behavior: output, exit codes, file round trips."""
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import algoeff
+from algoeff.archflops import arch_to_json, builtin_arch
 from algoeff.cli import main
 from algoeff.datasets import load_imagenet_records
 from algoeff.reports import fmt_compute
@@ -106,6 +110,35 @@ class TestFlops:
         code, _, err = run(capsys, "flops", str(path))
         assert code == 2
         assert "not valid JSON" in err
+
+
+class TestShapeInferenceOncePerCommand:
+    """Validation, counting and the shape tables share one walk per input."""
+
+    @pytest.fixture
+    def graph_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(arch_to_json(builtin_arch("ResNet-50")))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("flops", "{file}", "--per-layer"),
+        ("shapes", "{file}"),
+        ("flops", "ResNet-50", "--per-layer"),
+    ])
+    def test_once_per_node(self, capsys, node_shape_calls, graph_file, argv):
+        code, out, _ = run(capsys, *(a.format(file=graph_file) for a in argv))
+        assert code == 0
+        assert "2048x7x7" in out
+        assert sorted(node_shape_calls) == sorted(n.id for n in builtin_arch("ResNet-50").nodes)
+
+    def test_input_override_is_inferred_again(self, capsys, node_shape_calls, graph_file):
+        code, out, _ = run(capsys, "flops", graph_file, "--per-layer",
+                           "--input", "3x288x288", "--format", "csv")
+        assert code == 0
+        assert "head.pool,global_avgpool,2048x1x1" in out
+        assert "2048x9x9" in out and "2048x7x7" not in out
+        assert len(node_shape_calls) == 2 * len(builtin_arch("ResNet-50").nodes)
 
 
 class TestShapes:
@@ -439,7 +472,11 @@ class TestTopLevel:
             argv = ["algoeff"]
         else:
             argv = [sys.executable, "-m", "algoeff.cli"]
+        # the child imports the same package as this test, wherever pytest found it
+        src = str(Path(algoeff.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         result = subprocess.run(argv + ["flops", "AlexNet", "--format", "csv"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "714,188,480" in result.stdout

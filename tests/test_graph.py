@@ -1,5 +1,6 @@
 """Graph model: shapes as values, validation, and the json file format."""
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from algoeff.archflops import (
     TensorShape,
     arch_from_json,
     arch_to_json,
+    count_flops,
     node_param,
     require_valid,
     validate_arch,
@@ -212,6 +214,45 @@ class TestValidation:
                            inputs=("input",)),)
         problems = validate_arch(tiny_arch(nodes=nodes, output="c"))
         assert any("does not divide out_channels" in p for p in problems)
+
+    def test_unknown_param_rejected(self):
+        # a misspelt stride would otherwise be counted at the default of 1
+        obj = json.loads(arch_to_json(tiny_arch()))
+        obj["default_input"] = {"c": 3, "h": 14, "w": 14}
+        obj["nodes"][0]["params"] = {"out_channels": 4, "kernel_h": 7, "kernel_w": 7,
+                                     "stride": 2}
+        assert count_flops(arch_from_json(json.dumps(obj))).per_layer["c1"] == 9_408
+        obj["nodes"][0]["params"]["stide"] = obj["nodes"][0]["params"].pop("stride")
+        with pytest.raises(GraphError, match=r"node 'c1': unknown parameter\(s\) \['stide'\]"):
+            arch_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("maxpool", {"kernel": 2, "ceil": "no"}, "ceil"),
+        ("avgpool", {"kernel": 2, "ceil": 0}, "ceil"),
+        ("conv2d", {"out_channels": 4, "kernel_h": 1, "kernel_w": 1, "has_bias": "yes"},
+         "has_bias"),
+        ("linear", {"out_features": 4, "has_bias": 1}, "has_bias"),
+    ])
+    def test_non_bool_flag_rejected(self, kind, params, name):
+        nodes = (LayerNode(id="n", kind=kind, params=params, inputs=("input",)),)
+        problems = validate_arch(tiny_arch(nodes=nodes, output="n"))
+        assert problems == [
+            f"node 'n': parameter {name!r} must be true or false, got {params[name]!r}"
+        ]
+
+    @pytest.mark.parametrize("bad_id", [7, None, ["c1"]])
+    def test_non_string_id_rejected(self, bad_id):
+        obj = json.loads(arch_to_json(tiny_arch()))
+        obj["nodes"][1]["id"] = bad_id
+        obj["nodes"][2]["inputs"] = ["c1"]
+        expected = rf"node {re.escape(repr(bad_id))}: id must be a string"
+        with pytest.raises(GraphError, match=expected):
+            arch_from_json(json.dumps(obj))
+
+    def test_non_string_kind_rejected(self):
+        nodes = (LayerNode(id="x", kind=["conv2d"], params={}, inputs=("input",)),)
+        problems = validate_arch(tiny_arch(nodes=nodes, output="x"))
+        assert problems == ["node 'x': unknown kind ['conv2d']"]
 
     def test_shape_problems_surface(self):
         # kernel larger than the padded input only shows up via shape inference

@@ -1,4 +1,6 @@
 """Shape inference against window enumeration and hand-worked cases."""
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from algoeff.archflops import (
 )
 
 from _generators import random_arch
-from _oracles import shapes_oracle, window_positions_floor
+from _oracles import out_dim_by_bisection, shapes_oracle, window_positions_floor
 import random
 
 
@@ -105,6 +107,28 @@ class TestWindowOutDim:
         # exact division leaves nothing to round
         if (in_dim + 2 * padding - kernel) % stride == 0:
             assert ceil_out == floor_out
+
+    def test_huge_dimension_is_exact(self):
+        # float division rounds 10**17 / 3 down to ...333.0, one short
+        assert window_out_dim(10**17 + 1, 1, 3) == 33333333333333334
+        assert window_out_dim(10**17 + 1, 1, 3, ceil=True) == 33333333333333334
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        in_dim=st.integers(1, 10**30),
+        kernel=st.integers(1, 10**6),
+        stride=st.integers(1, 10**12),
+        padding=st.integers(0, 10**6),
+        dilation=st.integers(1, 8),
+        ceil=st.booleans(),
+    )
+    def test_huge_dims_match_integer_oracle(self, in_dim, kernel, stride, padding,
+                                            dilation, ceil):
+        if dilation * (kernel - 1) + 1 > in_dim + 2 * padding:
+            return
+        got = window_out_dim(in_dim, kernel, stride, padding, dilation, ceil=ceil)
+        assert got == out_dim_by_bisection(in_dim, kernel, stride, padding, dilation,
+                                           ceil=ceil)
 
     def test_ceil_guard_with_oversized_padding(self):
         # padding >= kernel admits windows that live entirely in the
@@ -256,3 +280,50 @@ class TestBuiltinShapes:
     def test_classifier_output_is_1000_logits(self, name):
         arch = builtin_arch(name)
         assert infer_shapes(arch)[arch.output] == TensorShape(1000, 1, 1)
+
+
+class TestMemo:
+    def test_second_call_reuses_the_walk(self, node_shape_calls):
+        arch = builtin_arch("ResNet-50")
+        first = infer_shapes(arch)
+        assert infer_shapes(arch) == first
+        assert infer_shapes(arch, TensorShape(3, 224, 224)) == first
+        assert len(node_shape_calls) == len(arch.nodes)
+
+    def test_each_input_shape_is_inferred_separately(self, node_shape_calls):
+        arch = builtin_arch("ResNet-50")
+        big = TensorShape(3, 288, 288)
+        for shape in (arch.default_input, big, arch.default_input, big):
+            got = infer_shapes(arch, shape)
+            want = shapes_oracle(arch, shape)
+            assert got["input"] == shape
+            for node in arch.nodes:
+                s = got[node.id]
+                assert (s.channels, s.height, s.width) == want[node.id]
+        assert len(node_shape_calls) == 2 * len(arch.nodes)
+
+    def test_mutating_a_result_does_not_leak(self):
+        arch = chain(LayerNode(id="r", kind="activation", params={}, inputs=("input",)))
+        first = infer_shapes(arch)
+        first["r"] = TensorShape(9, 9, 9)
+        del first["input"]
+        assert infer_shapes(arch) == {"input": TensorShape(3, 8, 8),
+                                      "r": TensorShape(3, 8, 8)}
+
+    def test_failure_is_raised_on_every_call(self, node_shape_calls):
+        arch = chain(LayerNode(id="cbig", kind="conv2d",
+                               params={"out_channels": 4, "kernel_h": 11, "kernel_w": 1},
+                               inputs=("input",)))
+        for _ in range(3):
+            with pytest.raises(ShapeError, match="cbig"):
+                infer_shapes(arch)
+        assert node_shape_calls == ["cbig"] * 3
+
+    def test_equal_specs_still_compare_equal(self):
+        a = builtin_arch("AlexNet")
+        b = builtin_arch("AlexNet")
+        infer_shapes(a)
+        infer_shapes(a, TensorShape(3, 256, 256))
+        assert a == b and b == a
+        assert repr(a) == repr(b)
+        assert dataclasses.replace(a) == b
