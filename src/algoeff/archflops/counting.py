@@ -22,15 +22,16 @@ Only kinds listed in the convention's counted_kinds contribute to the
 total; everything else contributes an explicit zero in the breakdown.
 The default convention counts conv2d and linear, which is how per-image
 operation figures for these networks are conventionally quoted. When
-include_bias is set, layers whose has_bias parameter is true add one
-operation per output element.
+include_bias is set, conv2d and linear layers whose has_bias parameter
+is true add one operation per output element, and squeeze_excite adds
+squeeze + ic for the biases of its two layers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graph import ArchitectureSpec, GraphError, LayerNode, TensorShape, node_param
+from .graph import _KINDS, ArchitectureSpec, GraphError, TensorShape, _resolve
 from .shapes import infer_shapes
 
 UNITS = ("mac", "flop2")
@@ -86,10 +87,17 @@ def count_flops(
 
     per_layer: dict[str, int] = {}
     for node in arch.nodes:
+        macs = 0
         if node.kind in convention.counted_kinds:
-            macs = _node_macs(node, shapes, convention.include_bias)
-        else:
-            macs = 0
+            kind = _KINDS[node.kind]
+            ins = [shapes[ref] for ref in node.inputs]
+            try:
+                macs = kind.macs(_resolve(node, kind), ins, shapes[node.id],
+                                 convention.include_bias)
+            except KeyError as exc:  # only a spec that skipped validation lacks a parameter
+                raise GraphError(
+                    f"node {node.id!r}: missing required parameter {exc.args[0]!r}"
+                ) from None
         per_layer[node.id] = macs * scale
 
     return FlopCount(
@@ -98,51 +106,3 @@ def count_flops(
         convention=convention,
         input=shapes["input"],
     )
-
-
-def _node_macs(node: LayerNode, shapes: Mapping[str, TensorShape], include_bias: bool) -> int:
-    kind = node.kind
-    out = shapes[node.id]
-    ins = [shapes[ref] for ref in node.inputs]
-
-    if kind == "conv2d":
-        x = ins[0]
-        groups = node_param(node, "groups")
-        k = node_param(node, "kernel_h") * node_param(node, "kernel_w")
-        macs = out.elements * (x.channels // groups) * k
-        if include_bias and node_param(node, "has_bias"):
-            macs += out.elements
-        return macs
-
-    if kind == "linear":
-        x = ins[0]
-        macs = x.elements * node_param(node, "out_features")
-        if include_bias and node_param(node, "has_bias"):
-            macs += node_param(node, "out_features")
-        return macs
-
-    if kind == "squeeze_excite":
-        x = ins[0]
-        squeeze = max(1, x.channels // node_param(node, "reduction"))
-        macs = 2 * x.channels * squeeze
-        if include_bias:
-            macs += squeeze + x.channels
-        return macs
-
-    if kind in ("maxpool", "avgpool"):
-        k = node_param(node, "kernel")
-        return out.elements * k * k
-
-    if kind == "global_avgpool":
-        return ins[0].elements
-
-    if kind == "batchnorm":
-        return out.elements
-
-    if kind in ("activation", "elementwise_add", "elementwise_mul", "local_response_norm"):
-        return out.elements
-
-    if kind in ("concat", "flatten", "dropout", "channel_shuffle"):
-        return 0
-
-    raise GraphError(f"node {node.id!r}: no counting rule for kind {kind!r}")

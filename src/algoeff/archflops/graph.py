@@ -2,9 +2,13 @@
 
 An architecture is a directed acyclic graph of layer nodes. Nodes are
 declared in topological order: each node's inputs must name either an
-earlier node or the reserved network input id ``"input"``. The graph is
-data only; shape propagation lives in ``shapes`` and operation counting
-in ``counting``.
+earlier node or the reserved network input id ``"input"``.
+
+What the package knows about each layer kind sits in one entry of
+``_KINDS``: its parameters with their defaults and accepted values, its
+input arity, its shape rule and its mac rule. Validation lives here;
+``shapes`` walks a graph with the shape rules and ``counting`` with the
+mac rules.
 
 Everything here is immutable. Treat specs as values: helpers return new
 objects and never mutate their arguments, so sharing instances across
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 
 class GraphError(ValueError):
@@ -25,63 +29,6 @@ class GraphError(ValueError):
 
 #: Reserved id that layer inputs use to reference the network input tensor.
 INPUT_ID = "input"
-
-#: Every layer kind the toolkit understands.
-LAYER_KINDS = frozenset({
-    "conv2d",
-    "linear",
-    "maxpool",
-    "avgpool",
-    "global_avgpool",
-    "batchnorm",
-    "activation",
-    "elementwise_add",
-    "elementwise_mul",
-    "concat",
-    "channel_shuffle",
-    "flatten",
-    "dropout",
-    "local_response_norm",
-    "squeeze_excite",
-})
-
-# Required parameter names by kind. Optional parameters are filled with
-# defaults by `node_param`. Validation rejects any name in neither table,
-# and a value that is not a bool where the default is one.
-_REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
-    "conv2d": ("out_channels", "kernel_h", "kernel_w"),
-    "linear": ("out_features",),
-    "maxpool": ("kernel",),
-    "avgpool": ("kernel",),
-    "channel_shuffle": ("groups",),
-    "squeeze_excite": ("reduction",),
-}
-
-_OPTIONAL_PARAMS: dict[str, dict[str, Any]] = {
-    "conv2d": {"stride": 1, "padding": 0, "dilation": 1, "groups": 1, "has_bias": False},
-    "linear": {"has_bias": True},
-    "maxpool": {"stride": None, "padding": 0, "ceil": False},
-    "avgpool": {"stride": None, "padding": 0, "ceil": False},
-    "global_avgpool": {"target": 1},
-    "activation": {"function": "relu"},
-    "dropout": {"p": 0.5},
-    "local_response_norm": {"size": 5},
-    "batchnorm": {},
-    "elementwise_add": {},
-    "elementwise_mul": {},
-    "concat": {},
-    "channel_shuffle": {},
-    "flatten": {},
-    "squeeze_excite": {},
-}
-
-# Input arity by kind: (min, max) where max None means unbounded.
-_ARITY: dict[str, tuple[int, int | None]] = {
-    "elementwise_add": (2, None),
-    "elementwise_mul": (2, None),
-    "concat": (2, None),
-}
-_DEFAULT_ARITY = (1, 1)
 
 
 @dataclass(frozen=True)
@@ -139,17 +86,235 @@ class LayerNode:
         object.__setattr__(self, "params", dict(self.params))
 
 
+def window_out_dim(
+    in_dim: int,
+    kernel: int,
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+    ceil: bool = False,
+) -> int:
+    """Output length of a sliding window along one dimension.
+
+    Convolution and pooling windows follow floor arithmetic:
+
+        out = floor((in + 2*padding - dilation*(kernel - 1) - 1) / stride) + 1
+
+    ceil=True switches that division to ceiling, with the usual guard
+    that a window may not start entirely inside the padding. Raises
+    ValueError when the effective kernel does not fit in the padded input.
+    """
+    effective = dilation * (kernel - 1) + 1
+    span = in_dim + 2 * padding - effective
+    if span < 0:
+        raise ValueError(
+            f"window (kernel {kernel}, dilation {dilation}) exceeds "
+            f"padded input of size {in_dim} + 2*{padding}"
+        )
+    # integer division stays exact where float division rounds (span > 2**53)
+    out = (-(-span // stride) if ceil else span // stride) + 1
+    if ceil and (out - 1) * stride >= in_dim + padding:
+        # last window would start beyond the real input; drop it
+        out -= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Layer kinds
+#
+# A shape rule maps a node's resolved parameters and input shapes to its
+# output shape and raises ValueError, without the node id, when the
+# inputs do not fit. A mac rule maps resolved parameters, input shapes,
+# output shape and include_bias to the node's mac count; counting.py's
+# docstring states the mac rules as formulas.
+# ---------------------------------------------------------------------------
+
+def _same_shape(p, ins):
+    (x,) = ins
+    return x
+
+
+def _conv_shape(p, ins):
+    (x,) = ins
+    if x.channels % p["groups"]:
+        raise ValueError(f"groups={p['groups']} does not divide input channels={x.channels}")
+    window = p["stride"], p["padding"], p["dilation"]
+    return TensorShape(
+        p["out_channels"],
+        window_out_dim(x.height, p["kernel_h"], *window),
+        window_out_dim(x.width, p["kernel_w"], *window),
+    )
+
+
+def _pool_shape(p, ins):
+    (x,) = ins
+    window = p["kernel"], p["stride"], p["padding"], 1, p["ceil"]
+    return TensorShape(
+        x.channels, window_out_dim(x.height, *window), window_out_dim(x.width, *window)
+    )
+
+
+def _global_pool_shape(p, ins):
+    (x,) = ins
+    t = p["target"]
+    if x.height < t or x.width < t:
+        raise ValueError(f"target {t}x{t} larger than input {x.height}x{x.width}")
+    return TensorShape(x.channels, t, t)
+
+
+def _shuffle_shape(p, ins):
+    (x,) = ins
+    if x.channels % p["groups"]:
+        raise ValueError(f"groups={p['groups']} does not divide channels={x.channels}")
+    return x
+
+
+def _elementwise_shape(p, ins):
+    first = ins[0]
+    for other in ins[1:]:
+        if other != first:
+            raise ValueError(f"operand shapes differ ({first} vs {other})")
+    return first
+
+
+def _concat_shape(p, ins):
+    first = ins[0]
+    for other in ins[1:]:
+        if (other.height, other.width) != (first.height, first.width):
+            raise ValueError(f"spatial dims differ ({first} vs {other})")
+    return TensorShape(sum(s.channels for s in ins), first.height, first.width)
+
+
+def _conv_macs(p, ins, out, include_bias):
+    macs = out.elements * (ins[0].channels // p["groups"]) * p["kernel_h"] * p["kernel_w"]
+    return macs + out.elements if include_bias and p["has_bias"] else macs
+
+
+def _linear_macs(p, ins, out, include_bias):
+    macs = ins[0].elements * p["out_features"]
+    return macs + p["out_features"] if include_bias and p["has_bias"] else macs
+
+
+def _squeeze_excite_macs(p, ins, out, include_bias):
+    channels = ins[0].channels
+    squeeze = max(1, channels // p["reduction"])
+    return 2 * channels * squeeze + (squeeze + channels if include_bias else 0)
+
+
+def _pool_macs(p, ins, out, include_bias):
+    return out.elements * p["kernel"] * p["kernel"]
+
+
+def _input_elements(p, ins, out, include_bias):
+    return ins[0].elements
+
+
+def _output_elements(p, ins, out, include_bias):
+    return out.elements
+
+
+def _no_macs(p, ins, out, include_bias):
+    return 0
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# What an explicit parameter value must be: (description, test).
+_POSITIVE = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+_NON_NEGATIVE = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_FLAG = ("true or false", lambda v: isinstance(v, bool))
+_NAME = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_FRACTION = ("a number in [0, 1]",
+             lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1)
+
+#: Default of a parameter that has none.
+_REQUIRED = object()
+
+
+class _Kind:
+    """Everything the package knows about one layer kind.
+
+    params: name -> (default or _REQUIRED, what an explicit value must be).
+    arity:  (min, max) number of inputs, max None for unbounded.
+    shape:  shape rule; macs: mac rule (see above).
+    """
+
+    __slots__ = ("params", "arity", "shape", "macs", "defaults")
+
+    def __init__(self, params, shape, macs, arity=(1, 1)):
+        self.params = params
+        self.arity = arity
+        self.shape = shape
+        self.macs = macs
+        # built once here so resolving a node is a single dict merge
+        self.defaults = {n: d for n, (d, _) in params.items() if d is not _REQUIRED}
+
+
+_POOL_PARAMS = {
+    "kernel": (_REQUIRED, _POSITIVE),
+    "stride": (None, _POSITIVE),  # None: the kernel
+    "padding": (0, _NON_NEGATIVE),
+    "ceil": (False, _FLAG),
+}
+
+_KINDS: dict[str, _Kind] = {
+    "conv2d": _Kind({
+        "out_channels": (_REQUIRED, _POSITIVE),
+        "kernel_h": (_REQUIRED, _POSITIVE),
+        "kernel_w": (_REQUIRED, _POSITIVE),
+        "stride": (1, _POSITIVE),
+        "padding": (0, _NON_NEGATIVE),
+        "dilation": (1, _POSITIVE),
+        "groups": (1, _POSITIVE),
+        "has_bias": (False, _FLAG),
+    }, _conv_shape, _conv_macs),
+    "linear": _Kind(
+        {"out_features": (_REQUIRED, _POSITIVE), "has_bias": (True, _FLAG)},
+        lambda p, ins: TensorShape(p["out_features"], 1, 1), _linear_macs,
+    ),
+    "maxpool": _Kind(_POOL_PARAMS, _pool_shape, _pool_macs),
+    "avgpool": _Kind(_POOL_PARAMS, _pool_shape, _pool_macs),
+    "global_avgpool": _Kind({"target": (1, _POSITIVE)}, _global_pool_shape, _input_elements),
+    "batchnorm": _Kind({}, _same_shape, _output_elements),
+    "activation": _Kind({"function": ("relu", _NAME)}, _same_shape, _output_elements),
+    "elementwise_add": _Kind({}, _elementwise_shape, _output_elements, arity=(2, None)),
+    "elementwise_mul": _Kind({}, _elementwise_shape, _output_elements, arity=(2, None)),
+    "concat": _Kind({}, _concat_shape, _no_macs, arity=(2, None)),
+    "channel_shuffle": _Kind({"groups": (_REQUIRED, _POSITIVE)}, _shuffle_shape, _no_macs),
+    "flatten": _Kind({}, lambda p, ins: TensorShape(ins[0].elements, 1, 1), _no_macs),
+    "dropout": _Kind({"p": (0.5, _FRACTION)}, _same_shape, _no_macs),
+    "local_response_norm": _Kind({"size": (5, _POSITIVE)}, _same_shape, _output_elements),
+    "squeeze_excite": _Kind(
+        {"reduction": (_REQUIRED, _POSITIVE)}, _same_shape, _squeeze_excite_macs
+    ),
+}
+
+#: Every layer kind the toolkit understands.
+LAYER_KINDS = frozenset(_KINDS)
+
+
+def _resolve(node: LayerNode, kind: _Kind) -> dict[str, Any]:
+    """The node's parameters over its kind's defaults.
+
+    A required parameter the node lacks is missing from the result, so a
+    rule that reads it raises KeyError; validation reports it first.
+    """
+    params = {**kind.defaults, **node.params}
+    if params.get("stride", 1) is None:  # pools default stride to kernel
+        params["stride"] = params["kernel"]
+    return params
+
+
 def node_param(node: LayerNode, name: str) -> Any:
     """Parameter lookup with per-kind defaults. Raises on missing required."""
     if name in node.params:
         return node.params[name]
-    defaults = _OPTIONAL_PARAMS.get(node.kind, {})
-    if name in defaults:
-        value = defaults[name]
-        if name == "stride" and value is None:  # pools default stride to kernel
-            return node.params["kernel"]
-        return value
-    raise GraphError(f"node {node.id!r}: missing required parameter {name!r}")
+    kind = _KINDS.get(node.kind)
+    if kind is None or name not in kind.defaults:
+        raise GraphError(f"node {node.id!r}: missing required parameter {name!r}")
+    return _resolve(node, kind)[name]
 
 
 @dataclass(frozen=True)
@@ -200,7 +365,7 @@ def validate_arch(arch: ArchitectureSpec) -> list[str]:
             seen.add(node.id)
             continue
 
-        lo, hi = _ARITY.get(node.kind, _DEFAULT_ARITY)
+        lo, hi = _KINDS[node.kind].arity
         if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
             expected = f"at least {lo}" if hi is None else str(lo)
             problems.append(f"{label}: takes {expected} input(s), got {len(node.inputs)}")
@@ -226,63 +391,25 @@ def validate_arch(arch: ArchitectureSpec) -> list[str]:
     return problems
 
 
-def _check_params(node: LayerNode) -> Iterable[str]:
-    required = _REQUIRED_PARAMS.get(node.kind, ())
-    optional = _OPTIONAL_PARAMS[node.kind]
-    unknown = []
-    for name, value in node.params.items():
-        if name in optional:
-            if isinstance(optional[name], bool) and not isinstance(value, bool):
-                yield f"parameter {name!r} must be true or false, got {value!r}"
-        elif name not in required:
-            unknown.append(name)
+def _check_params(node: LayerNode) -> list[str]:
+    problems = []
+    schema = _KINDS[node.kind].params
+    for name, (default, (accepted, test)) in schema.items():
+        if name in node.params:
+            if not test(node.params[name]):
+                problems.append(
+                    f"parameter {name!r} must be {accepted}, got {node.params[name]!r}"
+                )
+        elif default is _REQUIRED:
+            problems.append(f"missing required parameter {name!r}")
+    unknown = [name for name in node.params if name not in schema]
     if unknown:
-        known = sorted((*required, *optional))
-        yield f"unknown parameter(s) {unknown}; {node.kind} takes {known}"
-        return
-    for name in required:
-        if name not in node.params:
-            yield f"missing required parameter {name!r}"
-            return
-
-    def positive(name: str) -> int | None:
-        try:
-            v = node_param(node, name)
-        except GraphError:
-            return None
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            yield_problems.append(f"parameter {name!r} must be a positive integer, got {v!r}")
-            return None
-        return v
-
-    yield_problems: list[str] = []
-    if node.kind == "conv2d":
-        oc = positive("out_channels")
-        positive("kernel_h")
-        positive("kernel_w")
-        positive("stride")
-        positive("dilation")
-        g = positive("groups")
-        pad = node_param(node, "padding")
-        if not isinstance(pad, int) or isinstance(pad, bool) or pad < 0:
-            yield_problems.append(f"parameter 'padding' must be a non-negative integer, got {pad!r}")
-        if oc is not None and g is not None and oc % g:
-            yield_problems.append(f"groups={g} does not divide out_channels={oc}")
-    elif node.kind == "linear":
-        positive("out_features")
-    elif node.kind in ("maxpool", "avgpool"):
-        positive("kernel")
-        positive("stride")
-        pad = node_param(node, "padding")
-        if not isinstance(pad, int) or isinstance(pad, bool) or pad < 0:
-            yield_problems.append(f"parameter 'padding' must be a non-negative integer, got {pad!r}")
-    elif node.kind == "global_avgpool":
-        positive("target")
-    elif node.kind == "channel_shuffle":
-        positive("groups")
-    elif node.kind == "squeeze_excite":
-        positive("reduction")
-    yield from yield_problems
+        problems.append(f"unknown parameter(s) {unknown}; {node.kind} takes {sorted(schema)}")
+    if node.kind == "conv2d" and not problems:
+        out_channels, groups = node.params["out_channels"], node.params.get("groups", 1)
+        if out_channels % groups:
+            problems.append(f"groups={groups} does not divide out_channels={out_channels}")
+    return problems
 
 
 def require_valid(arch: ArchitectureSpec) -> ArchitectureSpec:

@@ -28,6 +28,7 @@ from .archflops import (
     count_flops,
     infer_shapes,
 )
+from .archflops.zoo import _normalize
 from .curves import (
     BACKWARD_MULTIPLIER,
     IMAGES_PER_EPOCH,
@@ -497,8 +498,9 @@ def _cmd_trend(args) -> list[Table]:
 
 def _cmd_effective(args) -> list[Table]:
     if args.factors:
+        total = effective_compute(args.factors)  # rejects what _fmt_big cannot print
         rows = [(f"input {i}", _fmt_big(f)) for i, f in enumerate(args.factors, start=1)]
-        rows.append(("effective", _fmt_big(effective_compute(args.factors))))
+        rows.append(("effective", _fmt_big(total)))
         return [Table(
             key="effective",
             title="Combined effective-compute multiplier",
@@ -531,8 +533,7 @@ def _cmd_report(args) -> list[Table]:
         bundled = load_imagenet_records()
         curves = []
         for cname in curve_names():
-            match = [r for r in bundled if r.name.replace("-", "").replace("_", "").lower()
-                     == cname.replace("-", "").replace("_", "").lower()]
+            match = [r for r in bundled if _normalize(r.name) == _normalize(cname)]
             if match and match[0].flops_per_image is not None:
                 curves.append(to_compute_curve(
                     load_curve(cname), flops_per_image=match[0].flops_per_image,

@@ -90,9 +90,9 @@ def _check_series(name: str, epochs, accuracies, cumulative_flops):
             )
         prev_c = 0.0
         for e, c in zip(epochs, cumulative_flops):
-            if c <= prev_c:
+            if not prev_c < c < math.inf:  # also false for NaN
                 raise CurveError(
-                    f"{name}: cumulative compute must be positive and strictly "
+                    f"{name}: cumulative compute must be finite, positive and strictly "
                     f"increasing, violated at epoch {e}"
                 )
             prev_c = c
@@ -238,7 +238,13 @@ def training_compute(
                      ("backward_multiplier", backward_multiplier)):
         if not v > 0:
             raise CurveError(f"training_compute: {label} must be positive, got {v!r}")
-    return backward_multiplier * epochs * flops_per_image * images_per_epoch
+    total = backward_multiplier * epochs * flops_per_image * images_per_epoch
+    if total == math.inf:
+        raise CurveError(
+            f"training_compute: {backward_multiplier!r} * {epochs!r} * {flops_per_image!r} "
+            f"* {images_per_epoch!r} is not a finite number"
+        )
+    return total
 
 
 def epochs_to_threshold(curve: LearningCurve, threshold: Threshold = DEFAULT_THRESHOLD) -> int:

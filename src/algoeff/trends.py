@@ -493,7 +493,7 @@ def fit_trend(
         intercept=intercept,
         doubling_months=-1.0 / slope,
         r_squared=r2,
-        points=n if method == "endpoints" else len(xs),
+        points=n,
     )
 
 
@@ -515,6 +515,8 @@ def effective_compute(factors: Iterable[float]) -> float:
         if not isinstance(f, (int, float)) or isinstance(f, bool) or not f > 0:
             raise TrendError(f"factors must be positive numbers, got {f!r}")
         total *= f
+    if total == math.inf:
+        raise TrendError("the product of the factors is not a finite number")
     return total
 
 

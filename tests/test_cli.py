@@ -199,6 +199,19 @@ class TestAnalyze:
         assert code == 2
         assert "drop --percent" in err
 
+    def test_non_finite_cumulative_compute(self, capsys, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("epoch,top5_accuracy,cumulative_flops\n1,0.5,1\n2,0.8,nan\n")
+        code, out, err = run(capsys, "analyze", "AlexNet", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "must be finite" in err
+
+    def test_infinite_images_per_epoch(self, capsys):
+        code, out, err = run(capsys, "analyze", "AlexNet", "alexnet",
+                             "--images-per-epoch", "inf")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "not a finite number" in err
+
     def test_unknown_curve(self, capsys):
         code, _, err = run(capsys, "analyze", "AlexNet", "lenet")
         assert code == 2
@@ -394,6 +407,12 @@ class TestFrontierTrendEffective:
         code, _, err = run(capsys, "effective", "0")
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize("factors", [["inf"], ["1e308", "1e308"]])
+    def test_effective_rejects_non_finite(self, capsys, factors):
+        code, out, err = run(capsys, "effective", *factors)
+        assert (code, out) == (2, "")
+        assert err == "algoeff: the product of the factors is not a finite number\n"
 
 
 class TestReport:

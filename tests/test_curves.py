@@ -112,7 +112,8 @@ class TestLearningCurve:
         with pytest.raises(CurveError, match="compute values"):
             mk_curve([1, 2], [0.1, 0.2], flops=(1.0,))
 
-    @pytest.mark.parametrize("flops", [(0.0, 1.0), (2.0, 1.0), (1.0, 1.0), (-1.0, 2.0)])
+    @pytest.mark.parametrize("flops", [(0.0, 1.0), (2.0, 1.0), (1.0, 1.0), (-1.0, 2.0),
+                                       (1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)])
     def test_rejects_non_increasing_flops(self, flops):
         with pytest.raises(CurveError, match="strictly"):
             mk_curve([1, 2], [0.1, 0.2], flops=flops)
@@ -224,6 +225,16 @@ class TestTrainingCompute:
         args = {"flops_per_image": 1.0, "epochs": 1.0}
         args.update(kwargs)
         with pytest.raises(CurveError, match="must be positive"):
+            training_compute(**args)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"images_per_epoch": math.inf},
+        {"flops_per_image": 1e300, "images_per_epoch": 1e300},
+    ])
+    def test_rejects_non_finite_total(self, kwargs):
+        args = {"flops_per_image": 1.0, "epochs": 1.0}
+        args.update(kwargs)
+        with pytest.raises(CurveError, match="not a finite number"):
             training_compute(**args)
 
 

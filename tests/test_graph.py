@@ -232,12 +232,21 @@ class TestValidation:
         ("conv2d", {"out_channels": 4, "kernel_h": 1, "kernel_w": 1, "has_bias": "yes"},
          "has_bias"),
         ("linear", {"out_features": 4, "has_bias": 1}, "has_bias"),
+        ("activation", {"function": 5}, "function"),
+        ("activation", {"function": ""}, "function"),
+        ("dropout", {"p": "x"}, "p"),
+        ("dropout", {"p": 1.5}, "p"),
+        ("dropout", {"p": True}, "p"),
+        ("local_response_norm", {"size": -3}, "size"),
     ])
     def test_non_bool_flag_rejected(self, kind, params, name):
+        # flags must be bools; the other typed parameters are checked the same way
+        accepted = {"function": "a non-empty string", "p": "a number in [0, 1]",
+                    "size": "a positive integer"}.get(name, "true or false")
         nodes = (LayerNode(id="n", kind=kind, params=params, inputs=("input",)),)
         problems = validate_arch(tiny_arch(nodes=nodes, output="n"))
         assert problems == [
-            f"node 'n': parameter {name!r} must be true or false, got {params[name]!r}"
+            f"node 'n': parameter {name!r} must be {accepted}, got {params[name]!r}"
         ]
 
     @pytest.mark.parametrize("bad_id", [7, None, ["c1"]])

@@ -521,6 +521,11 @@ class TestEffectiveCompute:
         with pytest.raises(TrendError, match="positive"):
             effective_compute(factors)
 
+    @pytest.mark.parametrize("factors", [[math.inf], [1e308, 1e308]])
+    def test_rejects_non_finite_product(self, factors):
+        with pytest.raises(TrendError, match="not a finite number"):
+            effective_compute(factors)
+
 
 class TestEffectiveComputeModel:
     def test_default_breakdown(self):
