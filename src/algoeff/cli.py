@@ -13,6 +13,8 @@ invalid inputs, 3 when a curve never reaches the requested threshold.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -71,6 +73,7 @@ from .trends import (
     doubling_time,
     effective_compute,
     efficiency_factor,
+    find_record,
     fit_trend,
     frontier,
     records_from_json,
@@ -240,12 +243,25 @@ def _load_records(path: str | None) -> tuple[EfficiencyRecord, ...]:
     return records_from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _find_record(records, name: str) -> EfficiencyRecord:
-    for r in records:
-        if r.name == name:
-            return r
-    known = ", ".join(r.name for r in records)
-    raise TrendError(f"no record named {name!r}; known records: {known}")
+def _replace_file(path: Path, text: str):
+    """Write text to path atomically: a temporary file beside it, then os.replace.
+
+    A reader sees the old file or the new one, never a partial write, and
+    a failure leaves the old file as it was and no temporary file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    f = open(tmp, "x", encoding="utf-8")  # "x": never clobber another file
+    try:
+        with f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        if path.exists():
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def _counting_convention(args) -> CountingConvention:
@@ -377,14 +393,14 @@ def _cmd_analyze(args) -> list[Table]:
                 images_per_epoch=args.images_per_epoch,
                 backward_multiplier=args.backward_multiplier,
             )
-        path.write_text(records_to_json(list(existing) + [new]), encoding="utf-8")
+        _replace_file(path, records_to_json(list(existing) + [new]))
     return [table]
 
 
 def _cmd_factor(args) -> list[Table]:
     records = _load_records(args.records)
-    baseline = _find_record(records, args.baseline)
-    improved = _find_record(records, args.improved)
+    baseline = find_record(records, args.baseline)
+    improved = find_record(records, args.improved)
     ef = efficiency_factor(baseline, improved)
     return [Table(
         key="factor",
@@ -405,7 +421,7 @@ def _cmd_factor(args) -> list[Table]:
 
 def _cmd_decompose(args) -> list[Table]:
     records = _load_records(args.records)
-    d = decompose(_find_record(records, args.baseline), _find_record(records, args.improved))
+    d = decompose(find_record(records, args.baseline), find_record(records, args.improved))
     return [Table(
         key="decomposition",
         title=f"Factor decomposition, {d.baseline} to {d.improved}",
@@ -445,7 +461,7 @@ def _cmd_doubling(args) -> list[Table]:
             raise UsageError("algoeff doubling: need both BASELINE and IMPROVED")
         records = _load_records(args.records)
         ef = efficiency_factor(
-            _find_record(records, args.baseline), _find_record(records, args.improved)
+            find_record(records, args.baseline), find_record(records, args.improved)
         )
         d = doubling_time(ef.factor, ef.elapsed_months)
         return [Table(

@@ -19,6 +19,7 @@ two curves' knots is exact. No tolerance is involved.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ IMAGES_PER_EPOCH = 1.28e6
 # Training cost per image relative to a forward pass: one forward plus
 # a backward pass at twice the forward cost.
 BACKWARD_MULTIPLIER = 3.0
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class CurveError(ValueError):
@@ -48,6 +51,38 @@ class ThresholdNotReached(Exception):
         )
 
 
+def positive_finite(v) -> bool:
+    """True for an int or float in (0, largest float].
+
+    False for bools, strings, NaN, infinities and ints too large to
+    become a float, so a value that passes keeps ratios and logs finite.
+    """
+    if type(v) is float:  # the common case, tested first because callers are hot loops
+        return 0.0 < v <= _FLOAT_MAX
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= _FLOAT_MAX
+
+
+def finite_product(factors, error: type[Exception] = CurveError, where: str = "") -> float:
+    """The product of (label, value) pairs whose values must be positive numbers.
+
+    Raises error, its message led by where, for a value that is not a
+    positive number and for a product that is not positive and finite.
+    A value that is positive but too large for a float makes it infinite.
+    """
+    total = 1.0
+    for label, v in factors:
+        if positive_finite(v):
+            total *= v
+        elif isinstance(v, (int, float)) and v > _FLOAT_MAX:
+            total = math.inf
+        else:
+            raise error(f"{where}{label} must be positive, got {v!r}")
+    if not positive_finite(total):
+        bound = "finite" if total else "positive"  # overflow, or underflow to 0
+        raise error(f"{where}the product of the factors is not a {bound} number")
+    return total
+
+
 @dataclass(frozen=True)
 class Threshold:
     """An accuracy target on a named metric, as a fraction in (0, 1]."""
@@ -58,9 +93,7 @@ class Threshold:
     def __post_init__(self):
         if not self.metric or not isinstance(self.metric, str):
             raise CurveError("threshold metric must be a non-empty string")
-        if not isinstance(self.value, (int, float)) or isinstance(self.value, bool):
-            raise CurveError("threshold value must be a number")
-        if not 0.0 < float(self.value) <= 1.0:
+        if not positive_finite(self.value) or self.value > 1.0:
             raise CurveError(f"threshold value {self.value!r} outside (0, 1]")
         object.__setattr__(self, "value", float(self.value))
 
@@ -68,34 +101,45 @@ class Threshold:
 DEFAULT_THRESHOLD = Threshold()
 
 
-def _check_series(name: str, epochs, accuracies, cumulative_flops):
-    if len(epochs) == 0:
+def _check_series(name: str, metric, epochs, accuracies, compute, lines=None):
+    """Check the rules every curve obeys; raise CurveError at a break.
+
+    epochs is None for a compute curve, compute None for a learning
+    curve without a cumulative_flops column. lines, when given, holds
+    the file line number of each point, and a message names the line.
+    """
+    def fail(i: int, problem: str):
+        at = f"line {lines[i]}" if lines else f"epoch {epochs[i]}" if epochs else f"point {i + 1}"
+        raise CurveError(f"{name} {at}: {problem}")
+
+    def rising(values, problem):
+        # a strictly increasing series is positive and finite when both its ends are
+        for i in (0, n - 1):
+            if not positive_finite(values[i]):
+                fail(i, problem(values[i]))
+        for i in range(1, n):
+            if not values[i - 1] < values[i]:  # also true for NaN
+                fail(i, problem(values[i]))
+
+    if not metric:
+        raise CurveError("curve metric must be a non-empty string")
+    n = len(accuracies)
+    if n == 0:
         raise CurveError(f"{name}: curve has no data rows")
-    if len(accuracies) != len(epochs):
-        raise CurveError(f"{name}: {len(epochs)} epochs but {len(accuracies)} accuracies")
-    prev = 0
-    for e in epochs:
-        if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
-            raise CurveError(f"{name}: epoch {e!r} is not a positive integer")
-        if e <= prev:
-            raise CurveError(f"{name}: epochs not strictly increasing at {e}")
-        prev = e
-    for e, a in zip(epochs, accuracies):
+    if epochs is not None and len(epochs) != n:
+        raise CurveError(f"{name}: {len(epochs)} epochs but {n} accuracies")
+    if compute is not None and len(compute) != n:
+        raise CurveError(f"{name}: {n} accuracies but {len(compute)} compute values")
+    if epochs is not None:
+        for i, e in enumerate(epochs):
+            if type(e) is not int:
+                fail(i, f"epoch {e!r} is not an integer")
+        rising(epochs, lambda e: f"epoch {e} is not positive and finite, or not increasing")
+    for i, a in enumerate(accuracies):
         if not 0.0 <= a <= 1.0:
-            raise CurveError(f"{name}: accuracy {a!r} at epoch {e} outside [0, 1]")
-    if cumulative_flops is not None:
-        if len(cumulative_flops) != len(epochs):
-            raise CurveError(
-                f"{name}: {len(epochs)} epochs but {len(cumulative_flops)} compute values"
-            )
-        prev_c = 0.0
-        for e, c in zip(epochs, cumulative_flops):
-            if not prev_c < c < math.inf:  # also false for NaN
-                raise CurveError(
-                    f"{name}: cumulative compute must be finite, positive and strictly "
-                    f"increasing, violated at epoch {e}"
-                )
-            prev_c = c
+            fail(i, f"accuracy {a!r} outside [0, 1]")
+    if compute is not None:
+        rising(compute, lambda _: "compute must be finite, positive and strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -120,9 +164,8 @@ class LearningCurve:
             object.__setattr__(
                 self, "cumulative_flops", tuple(float(c) for c in self.cumulative_flops)
             )
-        if not self.metric:
-            raise CurveError("curve metric must be a non-empty string")
-        _check_series(self.name or "curve", self.epochs, self.accuracies, self.cumulative_flops)
+        _check_series(self.name or "curve", self.metric, self.epochs, self.accuracies,
+                      self.cumulative_flops)
 
     @property
     def final_accuracy(self) -> float:
@@ -146,6 +189,7 @@ def parse_curve(text: str, name: str = "curve", percent: bool = False) -> Learni
     epochs: list[int] = []
     accuracies: list[float] = []
     flops: list[float] = []
+    lines: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -189,36 +233,27 @@ def parse_curve(text: str, name: str = "curve", percent: bool = False) -> Learni
             if not 0.0 <= acc <= 100.0:
                 raise CurveError(f"{name} line {lineno}: percent accuracy {acc!r} outside [0, 100]")
             acc /= 100.0
-        if not 0.0 <= acc <= 1.0:
-            raise CurveError(f"{name} line {lineno}: accuracy {acc!r} outside [0, 1]")
-        if epochs and epoch <= epochs[-1]:
-            raise CurveError(f"{name} line {lineno}: epoch {epoch} not greater than {epochs[-1]}")
-        if epoch <= 0:
-            raise CurveError(f"{name} line {lineno}: epoch {epoch} is not positive")
         if has_flops:
             try:
-                c = float(fields[2])
+                flops.append(float(fields[2]))
             except ValueError:
                 raise CurveError(
                     f"{name} line {lineno}: cumulative_flops {fields[2]!r} is not a number"
                 ) from None
-            if c <= (flops[-1] if flops else 0.0):
-                raise CurveError(
-                    f"{name} line {lineno}: cumulative_flops must be positive and strictly increasing"
-                )
-            flops.append(c)
         epochs.append(epoch)
         accuracies.append(acc)
+        lines.append(lineno)
 
     if header is None:
         raise CurveError(f"{name}: no header line found")
-    return LearningCurve(
-        name=name,
-        metric=metric,
-        epochs=tuple(epochs),
-        accuracies=tuple(accuracies),
-        cumulative_flops=tuple(flops) if has_flops else None,
-    )
+    compute = tuple(flops) if has_flops else None
+    try:
+        return LearningCurve(name=name, metric=metric, epochs=tuple(epochs),
+                             accuracies=tuple(accuracies), cumulative_flops=compute)
+    except CurveError:
+        # only a curve that fails is checked again, to name the offending line
+        _check_series(name, metric, epochs, accuracies, compute, lines)
+        raise
 
 
 def training_compute(
@@ -233,18 +268,11 @@ def training_compute(
     training step; the default of 3 charges the backward pass at twice
     the forward pass.
     """
-    for label, v in (("flops_per_image", flops_per_image), ("epochs", epochs),
-                     ("images_per_epoch", images_per_epoch),
-                     ("backward_multiplier", backward_multiplier)):
-        if not v > 0:
-            raise CurveError(f"training_compute: {label} must be positive, got {v!r}")
-    total = backward_multiplier * epochs * flops_per_image * images_per_epoch
-    if total == math.inf:
-        raise CurveError(
-            f"training_compute: {backward_multiplier!r} * {epochs!r} * {flops_per_image!r} "
-            f"* {images_per_epoch!r} is not a finite number"
-        )
-    return total
+    return finite_product(
+        (("backward_multiplier", backward_multiplier), ("epochs", epochs),
+         ("flops_per_image", flops_per_image), ("images_per_epoch", images_per_epoch)),
+        where="training_compute: ",
+    )
 
 
 def epochs_to_threshold(curve: LearningCurve, threshold: Threshold = DEFAULT_THRESHOLD) -> int:
@@ -276,25 +304,7 @@ class ComputeCurve:
     def __post_init__(self):
         object.__setattr__(self, "compute", tuple(float(c) for c in self.compute))
         object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
-        if not self.metric:
-            raise CurveError("curve metric must be a non-empty string")
-        if len(self.compute) == 0:
-            raise CurveError(f"{self.name}: compute curve has no points")
-        if len(self.compute) != len(self.accuracies):
-            raise CurveError(
-                f"{self.name}: {len(self.compute)} compute values but "
-                f"{len(self.accuracies)} accuracies"
-            )
-        prev = 0.0
-        for c in self.compute:
-            if c <= prev:
-                raise CurveError(
-                    f"{self.name}: compute values must be positive and strictly increasing"
-                )
-            prev = c
-        for a in self.accuracies:
-            if not 0.0 <= a <= 1.0:
-                raise CurveError(f"{self.name}: accuracy {a!r} outside [0, 1]")
+        _check_series(self.name, self.metric, None, self.accuracies, self.compute)
 
     @property
     def min_compute(self) -> float:

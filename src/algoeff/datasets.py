@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .curves import LearningCurve, parse_curve
-from .trends import MONTH_DAYS, EfficiencyRecord, TrendError, records_from_json
+from .trends import MONTH_DAYS, EfficiencyRecord, TrendError, find_record, records_from_json
 
 
 class DatasetError(ValueError):
@@ -232,11 +232,7 @@ class Dataset:
     reported_totals: dict[str, float]
 
     def record(self, name: str) -> EfficiencyRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        known = ", ".join(r.name for r in self.records)
-        raise DatasetError(f"no record named {name!r}; known: {known}")
+        return find_record(self.records, name, DatasetError)
 
 
 def load_default_dataset() -> Dataset:

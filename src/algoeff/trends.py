@@ -17,7 +17,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .curves import (
@@ -25,6 +25,8 @@ from .curves import (
     IMAGES_PER_EPOCH,
     DEFAULT_THRESHOLD,
     Threshold,
+    finite_product,
+    positive_finite,
     training_compute,
 )
 
@@ -87,14 +89,16 @@ class EfficiencyRecord:
             raise TrendError(f"{self.name}: date must be a datetime.date")
         if not isinstance(self.threshold, Threshold):
             raise TrendError(f"{self.name}: threshold must be a Threshold")
-        for label in ("total_compute", "flops_per_image", "epochs", "images_per_epoch"):
+        if not isinstance(self.notes, str):
+            raise TrendError(f"{self.name}: notes must be a string")
+        for label in ("total_compute", "flops_per_image", "epochs", "images_per_epoch",
+                      "backward_multiplier"):
             v = getattr(self, label)
-            if v is not None:
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-                    raise TrendError(f"{self.name}: {label} must be positive, got {v!r}")
-                object.__setattr__(self, label, float(v))
-        if not self.backward_multiplier > 0:
-            raise TrendError(f"{self.name}: backward_multiplier must be positive")
+            if v is None and label != "backward_multiplier":
+                continue
+            if not positive_finite(v):
+                raise TrendError(f"{self.name}: {label} must be positive and finite, got {v!r}")
+            object.__setattr__(self, label, float(v))
         has_triple = self.flops_per_image is not None and self.epochs is not None
         if (self.flops_per_image is None) != (self.epochs is None):
             raise TrendError(
@@ -108,30 +112,26 @@ class EfficiencyRecord:
             raise TrendError(
                 f"{self.name}: needs total_compute or flops_per_image with epochs"
             )
-        if has_triple and self.total_compute is not None:
-            derived = self._triple_total()
-            rel = abs(self.total_compute - derived) / derived
-            if rel > TOTAL_AGREEMENT_RTOL:
-                raise TrendError(
-                    f"{self.name}: total_compute {self.total_compute!r} disagrees with "
-                    f"epochs * flops_per_image product {derived!r} "
-                    f"(relative difference {rel:.3e})"
-                )
-
-    def _triple_total(self) -> float:
-        return training_compute(
-            self.flops_per_image,
-            self.epochs,
-            self.images_per_epoch if self.images_per_epoch is not None else IMAGES_PER_EPOCH,
-            self.backward_multiplier,
-        )
+        total = self.total_compute
+        if has_triple:
+            derived = training_compute(self.flops_per_image, self.epochs,
+                                       self.effective_images_per_epoch, self.backward_multiplier)
+            if total is None:
+                total = derived
+            else:
+                rel = abs(total - derived) / derived
+                if rel > TOTAL_AGREEMENT_RTOL:
+                    raise TrendError(
+                        f"{self.name}: total_compute {total!r} disagrees with "
+                        f"epochs * flops_per_image product {derived!r} "
+                        f"(relative difference {rel:.3e})"
+                    )
+        object.__setattr__(self, "_total", total)  # not a field: eq and repr ignore it
 
     @property
     def total(self) -> float:
-        """Total training compute in raw flops."""
-        if self.total_compute is not None:
-            return self.total_compute
-        return self._triple_total()
+        """Total training compute in raw flops, computed once at construction."""
+        return self._total
 
     @property
     def effective_images_per_epoch(self) -> float:
@@ -142,18 +142,14 @@ class EfficiencyRecord:
 # record json
 # ---------------------------------------------------------------------------
 
-_RECORD_FIELDS = {
-    "name", "date", "threshold", "total_compute", "flops_per_image",
-    "epochs", "images_per_epoch", "backward_multiplier", "notes",
-}
+_RECORD_FIELDS = frozenset(f.name for f in fields(EfficiencyRecord))
 
 
 def _threshold_from_json(value, where: str) -> Threshold:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Threshold("top5", float(value))
+        return Threshold("top5", value)
     if isinstance(value, dict):
-        extra = set(value) - {"metric", "value"}
-        if extra or set(value) != {"metric", "value"}:
+        if set(value) != {"metric", "value"}:
             raise TrendError(
                 f"{where}: threshold object must have exactly the keys metric and value"
             )
@@ -177,18 +173,10 @@ def record_from_dict(obj: dict, where: str = "record") -> EfficiencyRecord:
         date = datetime.date.fromisoformat(obj["date"])
     except (TypeError, ValueError):
         raise TrendError(f"{where} ({name}): date {obj['date']!r} is not YYYY-MM-DD") from None
-    kwargs = {}
+    kwargs = dict(obj, date=date)
     if "threshold" in obj:
         kwargs["threshold"] = _threshold_from_json(obj["threshold"], f"{where} ({name})")
-    for num in ("total_compute", "flops_per_image", "epochs", "images_per_epoch",
-                "backward_multiplier"):
-        if num in obj:
-            kwargs[num] = obj[num]
-    if "notes" in obj:
-        if not isinstance(obj["notes"], str):
-            raise TrendError(f"{where} ({name}): notes must be a string")
-        kwargs["notes"] = obj["notes"]
-    return EfficiencyRecord(name=name, date=date, **kwargs)
+    return EfficiencyRecord(**kwargs)
 
 
 def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
@@ -220,6 +208,15 @@ def record_to_dict(r: EfficiencyRecord) -> dict:
     if r.notes:
         obj["notes"] = r.notes
     return obj
+
+
+def find_record(records, name: str, error: type[Exception] = TrendError) -> EfficiencyRecord:
+    """The record called name; raises error, listing the known names, if none is."""
+    for r in records:
+        if r.name == name:
+            return r
+    known = ", ".join(r.name for r in records)
+    raise error(f"no record named {name!r}; known records: {known}")
 
 
 def records_to_json(records: Sequence[EfficiencyRecord]) -> str:
@@ -263,11 +260,14 @@ def efficiency_factor(baseline: EfficiencyRecord, improved: EfficiencyRecord) ->
     be negative.
     """
     _require_same_threshold(baseline, improved)
+    factor = baseline.total / improved.total
+    if not positive_finite(factor):
+        raise TrendError(f"{baseline.name} to {improved.name}: ratio of totals is not finite")
     days = (improved.date - baseline.date).days
     return EfficiencyFactor(
         baseline=baseline.name,
         improved=improved.name,
-        factor=baseline.total / improved.total,
+        factor=factor,
         elapsed_days=days,
         elapsed_months=days / MONTH_DAYS,
     )
@@ -316,12 +316,15 @@ def decompose(baseline: EfficiencyRecord, improved: EfficiencyRecord) -> Decompo
         )
     epochs_ratio = baseline.epochs / improved.epochs
     flops_ratio = baseline.flops_per_image / improved.flops_per_image
+    factor = epochs_ratio * flops_ratio
+    if not all(positive_finite(v) for v in (epochs_ratio, flops_ratio, factor)):
+        raise TrendError(f"{baseline.name} to {improved.name}: a term ratio is not finite")
     return Decomposition(
         baseline=baseline.name,
         improved=improved.name,
         epochs_ratio=epochs_ratio,
         flops_per_image_ratio=flops_ratio,
-        factor=epochs_ratio * flops_ratio,
+        factor=factor,
     )
 
 
@@ -334,8 +337,8 @@ def partial_run_factor(
     spent by the time it reached baseline-level performance, so the
     comparison charges the improved run only that share.
     """
-    if not baseline_total > 0 or not improved_total > 0:
-        raise TrendError("totals must be positive")
+    if not positive_finite(baseline_total) or not positive_finite(improved_total):
+        raise TrendError("totals must be positive and finite")
     if not 0.0 < improved_fraction <= 1.0:
         raise TrendError(f"improved_fraction {improved_fraction!r} outside (0, 1]")
     return baseline_total / (improved_fraction * improved_total)
@@ -347,17 +350,20 @@ def doubling_time(factor: float, elapsed: float) -> float:
     Unit-agnostic: the result is in whatever unit elapsed is in. The
     factor must be above 1; the elapsed time positive.
     """
-    if not factor > 0:
-        raise TrendError(f"factor must be positive, got {factor!r}")
+    if not positive_finite(factor):
+        raise TrendError(f"factor must be positive and finite, got {factor!r}")
     if factor == 1.0:
         raise TrendError("factor of exactly 1 means no change; doubling time is undefined")
-    if not elapsed > 0:
-        raise TrendError(f"elapsed time must be positive, got {elapsed!r}")
+    if not positive_finite(elapsed):
+        raise TrendError(f"elapsed time must be positive and finite, got {elapsed!r}")
     if factor < 1.0:
         raise TrendError(
             f"factor {factor!r} is below 1 (efficiency fell); no doubling time exists"
         )
-    return elapsed / math.log2(factor)
+    d = elapsed / math.log2(factor)
+    if not positive_finite(d):
+        raise TrendError(f"doubling time {elapsed!r} / log2({factor!r}) is not a finite number")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +413,12 @@ def frontier(records: Sequence[EfficiencyRecord]) -> Frontier:
         raise TrendError("frontier needs at least one record")
     for r in records[1:]:
         _require_same_threshold(records[0], r)
-    indexed = sorted(enumerate(records), key=lambda t: (t[1].date, t[0]))
     kept: list[EfficiencyRecord] = []
-    i = 0
-    while i < len(indexed):
-        j = i
-        best = indexed[i][1]
-        while j + 1 < len(indexed) and indexed[j + 1][1].date == best.date:
-            j += 1
-            if indexed[j][1].total < best.total:
-                best = indexed[j][1]
-        if not kept or best.total < kept[-1].total:
-            kept.append(best)
-        i = j + 1
+    for r in sorted(records, key=lambda r: r.date):  # stable: ties keep input order
+        if not kept or r.total < kept[-1].total:
+            if kept and kept[-1].date == r.date:
+                kept.pop()  # a cheaper record of the same date replaces it
+            kept.append(r)
     return Frontier(records=tuple(kept))
 
 
@@ -452,8 +451,6 @@ def fit_trend(
     reproduces quoted doubling times of the form elapsed over
     log2(first total / last total).
     """
-    if isinstance(records, Frontier):
-        records = records.records
     if method not in ("regression", "endpoints"):
         raise TrendError(f"unknown fit method {method!r}; expected regression or endpoints")
     if len(records) < 2:
@@ -503,21 +500,14 @@ def fit_trend(
 
 def moore_factor(period_months: float, doubling_months: float) -> float:
     """Growth factor from steady doubling over a period."""
-    if not doubling_months > 0:
-        raise TrendError(f"doubling_months must be positive, got {doubling_months!r}")
+    if not positive_finite(doubling_months):
+        raise TrendError(f"doubling_months must be positive and finite, got {doubling_months!r}")
     return 2.0 ** (period_months / doubling_months)
 
 
 def effective_compute(factors: Iterable[float]) -> float:
     """Combined multiplier from independent gain factors (their product)."""
-    total = 1.0
-    for f in factors:
-        if not isinstance(f, (int, float)) or isinstance(f, bool) or not f > 0:
-            raise TrendError(f"factors must be positive numbers, got {f!r}")
-        total *= f
-    if total == math.inf:
-        raise TrendError("the product of the factors is not a finite number")
-    return total
+    return finite_product((("factors", f) for f in factors), TrendError)
 
 
 @dataclass(frozen=True)
@@ -538,10 +528,9 @@ class EffectiveComputeModel:
     period_months: float = 72.0
 
     def __post_init__(self):
-        for label in ("hardware_doubling_months", "spending_factor",
-                      "efficiency_factor", "period_months"):
-            if not getattr(self, label) > 0:
-                raise TrendError(f"{label} must be positive")
+        for f in fields(self):
+            if not positive_finite(getattr(self, f.name)):
+                raise TrendError(f"{f.name} must be positive and finite")
 
     @property
     def hardware_factor(self) -> float:

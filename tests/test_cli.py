@@ -262,6 +262,36 @@ class TestAnalyze:
         assert code == 2
         assert "already exists" in err
 
+    def test_append_failure_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        records_file = tmp_path / "runs.json"
+        run(capsys, "analyze", "AlexNet", "alexnet", "--date", "2012-06-01",
+            "--append-records", str(records_file))
+        before = records_file.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, out, err = run(capsys, "analyze", "GoogLeNet", "googlenet",
+                             "--date", "2014-09-17",
+                             "--append-records", str(records_file))
+        assert (code, out, err) == (2, "", "algoeff: disk full\n")
+        assert records_file.read_bytes() == before
+        assert os.listdir(tmp_path) == ["runs.json"]
+
+    def test_append_replaces_file_and_keeps_its_mode(self, capsys, tmp_path):
+        records_file = tmp_path / "runs.json"
+        run(capsys, "analyze", "AlexNet", "alexnet", "--date", "2012-06-01",
+            "--append-records", str(records_file))
+        records_file.chmod(0o640)
+        inode = records_file.stat().st_ino
+        code, _, _ = run(capsys, "analyze", "GoogLeNet", "googlenet", "--date", "2014-09-17",
+                         "--append-records", str(records_file))
+        assert code == 0
+        assert records_file.stat().st_ino != inode  # a new file took the old one's place
+        assert records_file.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tmp_path) == ["runs.json"]
+
     def test_recorded_flops_column_wins(self, capsys, tmp_path):
         curve_file = tmp_path / "run.csv"
         curve_file.write_text(CURVE_WITH_FLOPS)
@@ -413,6 +443,54 @@ class TestFrontierTrendEffective:
         code, out, err = run(capsys, "effective", *factors)
         assert (code, out) == (2, "")
         assert err == "algoeff: the product of the factors is not a finite number\n"
+
+
+INF_TOTAL = '[{"name": "a", "date": "2012-01-01", "total_compute": Infinity},' \
+            ' {"name": "b", "date": "2013-01-01", "total_compute": 1e18}]'
+STRING_MULTIPLIER = '[{"name": "a", "date": "2012-01-01", "total_compute": 1e19,' \
+                    ' "backward_multiplier": "3"},' \
+                    ' {"name": "b", "date": "2013-01-01", "total_compute": 1e18}]'
+RATIO_OVERFLOW = '[{"name": "a", "date": "2012-01-01", "total_compute": 1e308},' \
+                 ' {"name": "b", "date": "2013-01-01", "total_compute": 1e-10}]'
+TERM_OVERFLOW = '[{"name": "a", "date": "2012-01-01", "flops_per_image": 1e-300,' \
+                ' "epochs": 1e300, "images_per_epoch": 1},' \
+                ' {"name": "b", "date": "2013-01-01", "flops_per_image": 1e300,' \
+                ' "epochs": 1e-300, "images_per_epoch": 1}]'
+
+
+class TestNonFiniteInputs:
+    """Inputs that once printed inf or nan, or ended in a traceback."""
+
+    @pytest.mark.parametrize("records,argv,message", [
+        (INF_TOTAL, ["frontier"], "a: total_compute must be positive and finite, got inf"),
+        (INF_TOTAL, ["trend", "--all-records"],
+         "a: total_compute must be positive and finite, got inf"),
+        (STRING_MULTIPLIER, ["factor", "a", "b"],
+         "a: backward_multiplier must be positive and finite, got '3'"),
+        (RATIO_OVERFLOW, ["factor", "a", "b"], "a to b: ratio of totals is not finite"),
+        (RATIO_OVERFLOW, ["doubling", "a", "b"], "a to b: ratio of totals is not finite"),
+        (RATIO_OVERFLOW, ["report"], "a to b: ratio of totals is not finite"),
+        (TERM_OVERFLOW, ["decompose", "a", "b"], "a to b: a term ratio is not finite"),
+    ])
+    def test_records(self, capsys, tmp_path, records, argv, message):
+        path = tmp_path / "r.json"
+        path.write_text(records)
+        code, out, err = run(capsys, *argv, "--records", str(path))
+        assert (code, out, err) == (2, "", f"algoeff: {message}\n")
+
+    @pytest.mark.parametrize("factor,period", [("inf", "12"), ("2", "inf"), ("1e400", "12")])
+    def test_doubling_flags(self, capsys, factor, period):
+        code, out, err = run(capsys, "doubling", "--factor", factor, "--period", period)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "must be positive and finite, got inf" in err
+
+    def test_curve_error_names_line(self, capsys, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("epoch,top5_accuracy,cumulative_flops\n1,0.5,nan\n2,0.8,3e18\n")
+        code, out, err = run(capsys, "analyze", "AlexNet", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("algoeff: c line 2: compute must be finite")
+        assert err.count("\n") == 1
 
 
 class TestReport:

@@ -1,0 +1,155 @@
+"""Generated inputs at the command line boundary: records json, curve csv, numeric flags.
+
+Whatever the input, a command ends in exit code 0, 1, 2 or 3, raises
+nothing, prints no inf or nan, and reports a failure as one line on
+stderr with nothing on stdout.
+"""
+import contextlib
+import io
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from algoeff.cli import main
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+NON_FINITE_TOKEN = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
+
+EDGE_NUMBERS = [
+    0, 0.0, -1.0, 1, 3, 1e-10, 5e-324, 2.2250738585072014e-308, 1e300, 1e308,
+    1.7976931348623157e308, 10**308, 10**400, math.inf, -math.inf, math.nan,
+]
+
+# values of a numeric json field: finite, huge, subnormal, Infinity, NaN, strings, bools;
+# most are valid, so that a command gets as far as its arithmetic
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+JSON_NUMBERS = st.one_of(
+    st.floats(min_value=1e8, max_value=1e22),
+    POSITIVE,
+    POSITIVE,
+    st.sampled_from(EDGE_NUMBERS),
+    st.floats(),
+    st.sampled_from(["3", "", "Infinity", True, False]),
+)
+
+# the text of a numeric command line value
+FLAG_NUMBERS = st.one_of(
+    st.sampled_from(["2", "44", "84", "0", "-1", "1e308", "1e400", "5e-324", "1e-300",
+                     "1.0000000000000002", "inf", "nan", "-inf", "abc"]),
+    st.floats().map(repr),
+)
+
+DATES = st.sampled_from(["2012-06-01", "2014-09-17", "2017-04-17", "2019-05-28"])
+
+
+@st.composite
+def record_objects(draw, name):
+    obj = {"name": name, "date": draw(DATES)}
+    form = draw(st.sampled_from(["total", "triple", "both"]))
+    if form != "triple":
+        obj["total_compute"] = draw(JSON_NUMBERS)
+    if form != "total":
+        obj["flops_per_image"] = draw(JSON_NUMBERS)
+        obj["epochs"] = draw(JSON_NUMBERS)
+        if draw(st.booleans()):
+            obj["images_per_epoch"] = draw(JSON_NUMBERS)
+    if draw(st.booleans()):
+        obj["backward_multiplier"] = draw(JSON_NUMBERS)
+    return obj
+
+
+@st.composite
+def records_json(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    return json.dumps([draw(record_objects(f"r{i}")) for i in range(n)])
+
+
+def _csv_value(v) -> str:
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+@st.composite
+def curve_csv(draw):
+    """Mostly valid curves (rising epochs, accuracy in [0, 1], rising compute), some wild."""
+    with_flops = draw(st.booleans())
+    n = draw(st.integers(min_value=0, max_value=6))
+    if draw(st.booleans()):
+        epochs = sorted(draw(st.sets(st.integers(min_value=1, max_value=200),
+                                     min_size=n, max_size=n)))
+        accs = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                    min_size=n, max_size=n)))
+        flops = sorted(draw(st.lists(POSITIVE, min_size=n, max_size=n)))
+        rows = list(zip(epochs, accs, flops))
+    else:
+        rows = draw(st.lists(st.tuples(
+            st.one_of(st.integers(min_value=-1, max_value=120), st.just(10**400)),
+            st.one_of(st.floats(min_value=0.0, max_value=1.0), st.floats()),
+            JSON_NUMBERS,
+        ), min_size=n, max_size=n))
+    header = "epoch,top5_accuracy" + (",cumulative_flops" if with_flops else "")
+    lines = [header] + [
+        ",".join(_csv_value(v) for v in (row if with_flops else row[:2])) for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check(argv):
+    code, out, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert not NON_FINITE_TOKEN.search(out), (argv, out)
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+FORMATS = st.sampled_from(["markdown", "csv", "json"])
+
+
+@FUZZ
+@given(records=records_json(), fmt=FORMATS)
+def test_record_commands(records, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.json"
+        path.write_text(records)
+        for argv in (["factor", "r0", "r1"], ["decompose", "r0", "r1"],
+                     ["doubling", "r1", "r0"], ["frontier"], ["trend"],
+                     ["trend", "--all-records", "--method", "endpoints"],
+                     ["report", "--figures"]):
+            check(argv + ["--records", str(path), "--format", fmt])
+
+
+@FUZZ
+@given(curve=curve_csv(), records=records_json(), images=FLAG_NUMBERS,
+       multiplier=FLAG_NUMBERS, fmt=FORMATS)
+def test_analyze(curve, records, images, multiplier, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        curve_path = Path(tmp) / "run.csv"
+        curve_path.write_text(curve)
+        records_path = Path(tmp) / "records.json"
+        records_path.write_text(records)
+        check(["analyze", "AlexNet", str(curve_path), "--threshold", "0.5",
+               f"--images-per-epoch={images}", f"--backward-multiplier={multiplier}",
+               "--format", fmt])
+        check(["analyze", "AlexNet", str(curve_path), "--threshold", "0.5",
+               "--date", "2020-01-01", "--append-records", str(records_path),
+               f"--images-per-epoch={images}", "--format", fmt])
+
+
+@settings(FUZZ, max_examples=150)
+@given(factor=FLAG_NUMBERS, period=FLAG_NUMBERS,
+       factors=st.lists(FLAG_NUMBERS, min_size=1, max_size=3), fmt=FORMATS)
+def test_numeric_flags(factor, period, factors, fmt):
+    check(["doubling", f"--factor={factor}", f"--period={period}", "--format", fmt])
+    check(["effective", "--format", fmt, "--"] + factors)

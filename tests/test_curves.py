@@ -15,8 +15,10 @@ from algoeff.curves import (
     ThresholdNotReached,
     compute_to_threshold,
     dominance,
+    finite_product,
     epochs_to_threshold,
     parse_curve,
+    positive_finite,
     to_compute_curve,
     training_compute,
 )
@@ -52,6 +54,36 @@ class TestConstants:
 
     def test_backward_multiplier(self):
         assert BACKWARD_MULTIPLIER == 3.0
+
+
+class TestPositiveFinite:
+    @pytest.mark.parametrize("v", [1, 2.5, 5e-324, 1e308, 1.7976931348623157e308, 10**308])
+    def test_accepts(self, v):
+        assert positive_finite(v)
+
+    @pytest.mark.parametrize("v", [0, 0.0, -1, -1e-300, math.nan, math.inf, -math.inf,
+                                   10**400, 2**1024, True, False, "3", None, [1.0]])
+    def test_rejects(self, v):
+        assert not positive_finite(v)
+
+
+class TestFiniteProduct:
+    def test_product_in_order(self):
+        assert finite_product((("a", 3), ("b", 0.5), ("c", 4.0))) == 6.0
+
+    @pytest.mark.parametrize("v", [math.inf, 10**400])
+    def test_too_large_means_not_finite(self, v):
+        with pytest.raises(CurveError, match="^the product of the factors is not a finite"):
+            finite_product((("a", 2.0), ("b", v)))
+
+    def test_underflow_to_zero_is_rejected(self):
+        with pytest.raises(CurveError, match="^the product of the factors is not a positive"):
+            finite_product((("a", 1e-200), ("b", 1e-200)))
+
+    @pytest.mark.parametrize("v", [0, -1.0, math.nan, True, "4"])
+    def test_names_the_bad_factor(self, v):
+        with pytest.raises(ValueError, match="^where: b must be positive"):
+            finite_product((("a", 2.0), ("b", v)), ValueError, "where: ")
 
 
 class TestThreshold:
@@ -121,6 +153,10 @@ class TestLearningCurve:
     def test_rejects_empty_metric(self):
         with pytest.raises(CurveError, match="metric"):
             mk_curve([1], [0.1], metric="")
+
+    def test_rejects_epoch_too_large_for_a_float(self):
+        with pytest.raises(CurveError, match="epoch"):
+            mk_curve([1, 10**400], [0.1, 0.2])
 
 
 class TestParseCurve:
@@ -205,6 +241,16 @@ class TestParseCurve:
         with pytest.raises(CurveError, match="strictly increasing"):
             parse_curve("epoch,top5_accuracy,cumulative_flops\n1,0.5,2e15\n2,0.6,1e15\n")
 
+    @pytest.mark.parametrize("rows,line", [
+        ("1,0.5,nan\n2,0.6,2e15\n", 2),
+        ("1,0.5,1e15\n2,0.6,inf\n", 3),
+        ("1,0.5,1e15\n\n# gap\n2,0.6,1e400\n", 5),
+        ("1,0.5,1e15\n2,nan,2e15\n", 3),
+    ])
+    def test_non_finite_values_name_line(self, rows, line):
+        with pytest.raises(CurveError, match=f"^c line {line}: "):
+            parse_curve("epoch,top5_accuracy,cumulative_flops\n" + rows, name="c")
+
 
 class TestTrainingCompute:
     def test_formula(self):
@@ -235,6 +281,17 @@ class TestTrainingCompute:
         args = {"flops_per_image": 1.0, "epochs": 1.0}
         args.update(kwargs)
         with pytest.raises(CurveError, match="not a finite number"):
+            training_compute(**args)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"epochs": 10**400},
+        {"flops_per_image": "1e9"},
+        {"backward_multiplier": None},
+    ])
+    def test_rejects_huge_and_mistyped_arguments(self, kwargs):
+        args = {"flops_per_image": 1.0, "epochs": 1.0}
+        args.update(kwargs)
+        with pytest.raises(CurveError, match="training_compute: "):
             training_compute(**args)
 
 
@@ -280,6 +337,13 @@ class TestComputeCurve:
                          accuracies=(0.1, 0.2))
         with pytest.raises(CurveError):
             ComputeCurve(name="c", metric="top5", compute=(1.0,), accuracies=(1.5,))
+
+    @pytest.mark.parametrize("compute,point", [
+        ((1.0, math.nan), 2), ((math.nan, 1.0), 1), ((1.0, math.inf), 2),
+    ])
+    def test_rejects_non_finite_compute(self, compute, point):
+        with pytest.raises(CurveError, match=f"^c point {point}: compute must be finite"):
+            ComputeCurve(name="c", metric="top5", compute=compute, accuracies=(0.1, 0.2))
 
     def test_span_properties(self):
         c = ComputeCurve(name="c", metric="top5", compute=(1.0, 10.0),

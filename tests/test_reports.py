@@ -76,6 +76,10 @@ class TestFmtFactor:
     def test_accepts_ints(self):
         assert fmt_factor(44) == "44"
 
+    def test_rounding_past_the_largest_float_stays_finite(self):
+        # 1.75e308 rounds to 1.8e308, which no float can hold
+        assert fmt_factor(1.75e308) == "180," + ",".join(["000"] * 102)
+
 
 class TestFmtCompute:
     def test_table_unit_fixed_point(self):

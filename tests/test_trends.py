@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from algoeff.curves import Threshold
+from algoeff.curves import CurveError, Threshold
 from algoeff.trends import (
     MONTH_DAYS,
     UNIT_DIVISORS,
@@ -20,6 +20,7 @@ from algoeff.trends import (
     doubling_time,
     effective_compute,
     efficiency_factor,
+    find_record,
     fit_trend,
     frontier,
     moore_factor,
@@ -145,6 +146,26 @@ class TestEfficiencyRecord:
         with pytest.raises(TrendError, match="backward_multiplier"):
             rec(total_compute=1.0, backward_multiplier=0.0)
 
+    @pytest.mark.parametrize("field", ["total_compute", "flops_per_image", "epochs",
+                                       "images_per_epoch", "backward_multiplier"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400, "3", False])
+    def test_rejects_non_finite_and_mistyped_numbers(self, field, value):
+        kwargs = {"flops_per_image": 1.0, "epochs": 1.0}
+        if field == "total_compute":
+            kwargs = {}
+        kwargs[field] = value
+        with pytest.raises(TrendError, match=f"r: {field} must be positive and finite"):
+            rec(**kwargs)
+
+    def test_rejects_missing_backward_multiplier(self):
+        with pytest.raises(TrendError, match="backward_multiplier"):
+            rec(total_compute=1.0, backward_multiplier=None)
+
+    def test_numbers_stored_as_floats(self):
+        r = rec(flops_per_image=2, epochs=3, images_per_epoch=4, backward_multiplier=1)
+        assert [type(v) for v in (r.flops_per_image, r.epochs, r.images_per_epoch,
+                                  r.backward_multiplier)] == [float] * 4
+
 
 class TestRecordJson:
     def test_minimal_dict(self):
@@ -170,6 +191,12 @@ class TestRecordJson:
             record_from_dict({"name": "x", "date": "2015-01-02",
                               "total_compute": 1.0, "threshold": threshold})
 
+    @pytest.mark.parametrize("value", [10**400, math.inf])
+    def test_threshold_number_checked_before_conversion(self, value):
+        with pytest.raises(CurveError, match="threshold value"):
+            record_from_dict({"name": "x", "date": "2015-01-02", "total_compute": 1.0,
+                              "threshold": value})
+
     def test_unknown_field_rejected(self):
         with pytest.raises(TrendError, match="unknown fields"):
             record_from_dict({"name": "x", "date": "2015-01-02",
@@ -190,6 +217,16 @@ class TestRecordJson:
         with pytest.raises(TrendError, match="notes"):
             record_from_dict({"name": "x", "date": "2015-01-02",
                               "total_compute": 1.0, "notes": 5})
+
+    @pytest.mark.parametrize("field,value", [
+        ("total_compute", "Infinity"), ("total_compute", "NaN"), ("total_compute", "1e400"),
+        ("backward_multiplier", '"3"'), ("backward_multiplier", "null"),
+    ])
+    def test_non_finite_or_mistyped_json_number(self, field, value):
+        text = f'[{{"name": "a", "date": "2015-01-02", "total_compute": 1.0, "{field}": {value}}}]'
+        with pytest.raises(TrendError, match=field):
+            records_from_json(text.replace('"total_compute": 1.0, "total_compute"',
+                                           '"total_compute"'))
 
     def test_records_from_json_not_array(self):
         with pytest.raises(TrendError, match="array"):
@@ -265,6 +302,13 @@ class TestEfficiencyFactor:
             rev = efficiency_factor(b, a).factor
             assert fwd * rev == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("totals", [(1e308, 1e-10), (1e-300, 1e300)])
+    def test_rejects_ratio_out_of_float_range(self, totals):
+        a = rec("a", total_compute=totals[0])
+        b = rec("b", total_compute=totals[1])
+        with pytest.raises(TrendError, match="^a to b: ratio of totals is not finite"):
+            efficiency_factor(a, b)
+
 
 class TestDecompose:
     def test_product_identity(self):
@@ -298,6 +342,17 @@ class TestDecompose:
         a = rec("a", flops_per_image=1.0, epochs=2.0)
         assert isinstance(decompose(a, a), Decomposition)
 
+    @pytest.mark.parametrize("a_triple,b_triple", [
+        ((1e-300, 1e300), (1e300, 1e-300)),   # epochs ratio overflows
+        ((1e-300, 1e300), (1e100, 1e-100)),   # per-image ratio underflows to 0
+        ((1e100, 1e100), (1e-100, 1e-100)),   # each ratio is finite, their product is not
+    ])
+    def test_rejects_ratio_out_of_float_range(self, a_triple, b_triple):
+        a = rec("a", flops_per_image=a_triple[0], epochs=a_triple[1], images_per_epoch=1.0)
+        b = rec("b", flops_per_image=b_triple[0], epochs=b_triple[1], images_per_epoch=1.0)
+        with pytest.raises(TrendError, match="^a to b: a term ratio is not finite"):
+            decompose(a, b)
+
 
 class TestPartialRunFactor:
     def test_full_run(self):
@@ -308,6 +363,7 @@ class TestPartialRunFactor:
 
     @pytest.mark.parametrize("kwargs", [
         {"baseline_total": 0}, {"improved_total": -1},
+        {"baseline_total": math.inf}, {"improved_total": math.nan},
     ])
     def test_rejects_bad_totals(self, kwargs):
         args = {"baseline_total": 1.0, "improved_total": 1.0}
@@ -342,6 +398,15 @@ class TestDoublingTime:
     def test_rejects_non_positive_elapsed(self):
         with pytest.raises(TrendError, match="elapsed"):
             doubling_time(2.0, 0.0)
+
+    @pytest.mark.parametrize("factor,elapsed,match", [
+        (math.inf, 12.0, "factor"), (10**400, 12.0, "factor"), ("4", 12.0, "factor"),
+        (2.0, math.inf, "elapsed"), (2.0, math.nan, "elapsed"),
+        (1.0000000000000002, 1e300, "doubling time .* is not a finite number"),
+    ])
+    def test_rejects_non_finite(self, factor, elapsed, match):
+        with pytest.raises(TrendError, match=match):
+            doubling_time(factor, elapsed)
 
 
 class TestFrontier:
@@ -508,6 +573,11 @@ class TestMooreFactor:
         with pytest.raises(TrendError, match="doubling_months"):
             moore_factor(12.0, 0.0)
 
+    @pytest.mark.parametrize("doubling", [math.inf, math.nan, True])
+    def test_rejects_non_finite_doubling(self, doubling):
+        with pytest.raises(TrendError, match="doubling_months must be positive and finite"):
+            moore_factor(12.0, doubling)
+
 
 class TestEffectiveCompute:
     def test_product(self):
@@ -524,6 +594,11 @@ class TestEffectiveCompute:
     @pytest.mark.parametrize("factors", [[math.inf], [1e308, 1e308]])
     def test_rejects_non_finite_product(self, factors):
         with pytest.raises(TrendError, match="not a finite number"):
+            effective_compute(factors)
+
+    @pytest.mark.parametrize("factors", [[10**400], [2.0, 10**400, 3]])
+    def test_int_too_large_for_a_float(self, factors):
+        with pytest.raises(TrendError, match="^the product of the factors is not a finite number$"):
             effective_compute(factors)
 
 
@@ -545,6 +620,26 @@ class TestEffectiveComputeModel:
     def test_rejects_non_positive(self):
         with pytest.raises(TrendError):
             EffectiveComputeModel(spending_factor=0.0)
+
+    @pytest.mark.parametrize("field", ["hardware_doubling_months", "spending_factor",
+                                       "efficiency_factor", "period_months"])
+    def test_rejects_non_finite(self, field):
+        with pytest.raises(TrendError, match=f"^{field} must be positive and finite$"):
+            EffectiveComputeModel(**{field: math.inf})
+
+
+class TestFindRecord:
+    def test_finds_first_with_name(self):
+        a, b = rec("a"), rec("b", total_compute=5.0)
+        assert find_record([a, b, rec("b")], "b") is b
+
+    def test_unknown_name_lists_known(self):
+        with pytest.raises(TrendError, match="^no record named 'c'; known records: a, b$"):
+            find_record([rec("a"), rec("b")], "c")
+
+    def test_error_type_is_the_callers(self):
+        with pytest.raises(KeyError):
+            find_record([], "c", KeyError)
 
 
 class TestUnitInvariance:
