@@ -248,7 +248,9 @@ def _replace_file(path: Path, text: str):
 
     A reader sees the old file or the new one, never a partial write, and
     a failure leaves the old file as it was and no temporary file behind.
+    A symlink is followed, so the file it points at is the one replaced.
     """
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     f = open(tmp, "x", encoding="utf-8")  # "x": never clobber another file
     try:

@@ -101,25 +101,28 @@ class Threshold:
 DEFAULT_THRESHOLD = Threshold()
 
 
+def _first_break(values, end: int) -> int:
+    """Index of the first of values[:end] that is not positive, finite and
+    above the value before it; end when every one is."""
+    if end == 0 or not positive_finite(values[0]):
+        return 0
+    i = next((i for i in range(1, end) if not values[i - 1] < values[i]), end)  # also for NaN
+    # values[:i] rise from a positive start, so those too large for a float come last
+    return i if positive_finite(values[i - 1]) else bisect_right(values, _FLOAT_MAX, 0, i)
+
+
 def _check_series(name: str, metric, epochs, accuracies, compute, lines=None):
-    """Check the rules every curve obeys; raise CurveError at a break.
+    """Check the rules every curve obeys; raise CurveError at the first point that breaks one.
 
     epochs is None for a compute curve, compute None for a learning
     curve without a cumulative_flops column. lines, when given, holds
     the file line number of each point, and a message names the line.
     """
-    def fail(i: int, problem: str):
-        at = f"line {lines[i]}" if lines else f"epoch {epochs[i]}" if epochs else f"point {i + 1}"
-        raise CurveError(f"{name} {at}: {problem}")
-
-    def rising(values, problem):
-        # a strictly increasing series is positive and finite when both its ends are
-        for i in (0, n - 1):
-            if not positive_finite(values[i]):
-                fail(i, problem(values[i]))
-        for i in range(1, n):
-            if not values[i - 1] < values[i]:  # also true for NaN
-                fail(i, problem(values[i]))
+    def epoch_problem(i):
+        e = epochs[i]
+        if i and e <= epochs[i - 1]:
+            return f"epoch {e} not greater than {epochs[i - 1]}"
+        return f"epoch {e} is not positive" if e <= 0 else f"epoch {e} is too large for a float"
 
     if not metric:
         raise CurveError("curve metric must be a non-empty string")
@@ -130,16 +133,20 @@ def _check_series(name: str, metric, epochs, accuracies, compute, lines=None):
         raise CurveError(f"{name}: {len(epochs)} epochs but {n} accuracies")
     if compute is not None and len(compute) != n:
         raise CurveError(f"{name}: {n} accuracies but {len(compute)} compute values")
+    # (index, problem) of the first point that breaks each rule; a tie goes to the earlier rule
+    breaks = [(next((i for i, a in enumerate(accuracies) if not 0.0 <= a <= 1.0), n),
+               lambda i: f"accuracy {accuracies[i]!r} outside [0, 1]")]
     if epochs is not None:
-        for i, e in enumerate(epochs):
-            if type(e) is not int:
-                fail(i, f"epoch {e!r} is not an integer")
-        rising(epochs, lambda e: f"epoch {e} is not positive and finite, or not increasing")
-    for i, a in enumerate(accuracies):
-        if not 0.0 <= a <= 1.0:
-            fail(i, f"accuracy {a!r} outside [0, 1]")
+        k = next((i for i, e in enumerate(epochs) if type(e) is not int), n)
+        breaks += [(k, lambda i: f"epoch {epochs[i]!r} is not an integer"),
+                   (_first_break(epochs, k), epoch_problem)]
     if compute is not None:
-        rising(compute, lambda _: "compute must be finite, positive and strictly increasing")
+        breaks.append((_first_break(compute, n),
+                       lambda _: "compute must be finite, positive and strictly increasing"))
+    i, problem = min(breaks, key=lambda b: b[0])
+    if i < n:
+        at = f"line {lines[i]}" if lines else f"epoch {epochs[i]}" if epochs else f"point {i + 1}"
+        raise CurveError(f"{name} {at}: {problem(i)}")
 
 
 @dataclass(frozen=True)
@@ -268,11 +275,9 @@ def training_compute(
     training step; the default of 3 charges the backward pass at twice
     the forward pass.
     """
-    return finite_product(
-        (("backward_multiplier", backward_multiplier), ("epochs", epochs),
-         ("flops_per_image", flops_per_image), ("images_per_epoch", images_per_epoch)),
-        where="training_compute: ",
-    )
+    factors = (("backward_multiplier", backward_multiplier), ("epochs", epochs),
+               ("flops_per_image", flops_per_image), ("images_per_epoch", images_per_epoch))
+    return finite_product(factors, where="training_compute: ")
 
 
 def epochs_to_threshold(curve: LearningCurve, threshold: Threshold = DEFAULT_THRESHOLD) -> int:

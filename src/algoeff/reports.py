@@ -66,8 +66,7 @@ def fmt_factor(x: float) -> str:
                    rounding=decimal.ROUND_HALF_EVEN)
     v = float(q)
     if abs(v) >= 100:
-        # near the largest float, rounding up can take v past it to inf; q stays exact
-        return f"{v:,.0f}" if math.isfinite(v) else f"{q:,.0f}"
+        return f"{q:,.0f}"
     s = format(q, "f")
     if abs(v) < 10 and "." not in s:
         return f"{s}.0"

@@ -98,7 +98,8 @@ class EfficiencyRecord:
                 continue
             if not positive_finite(v):
                 raise TrendError(f"{self.name}: {label} must be positive and finite, got {v!r}")
-            object.__setattr__(self, label, float(v))
+            if type(v) is not float:  # most values are floats already; setting one costs
+                object.__setattr__(self, label, float(v))
         has_triple = self.flops_per_image is not None and self.epochs is not None
         if (self.flops_per_image is None) != (self.epochs is None):
             raise TrendError(
@@ -142,14 +143,18 @@ class EfficiencyRecord:
 # record json
 # ---------------------------------------------------------------------------
 
-_RECORD_FIELDS = frozenset(f.name for f in fields(EfficiencyRecord))
+_RECORD_FIELDS = {
+    "name", "date", "threshold", "total_compute", "flops_per_image",
+    "epochs", "images_per_epoch", "backward_multiplier", "notes",
+}
 
 
 def _threshold_from_json(value, where: str) -> Threshold:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Threshold("top5", value)
     if isinstance(value, dict):
-        if set(value) != {"metric", "value"}:
+        extra = set(value) - {"metric", "value"}
+        if extra or set(value) != {"metric", "value"}:
             raise TrendError(
                 f"{where}: threshold object must have exactly the keys metric and value"
             )
@@ -317,7 +322,7 @@ def decompose(baseline: EfficiencyRecord, improved: EfficiencyRecord) -> Decompo
     epochs_ratio = baseline.epochs / improved.epochs
     flops_ratio = baseline.flops_per_image / improved.flops_per_image
     factor = epochs_ratio * flops_ratio
-    if not all(positive_finite(v) for v in (epochs_ratio, flops_ratio, factor)):
+    if not positive_finite(factor):  # also catches a term ratio that overflowed or underflowed
         raise TrendError(f"{baseline.name} to {improved.name}: a term ratio is not finite")
     return Decomposition(
         baseline=baseline.name,
@@ -413,12 +418,19 @@ def frontier(records: Sequence[EfficiencyRecord]) -> Frontier:
         raise TrendError("frontier needs at least one record")
     for r in records[1:]:
         _require_same_threshold(records[0], r)
+    indexed = sorted(enumerate(records), key=lambda t: (t[1].date, t[0]))
     kept: list[EfficiencyRecord] = []
-    for r in sorted(records, key=lambda r: r.date):  # stable: ties keep input order
-        if not kept or r.total < kept[-1].total:
-            if kept and kept[-1].date == r.date:
-                kept.pop()  # a cheaper record of the same date replaces it
-            kept.append(r)
+    i = 0
+    while i < len(indexed):
+        j = i
+        best = indexed[i][1]
+        while j + 1 < len(indexed) and indexed[j + 1][1].date == best.date:
+            j += 1
+            if indexed[j][1].total < best.total:
+                best = indexed[j][1]
+        if not kept or best.total < kept[-1].total:
+            kept.append(best)
+        i = j + 1
     return Frontier(records=tuple(kept))
 
 
@@ -451,6 +463,8 @@ def fit_trend(
     reproduces quoted doubling times of the form elapsed over
     log2(first total / last total).
     """
+    if isinstance(records, Frontier):
+        records = records.records
     if method not in ("regression", "endpoints"):
         raise TrendError(f"unknown fit method {method!r}; expected regression or endpoints")
     if len(records) < 2:

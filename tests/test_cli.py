@@ -292,6 +292,21 @@ class TestAnalyze:
         assert records_file.stat().st_mode & 0o777 == 0o640
         assert os.listdir(tmp_path) == ["runs.json"]
 
+    def test_append_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "real.json"
+        records_file = tmp_path / "runs.json"
+        records_file.symlink_to(target)
+        for name, curve, date in (("AlexNet", "alexnet", "2012-06-01"),
+                                  ("GoogLeNet", "googlenet", "2014-09-17")):
+            code, _, _ = run(capsys, "analyze", name, curve, "--date", date,
+                             "--append-records", str(records_file))
+            assert code == 0
+        assert records_file.is_symlink() and records_file.resolve() == target
+        assert [r.name for r in records_from_json(target.read_text())] == ["AlexNet", "GoogLeNet"]
+        assert sorted(os.listdir(tmp_path)) == ["data", "runs.json"]
+        assert os.listdir(tmp_path / "data") == ["real.json"]
+
     def test_recorded_flops_column_wins(self, capsys, tmp_path):
         curve_file = tmp_path / "run.csv"
         curve_file.write_text(CURVE_WITH_FLOPS)

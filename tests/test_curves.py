@@ -155,8 +155,9 @@ class TestLearningCurve:
             mk_curve([1], [0.1], metric="")
 
     def test_rejects_epoch_too_large_for_a_float(self):
-        with pytest.raises(CurveError, match="epoch"):
-            mk_curve([1, 10**400], [0.1, 0.2])
+        big = 10**400  # the first of two such epochs is named
+        with pytest.raises(CurveError, match=f"^c epoch {big}: epoch {big} is too large for a float$"):
+            mk_curve([1, big, big * 10], [0.1, 0.2, 0.3])
 
 
 class TestParseCurve:
@@ -250,6 +251,18 @@ class TestParseCurve:
     def test_non_finite_values_name_line(self, rows, line):
         with pytest.raises(CurveError, match=f"^c line {line}: "):
             parse_curve("epoch,top5_accuracy,cumulative_flops\n" + rows, name="c")
+
+    @pytest.mark.parametrize("header,rows,message", [
+        ("", "1,1.5\n0,0.5\n", r"^c line 2: accuracy 1\.5 outside \[0, 1\]$"),
+        ("", "1,0.5\n3,0.6\n2,0.7\n", "^c line 4: epoch 2 not greater than 3$"),
+        ("", "0,0.5\n", "^c line 2: epoch 0 is not positive$"),
+        ("", "2,0.5\n2,1.5\n", "^c line 3: accuracy"),  # same line: accuracy first
+        (",cumulative_flops", "1,0.5,nan\n0,1.5,1\n", "^c line 2: compute"),
+        (",cumulative_flops", "1,0.5,1\n2,0.6,2\n1,1.5,0\n", "^c line 4: accuracy"),
+    ])
+    def test_first_bad_line_in_file_order(self, header, rows, message):
+        with pytest.raises(CurveError, match=message):
+            parse_curve("epoch,top5_accuracy" + header + "\n" + rows, name="c")
 
 
 class TestTrainingCompute:
