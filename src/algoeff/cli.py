@@ -13,6 +13,7 @@ invalid inputs, 3 when a curve never reaches the requested threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -91,6 +92,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache  # parse_args keeps no state between calls, so one parser serves them all
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="algoeff",
@@ -541,13 +543,14 @@ def _cmd_report(args) -> list[Table]:
     records = _load_records(args.records)
     comparisons = load_cross_domain()
     reported = REPORTED_TERAFLOP_S_DAYS if args.records is None else None
+    front = frontier(records)
     tables = [
-        efficiency_table(records),
+        efficiency_table(records, front),
         doubling_table(comparisons),
-        compute_table(records, unit=args.unit, reported=reported),
+        compute_table(records, unit=args.unit, reported=reported, front=front),
     ]
     if args.figures:
-        tables.append(frontier_points(records, unit=args.unit))
+        tables.append(frontier_points(records, unit=args.unit, front=front))
         bundled = load_imagenet_records()
         curves = []
         for cname in curve_names():

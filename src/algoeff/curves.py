@@ -149,6 +149,18 @@ def _check_series(name: str, metric, epochs, accuracies, compute, lines=None):
         raise CurveError(f"{name} {at}: {problem(i)}")
 
 
+def _floats(values) -> tuple:
+    """values as floats, or as given when one is an int too large for a float.
+
+    _check_series runs next and rejects such an int with the point it is at.
+    """
+    values = tuple(values)
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        return values
+
+
 @dataclass(frozen=True)
 class LearningCurve:
     """Accuracy after each recorded epoch, optionally with cumulative compute.
@@ -166,11 +178,9 @@ class LearningCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "epochs", tuple(self.epochs))
-        object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
+        object.__setattr__(self, "accuracies", _floats(self.accuracies))
         if self.cumulative_flops is not None:
-            object.__setattr__(
-                self, "cumulative_flops", tuple(float(c) for c in self.cumulative_flops)
-            )
+            object.__setattr__(self, "cumulative_flops", _floats(self.cumulative_flops))
         _check_series(self.name or "curve", self.metric, self.epochs, self.accuracies,
                       self.cumulative_flops)
 
@@ -307,8 +317,8 @@ class ComputeCurve:
     accuracies: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "compute", tuple(float(c) for c in self.compute))
-        object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
+        object.__setattr__(self, "compute", _floats(self.compute))
+        object.__setattr__(self, "accuracies", _floats(self.accuracies))
         _check_series(self.name, self.metric, None, self.accuracies, self.compute)
 
     @property

@@ -27,8 +27,15 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .curves import LearningCurve, parse_curve
-from .trends import MONTH_DAYS, EfficiencyRecord, TrendError, find_record, records_from_json
+from .curves import LearningCurve, parse_curve, positive_finite
+from .trends import (
+    MONTH_DAYS,
+    EfficiencyRecord,
+    TrendError,
+    find_record,
+    partial_run_factor,
+    records_from_json,
+)
 
 
 class DatasetError(ValueError):
@@ -98,6 +105,10 @@ class CrossDomainComparison:
             raise DatasetError(f"{self.label}: compute totals must come in pairs")
         if self.baseline_compute is None and self.reported_factor is None:
             raise DatasetError(f"{self.label}: needs compute totals or a reported factor")
+        for key in ("baseline_compute", "improved_compute"):
+            v = getattr(self, key)
+            if v is not None and not positive_finite(v):
+                raise DatasetError(f"{self.label}: {key} must be positive and finite, got {v!r}")
         if not 0.0 < self.improved_fraction <= 1.0:
             raise DatasetError(f"{self.label}: improved_fraction outside (0, 1]")
         for unit in (self.period_unit, self.reported_period_unit, self.reported_doubling_unit):
@@ -123,7 +134,11 @@ class CrossDomainComparison:
         the reported factor verbatim.
         """
         if self.baseline_compute is not None:
-            return self.baseline_compute / (self.improved_fraction * self.improved_compute)
+            try:
+                return partial_run_factor(self.baseline_compute, self.improved_compute,
+                                          self.improved_fraction)
+            except TrendError as e:
+                raise DatasetError(f"{self.label}: {e}") from None
         return float(self.reported_factor)
 
     def period(self) -> tuple[float, str]:

@@ -98,15 +98,19 @@ def _rounds_to(computed: float, reported: float) -> bool:
 # tables
 # ---------------------------------------------------------------------------
 
-def efficiency_table(records: Sequence[EfficiencyRecord]) -> Table:
+def efficiency_table(
+    records: Sequence[EfficiencyRecord], front: Frontier | None = None
+) -> Table:
     """Frontier runs against the earliest one: factor and its two terms.
 
     epoch_reduction is baseline epochs over improved epochs;
     per_image_reduction is baseline per-image cost over improved. Their
     product is the efficiency factor. Records without per-image detail
-    show only the factor.
+    show only the factor. front, when given, must be frontier(records):
+    a caller that builds several tables (compute_table and
+    frontier_points take it too) computes the frontier once.
     """
-    front = frontier(records)
+    front = front or frontier(records)
     base = front.records[0]
     rows = []
     for r in front:
@@ -198,13 +202,14 @@ def compute_table(
     records: Sequence[EfficiencyRecord],
     unit: str = "table",
     reported: dict[str, float] | None = None,
+    front: Frontier | None = None,
 ) -> Table:
     """Every record's training total, largest first, with quoted values.
 
     reported maps record names to quoted totals in table units (raw
     flops / 1e15); deviations beyond two percent become warnings.
     """
-    front_names = set(frontier(records).names) if records else set()
+    front_names = set((front or frontier(records)).names) if records else set()
     ordered = sorted(records, key=lambda r: (-r.total, r.name))
     rows = []
     warnings = []
@@ -245,7 +250,9 @@ def compute_table(
 # plot-point series
 # ---------------------------------------------------------------------------
 
-def frontier_points(records: Sequence[EfficiencyRecord], unit: str = "raw") -> Table:
+def frontier_points(
+    records: Sequence[EfficiencyRecord], unit: str = "raw", front: Frontier | None = None
+) -> Table:
     """Scatter points for compute-to-threshold over time.
 
     months counts from the earliest record. log2_total is of the raw
@@ -253,7 +260,7 @@ def frontier_points(records: Sequence[EfficiencyRecord], unit: str = "raw") -> T
     """
     if not records:
         raise TrendError("no records to plot")
-    front_names = set(frontier(records).names)
+    front_names = set((front or frontier(records)).names)
     ordered = sorted(records, key=lambda r: (r.date, r.name))
     origin = date_to_months(ordered[0].date)
     rows = []

@@ -18,12 +18,14 @@ import datetime
 import json
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .curves import (
     BACKWARD_MULTIPLIER,
     IMAGES_PER_EPOCH,
     DEFAULT_THRESHOLD,
+    CurveError,
     Threshold,
     finite_product,
     positive_finite,
@@ -143,18 +145,14 @@ class EfficiencyRecord:
 # record json
 # ---------------------------------------------------------------------------
 
-_RECORD_FIELDS = {
-    "name", "date", "threshold", "total_compute", "flops_per_image",
-    "epochs", "images_per_epoch", "backward_multiplier", "notes",
-}
+_RECORD_FIELDS = frozenset(f.name for f in fields(EfficiencyRecord))
 
 
 def _threshold_from_json(value, where: str) -> Threshold:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Threshold("top5", value)
     if isinstance(value, dict):
-        extra = set(value) - {"metric", "value"}
-        if extra or set(value) != {"metric", "value"}:
+        if value.keys() != {"metric", "value"}:
             raise TrendError(
                 f"{where}: threshold object must have exactly the keys metric and value"
             )
@@ -162,12 +160,32 @@ def _threshold_from_json(value, where: str) -> Threshold:
     raise TrendError(f"{where}: threshold must be a number or a metric/value object")
 
 
+def _shared_threshold(value, where: str, built: dict) -> Threshold:
+    """_threshold_from_json, reusing the Threshold built for an equal metric/value object.
+
+    Only a two-key object with a str metric and an int or float value is
+    looked up in built; any other value takes the checked path every time.
+    """
+    if type(value) is dict and len(value) == 2:
+        metric, v = value.get("metric"), value.get("value")
+        if type(metric) is str and type(v) in (int, float):
+            key = (metric, type(v), v)
+            threshold = built.get(key)
+            if threshold is None:
+                threshold = built[key] = _threshold_from_json(value, where)
+            return threshold
+    return _threshold_from_json(value, where)
+
+
 def record_from_dict(obj: dict, where: str = "record") -> EfficiencyRecord:
+    return _record_from_dict(obj, where, {})
+
+
+def _record_from_dict(obj, where: str, thresholds: dict) -> EfficiencyRecord:
     if not isinstance(obj, dict):
         raise TrendError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - _RECORD_FIELDS
-    if unknown:
-        raise TrendError(f"{where}: unknown fields {sorted(unknown)}")
+    if not _RECORD_FIELDS.issuperset(obj):
+        raise TrendError(f"{where}: unknown fields {sorted(set(obj) - _RECORD_FIELDS)}")
     for req in ("name", "date"):
         if req not in obj:
             raise TrendError(f"{where}: missing required field {req!r}")
@@ -180,22 +198,27 @@ def record_from_dict(obj: dict, where: str = "record") -> EfficiencyRecord:
         raise TrendError(f"{where} ({name}): date {obj['date']!r} is not YYYY-MM-DD") from None
     kwargs = dict(obj, date=date)
     if "threshold" in obj:
-        kwargs["threshold"] = _threshold_from_json(obj["threshold"], f"{where} ({name})")
-    return EfficiencyRecord(**kwargs)
+        kwargs["threshold"] = _shared_threshold(obj["threshold"], f"{where} ({name})", thresholds)
+    try:
+        return EfficiencyRecord(**kwargs)
+    except (TrendError, CurveError) as e:  # its messages start with the name alone
+        raise type(e)(f"{where} ({name}): {str(e).removeprefix(f'{name}: ')}") from None
 
 
 def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
-    """Parse a json array of records. Unknown fields are rejected."""
+    """Parse a json array of records. Unknown fields are rejected.
+
+    Records with equal metric/value threshold objects share one Threshold.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise TrendError(f"records file is not valid json: {e}") from None
     if not isinstance(data, list):
         raise TrendError("records file must contain a json array")
-    records = []
-    for i, obj in enumerate(data):
-        records.append(record_from_dict(obj, where=f"record {i}"))
-    return tuple(records)
+    thresholds: dict = {}
+    return tuple(_record_from_dict(obj, f"record {i}", thresholds)
+                 for i, obj in enumerate(data))
 
 
 def record_to_dict(r: EfficiencyRecord) -> dict:
@@ -346,7 +369,14 @@ def partial_run_factor(
         raise TrendError("totals must be positive and finite")
     if not 0.0 < improved_fraction <= 1.0:
         raise TrendError(f"improved_fraction {improved_fraction!r} outside (0, 1]")
-    return baseline_total / (improved_fraction * improved_total)
+    charged = improved_fraction * improved_total
+    factor = baseline_total / charged if charged else math.inf  # charged can underflow to 0
+    if not positive_finite(factor):
+        raise TrendError(
+            f"factor {baseline_total!r} / ({improved_fraction!r} * {improved_total!r}) "
+            "is not a finite number"
+        )
+    return factor
 
 
 def doubling_time(factor: float, elapsed: float) -> float:
@@ -416,21 +446,16 @@ def frontier(records: Sequence[EfficiencyRecord]) -> Frontier:
     """
     if not records:
         raise TrendError("frontier needs at least one record")
-    for r in records[1:]:
-        _require_same_threshold(records[0], r)
-    indexed = sorted(enumerate(records), key=lambda t: (t[1].date, t[0]))
+    first = records[0]
+    for r in records:
+        if r.threshold is not first.threshold:
+            _require_same_threshold(first, r)
     kept: list[EfficiencyRecord] = []
-    i = 0
-    while i < len(indexed):
-        j = i
-        best = indexed[i][1]
-        while j + 1 < len(indexed) and indexed[j + 1][1].date == best.date:
-            j += 1
-            if indexed[j][1].total < best.total:
-                best = indexed[j][1]
-        if not kept or best.total < kept[-1].total:
-            kept.append(best)
-        i = j + 1
+    for r in sorted(records, key=attrgetter("date")):  # stable: same-date ties keep input order
+        if not kept or r.total < kept[-1].total:
+            if kept and r.date == kept[-1].date:
+                kept.pop()  # a cheaper record of the same date replaces the one kept
+            kept.append(r)
     return Frontier(records=tuple(kept))
 
 
@@ -463,8 +488,6 @@ def fit_trend(
     reproduces quoted doubling times of the form elapsed over
     log2(first total / last total).
     """
-    if isinstance(records, Frontier):
-        records = records.records
     if method not in ("regression", "endpoints"):
         raise TrendError(f"unknown fit method {method!r}; expected regression or endpoints")
     if len(records) < 2:
@@ -516,7 +539,14 @@ def moore_factor(period_months: float, doubling_months: float) -> float:
     """Growth factor from steady doubling over a period."""
     if not positive_finite(doubling_months):
         raise TrendError(f"doubling_months must be positive and finite, got {doubling_months!r}")
-    return 2.0 ** (period_months / doubling_months)
+    exponent = period_months / doubling_months
+    try:
+        factor = 2.0 ** exponent
+    except OverflowError:
+        factor = math.inf
+    if not positive_finite(factor):
+        raise TrendError(f"growth factor 2 ** {exponent!r} is not a finite positive number")
+    return factor
 
 
 def effective_compute(factors: Iterable[float]) -> float:

@@ -10,7 +10,10 @@ import pytest
 
 import algoeff
 from algoeff.archflops import arch_to_json, builtin_arch
-from algoeff.cli import main
+import algoeff.cli as cli_mod
+import algoeff.reports as reports_mod
+import algoeff.trends as trends_mod
+from algoeff.cli import _build_parser, main
 from algoeff.datasets import load_imagenet_records
 from algoeff.reports import fmt_compute
 from algoeff.trends import fit_trend, frontier, records_from_json
@@ -477,11 +480,12 @@ class TestNonFiniteInputs:
     """Inputs that once printed inf or nan, or ended in a traceback."""
 
     @pytest.mark.parametrize("records,argv,message", [
-        (INF_TOTAL, ["frontier"], "a: total_compute must be positive and finite, got inf"),
+        (INF_TOTAL, ["frontier"],
+         "record 0 (a): total_compute must be positive and finite, got inf"),
         (INF_TOTAL, ["trend", "--all-records"],
-         "a: total_compute must be positive and finite, got inf"),
+         "record 0 (a): total_compute must be positive and finite, got inf"),
         (STRING_MULTIPLIER, ["factor", "a", "b"],
-         "a: backward_multiplier must be positive and finite, got '3'"),
+         "record 0 (a): backward_multiplier must be positive and finite, got '3'"),
         (RATIO_OVERFLOW, ["factor", "a", "b"], "a to b: ratio of totals is not finite"),
         (RATIO_OVERFLOW, ["doubling", "a", "b"], "a to b: ratio of totals is not finite"),
         (RATIO_OVERFLOW, ["report"], "a to b: ratio of totals is not finite"),
@@ -524,6 +528,20 @@ class TestReport:
         curves = {r[0] for t in json.loads(out)["tables"]
                   if t["key"] == "curve_points" for r in t["rows"]}
         assert curves == {"alexnet", "googlenet", "resnet50", "vgg11"}
+
+    @pytest.mark.parametrize("argv", [("report",), ("report", "--figures")])
+    def test_frontier_computed_once(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counting(records):
+            calls.append(len(records))
+            return frontier(records)
+
+        for mod in (cli_mod, reports_mod, trends_mod):
+            monkeypatch.setattr(mod, "frontier", counting)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "EfficientNet-b0" in out
+        assert calls == [len(load_imagenet_records())]
 
     def test_markdown_embeds_warnings(self, capsys):
         code, out, err = run(capsys, "report")
@@ -571,6 +589,39 @@ class TestTopLevel:
         code, _, err = run(capsys, "flops", "AlexNet", "--format", "xml")
         assert code == 1
         assert "--format" in err
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_share_no_flags_or_state(self, capsys):
+        sequence = [
+            ("frontier", "--unit", "raw", "--format", "csv"),
+            ("frontier",),
+            ("frontier", "--unit", "nope"),
+            ("trend", "--all-records", "--method", "endpoints", "--format", "json"),
+            ("trend",),
+            ("flops", "AlexNet", "--count-unit", "flop2", "--per-layer", "--include-bias"),
+            ("flops", "AlexNet"),
+            ("frops",),
+            ("effective", "2", "3"),
+            ("effective",),
+            (),
+            ("doubling", "--factor", "4", "--period", "24", "--period-unit", "days"),
+            ("doubling",),
+            ("factor", "AlexNet", "EfficientNet-b0", "--bogus"),
+            ("report", "--figures", "--unit", "stated"),
+            ("report",),
+        ]
+        fresh = []
+        for argv in sequence:
+            _build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        for order in (sequence, sequence[::-1]):
+            shared = [run(capsys, *argv) for argv in order]
+            assert shared == [fresh[sequence.index(argv)] for argv in order]
+        codes = [code for code, _, _ in fresh]
+        assert codes == [0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0]
+        assert all(err.count("\n") == 1 for code, _, err in fresh if code == 1)
 
     def test_bad_records_file(self, capsys, tmp_path):
         bad = tmp_path / "r.json"

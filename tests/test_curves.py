@@ -135,7 +135,7 @@ class TestLearningCurve:
     def test_epochs_may_skip(self):
         assert mk_curve([1, 5, 90], [0.1, 0.2, 0.3]).epochs == (1, 5, 90)
 
-    @pytest.mark.parametrize("acc", [-0.01, 1.01])
+    @pytest.mark.parametrize("acc", [-0.01, 1.01, 10**400])
     def test_rejects_out_of_range_accuracy(self, acc):
         with pytest.raises(CurveError, match="outside"):
             mk_curve([1], [acc])
@@ -145,7 +145,8 @@ class TestLearningCurve:
             mk_curve([1, 2], [0.1, 0.2], flops=(1.0,))
 
     @pytest.mark.parametrize("flops", [(0.0, 1.0), (2.0, 1.0), (1.0, 1.0), (-1.0, 2.0),
-                                       (1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)])
+                                       (1.0, math.nan), (math.nan, 1.0), (1.0, math.inf),
+                                       (1.0, 10**400)])
     def test_rejects_non_increasing_flops(self, flops):
         with pytest.raises(CurveError, match="strictly"):
             mk_curve([1, 2], [0.1, 0.2], flops=flops)
@@ -353,6 +354,7 @@ class TestComputeCurve:
 
     @pytest.mark.parametrize("compute,point", [
         ((1.0, math.nan), 2), ((math.nan, 1.0), 1), ((1.0, math.inf), 2),
+        ((1.0, 10**400), 2), ((10**400, 10**401), 1),
     ])
     def test_rejects_non_finite_compute(self, compute, point):
         with pytest.raises(CurveError, match=f"^c point {point}: compute must be finite"):

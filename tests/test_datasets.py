@@ -199,6 +199,19 @@ class TestCrossDomainValidation:
         c = CrossDomainComparison(**self.base(improved_fraction=0.5))
         assert c.factor() == 8.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("improved_compute", 0.0), ("baseline_compute", -1.0), ("improved_compute", math.inf),
+        ("baseline_compute", "4"), ("improved_compute", True), ("baseline_compute", 10**400),
+    ])
+    def test_compute_totals_positive_finite(self, field, value):
+        with pytest.raises(DatasetError, match=f"^a -> b: {field} must be positive and finite"):
+            CrossDomainComparison(**self.base(**{field: value}))
+
+    def test_factor_outside_float_range(self):
+        c = CrossDomainComparison(**self.base(baseline_compute=1e308, improved_compute=1e-10))
+        with pytest.raises(DatasetError, match="^a -> b: factor .* is not a finite number$"):
+            c.doubling()
+
     def test_doubling_needs_improvement(self):
         c = CrossDomainComparison(**self.base(baseline_compute=1.0,
                                               improved_compute=4.0))

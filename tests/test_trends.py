@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algoeff.curves import CurveError, Threshold
 from algoeff.trends import (
@@ -241,6 +243,51 @@ class TestRecordJson:
             records_from_json('[{"name":"a","date":"2015-01-02","total_compute":1.0},'
                               '{"name":"b"}]')
 
+    @pytest.mark.parametrize("fields,error,message", [
+        ('"total_compute": -1', TrendError,
+         "record 1 (b): total_compute must be positive and finite, got -1"),
+        ('"epochs": 2.0', TrendError,
+         "record 1 (b): flops_per_image and epochs must be given together"),
+        ('"flops_per_image": 1e300, "epochs": 1e300', CurveError,
+         "record 1 (b): training_compute: the product of the factors is not a finite number"),
+    ])
+    def test_record_error_leads_with_index_and_name(self, fields, error, message):
+        text = ('[{"name": "a", "date": "2015-01-02", "total_compute": 1.0},'
+                f' {{"name": "b", "date": "2015-01-02", {fields}}}]')
+        with pytest.raises(error) as info:
+            records_from_json(text)
+        assert str(info.value) == message
+
+    def test_equal_threshold_objects_share_one_instance(self):
+        objs = [{"name": f"r{i}", "date": "2015-01-02", "total_compute": 1.0,
+                 "threshold": {"metric": m, "value": v}}
+                for i, (m, v) in enumerate([("top5", 0.791), ("top1", 0.7), ("top5", 0.791),
+                                            ("top1", 0.7), ("top5", 1), ("top5", 1.0)])]
+        records = records_from_json(json.dumps(objs))
+        assert records[0].threshold is records[2].threshold
+        assert records[1].threshold is records[3].threshold
+        assert records[0].threshold != records[1].threshold
+        assert records[4].threshold == records[5].threshold == Threshold("top5", 1.0)
+        assert all(type(r.threshold.value) is float for r in records)
+
+    @pytest.mark.parametrize("threshold,error,message", [
+        ({"metric": ["top5"], "value": 0.7}, CurveError,
+         "threshold metric must be a non-empty string"),
+        ({"metric": "top5", "value": 0.7, "extra": 1}, TrendError,
+         "record 1 (b): threshold object must have exactly the keys metric and value"),
+        ({"metric": "top5", "value": True}, CurveError, "threshold value True outside (0, 1]"),
+        ({"metric": "top5", "value": 1.5}, CurveError, "threshold value 1.5 outside (0, 1]"),
+    ])
+    def test_threshold_that_cannot_be_shared_is_checked(self, threshold, error, message):
+        # the first record builds a valid top5 threshold that a later lookup could wrongly reuse
+        objs = [{"name": "a", "date": "2015-01-02", "total_compute": 1.0,
+                 "threshold": {"metric": "top5", "value": 0.7}},
+                {"name": "b", "date": "2015-01-02", "total_compute": 1.0,
+                 "threshold": threshold}]
+        with pytest.raises(error) as info:
+            records_from_json(json.dumps(objs))
+        assert str(info.value) == message
+
     def test_round_trip_preserves_everything(self):
         records = (
             rec("a", datetime.date(2012, 6, 1), flops_per_image=7.7e8, epochs=90),
@@ -376,6 +423,11 @@ class TestPartialRunFactor:
         with pytest.raises(TrendError, match="improved_fraction"):
             partial_run_factor(1.0, 1.0, fraction)
 
+    @pytest.mark.parametrize("args", [(1e308, 1e-10), (1.0, 1e-300, 1e-300)])
+    def test_rejects_factor_outside_float_range(self, args):
+        with pytest.raises(TrendError, match="is not a finite number"):
+            partial_run_factor(*args)
+
 
 class TestDoublingTime:
     def test_formula(self):
@@ -477,6 +529,14 @@ class TestFrontier:
             records = random_records(rng)
             assert frontier(records).names == tuple(frontier_oracle(records)), f"set {i}"
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=1, max_size=40))
+    def test_dense_ties_match_quadratic_oracle(self, points):
+        # five dates and four totals: most records tie another on date, total or both
+        records = [rec(f"r{i}", datetime.date(2012, 1, 1) + datetime.timedelta(days=d),
+                       total_compute=t * 1e15) for i, (d, t) in enumerate(points)]
+        assert frontier(records).names == tuple(frontier_oracle(records))
+
 
 class TestFitTrend:
     def synthetic(self, doubling_months, n=6, start=datetime.date(2012, 6, 1),
@@ -577,6 +637,15 @@ class TestMooreFactor:
     def test_rejects_non_finite_doubling(self, doubling):
         with pytest.raises(TrendError, match="doubling_months must be positive and finite"):
             moore_factor(12.0, doubling)
+
+    @pytest.mark.parametrize("period", [1e6, -1e6, math.nan])
+    def test_rejects_factor_outside_float_range(self, period):
+        with pytest.raises(TrendError, match="growth factor 2 \\*\\* .* is not a finite"):
+            moore_factor(period, 24.0)
+
+    def test_model_with_huge_period_raises_trend_error(self):
+        with pytest.raises(TrendError, match="growth factor"):
+            EffectiveComputeModel(period_months=1e6).hardware_factor
 
 
 class TestEffectiveCompute:
