@@ -62,7 +62,10 @@ class TensorShape:
         return cls(c, h, w)
 
     def __str__(self) -> str:
-        return f"{self.channels}x{self.height}x{self.width}"
+        try:
+            return f"{self.channels}x{self.height}x{self.width}"
+        except ValueError:  # a dimension past the int-to-str digit limit
+            raise GraphError("a shape has a dimension with too many digits to print") from None
 
 
 @dataclass(frozen=True)
@@ -440,7 +443,7 @@ def arch_from_json(text: str) -> ArchitectureSpec:
     """Parse and validate an architecture file. Raises GraphError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a json int past the int-to-str digit limit
         raise GraphError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise GraphError("architecture file must contain a JSON object")
@@ -452,6 +455,9 @@ def arch_from_json(text: str) -> ArchitectureSpec:
     if missing:
         raise GraphError(f"missing field(s) {sorted(missing)}")
 
+    for key in ("name", "output"):
+        if not isinstance(obj[key], str):
+            raise GraphError(f"{key} must be a string, got {obj[key]!r}")
     di = obj["default_input"]
     if not isinstance(di, dict) or set(di) != _INPUT_FIELDS:
         raise GraphError('default_input must be an object with exactly the fields "c", "h", "w"')
@@ -478,10 +484,10 @@ def arch_from_json(text: str) -> ArchitectureSpec:
         nodes.append(LayerNode(id=raw["id"], kind=raw["kind"], params=params, inputs=tuple(inputs)))
 
     arch = ArchitectureSpec(
-        name=str(obj["name"]),
+        name=obj["name"],
         default_input=shape,
         nodes=tuple(nodes),
-        output=str(obj["output"]),
+        output=obj["output"],
     )
     return require_valid(arch)
 

@@ -13,6 +13,7 @@ invalid inputs, 3 when a curve never reaches the requested threshold.
 from __future__ import annotations
 
 import argparse
+import datetime
 import functools
 import os
 import shutil
@@ -22,14 +23,13 @@ from pathlib import Path
 from .archflops import (
     ArchitectureSpec,
     CountingConvention,
+    FlopCount,
     GraphError,
     LAYER_KINDS,
     TensorShape,
     arch_from_json,
     builtin_arch,
-    builtin_names,
     count_flops,
-    infer_shapes,
 )
 from .archflops.zoo import _normalize
 from .curves import (
@@ -54,26 +54,29 @@ from .datasets import (
 from .reports import (
     FORMATS,
     Table,
+    analysis_table,
     compute_table,
     curve_points,
+    decomposition_table,
     doubling_table,
     efficiency_table,
     effective_compute_points,
-    fmt_compute,
-    fmt_factor,
+    effective_table,
+    factor_doubling_table,
+    factor_table,
+    flops_tables,
     frontier_points,
+    frontier_table,
+    pair_doubling_table,
     render,
+    shapes_table,
     table_warnings,
+    trend_table,
 )
 from .trends import (
-    EffectiveComputeModel,
     EfficiencyRecord,
     TrendError,
     UNIT_DIVISORS,
-    decompose,
-    doubling_time,
-    effective_compute,
-    efficiency_factor,
     find_record,
     fit_trend,
     frontier,
@@ -100,7 +103,8 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, unit=False):
+    def common(p, handler, unit=False):
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=FORMATS, default="markdown",
                        help="output format (default markdown)")
         if unit:
@@ -120,12 +124,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--counted-kinds", default=None, metavar="KIND[,KIND...]",
                    help="layer kinds to count (default conv2d,linear)")
     p.add_argument("--per-layer", action="store_true", help="also list every node")
-    common(p)
+    common(p, _cmd_flops)
 
     p = sub.add_parser("shapes", help="inferred output shape of every node")
     p.add_argument("arch")
     p.add_argument("--input", default=None, metavar="CxHxW")
-    common(p)
+    common(p, _cmd_shapes)
 
     p = sub.add_parser("analyze", help="epochs and compute for a curve to reach a threshold")
     p.add_argument("arch", help="architecture (for per-image cost)")
@@ -142,20 +146,20 @@ def _build_parser() -> _Parser:
                    help="run date, required with --append-records")
     p.add_argument("--append-records", default=None, metavar="FILE",
                    help="append the result to a records json file (created if missing)")
-    common(p, unit=True)
+    common(p, _cmd_analyze, unit=True)
 
     p = sub.add_parser("factor", help="efficiency factor between two records")
     p.add_argument("baseline")
     p.add_argument("improved")
     p.add_argument("--records", default=None, metavar="FILE",
                    help="records json (default: bundled image classification records)")
-    common(p, unit=True)
+    common(p, _cmd_factor, unit=True)
 
     p = sub.add_parser("decompose", help="split a factor into epoch and per-image terms")
     p.add_argument("baseline")
     p.add_argument("improved")
     p.add_argument("--records", default=None, metavar="FILE")
-    common(p)
+    common(p, _cmd_decompose)
 
     p = sub.add_parser(
         "doubling",
@@ -169,30 +173,30 @@ def _build_parser() -> _Parser:
                    help="efficiency factor gained over --period")
     p.add_argument("--period", type=float, default=None, help="elapsed time")
     p.add_argument("--period-unit", choices=("months", "days"), default="months")
-    common(p)
+    common(p, _cmd_doubling)
 
     p = sub.add_parser("frontier", help="records on the minimal-compute frontier")
     p.add_argument("--records", default=None, metavar="FILE")
-    common(p, unit=True)
+    common(p, _cmd_frontier, unit=True)
 
     p = sub.add_parser("trend", help="fit the efficiency trend and its doubling time")
     p.add_argument("--records", default=None, metavar="FILE")
     p.add_argument("--method", choices=("regression", "endpoints"), default="regression")
     p.add_argument("--all-records", action="store_true",
                    help="fit through all records instead of the frontier")
-    common(p)
+    common(p, _cmd_trend)
 
     p = sub.add_parser("effective", help="combined multiplier of stacked gain factors")
     p.add_argument("factors", nargs="*", type=float,
                    help="gain factors to multiply; none shows the default "
                         "hardware/spending/efficiency model")
-    common(p)
+    common(p, _cmd_effective)
 
     p = sub.add_parser("report", help="all summary tables at once")
     p.add_argument("--records", default=None, metavar="FILE")
     p.add_argument("--figures", action="store_true",
                    help="also emit plot-point series (bundled curves and records)")
-    common(p, unit=True)
+    common(p, _cmd_report, unit=True)
 
     return parser
 
@@ -281,10 +285,16 @@ def _counting_convention(args) -> CountingConvention:
     return CountingConvention(**kwargs)
 
 
-def _fmt_big(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return f"{v:,.0f}"
-    return f"{v:.6g}"
+def _per_image_flops(arch: ArchitectureSpec, count: FlopCount) -> float:
+    """The exact per-image count as a float: the one place it becomes one."""
+    if count.total_per_image > sys.float_info.max:
+        raise GraphError(f"{arch.name}: per-image count exceeds the float range")
+    return float(count.total_per_image)
+
+
+def _record_pair(args) -> tuple[EfficiencyRecord, EfficiencyRecord]:
+    records = _load_records(args.records)
+    return find_record(records, args.baseline), find_record(records, args.improved)
 
 
 # ---------------------------------------------------------------------------
@@ -294,84 +304,26 @@ def _fmt_big(v: float) -> str:
 def _cmd_flops(args) -> list[Table]:
     arch = _load_arch(args.arch)
     convention = _counting_convention(args)
-    result = count_flops(arch, input_shape=_parse_input(args.input), convention=convention)
-    unit_name = "multiply-accumulates" if convention.unit == "mac" else "flops (2 per mac)"
-    summary = Table(
-        key="flops_total",
-        title=f"Per-image {unit_name} for {arch.name}",
-        columns=("architecture", "input", "counted_kinds", "unit", "total_per_image",
-                 "giga_per_image"),
-        rows=((
-            arch.name,
-            str(result.input),
-            ",".join(sorted(result.convention.counted_kinds)),
-            result.convention.unit,
-            f"{result.total_per_image:,d}",
-            f"{result.gigaops:.4f}",
-        ),),
-    )
-    tables = [summary]
-    if args.per_layer:
-        shapes = infer_shapes(arch, _parse_input(args.input))
-        rows = []
-        for node in arch.nodes:
-            rows.append((
-                node.id,
-                node.kind,
-                str(shapes[node.id]),
-                f"{result.per_layer[node.id]:,d}",
-            ))
-        tables.append(Table(
-            key="flops_per_layer",
-            title=f"Per-layer counts for {arch.name}",
-            columns=("node", "kind", "output_shape", result.convention.unit),
-            rows=tuple(rows),
-        ))
-    return tables
+    count = count_flops(arch, input_shape=_parse_input(args.input), convention=convention)
+    return flops_tables(arch, count, _per_image_flops(arch, count), args.per_layer)
 
 
 def _cmd_shapes(args) -> list[Table]:
-    arch = _load_arch(args.arch)
-    shapes = infer_shapes(arch, _parse_input(args.input))
-    rows = [("input", "input", str(shapes["input"]))]
-    for node in arch.nodes:
-        rows.append((node.id, node.kind, str(shapes[node.id])))
-    return [Table(
-        key="shapes",
-        title=f"Inferred shapes for {arch.name}",
-        columns=("node", "kind", "shape"),
-        rows=tuple(rows),
-    )]
+    return [shapes_table(_load_arch(args.arch), _parse_input(args.input))]
 
 
 def _cmd_analyze(args) -> list[Table]:
-    import datetime
-
     arch = _load_arch(args.arch)
     curve = _load_curve_arg(args.curve, args.percent)
     threshold = _parse_threshold(args.threshold)
-    counted = count_flops(arch, input_shape=_parse_input(args.input))
+    per_image = _per_image_flops(arch, count_flops(arch, input_shape=_parse_input(args.input)))
     epoch = epochs_to_threshold(curve, threshold)
     total = compute_to_threshold(
-        curve, threshold, flops_per_image=float(counted.total_per_image),
+        curve, threshold, flops_per_image=per_image,
         images_per_epoch=args.images_per_epoch,
         backward_multiplier=args.backward_multiplier,
     )
-    table = Table(
-        key="analysis",
-        title=f"{arch.name} on curve {curve.name}",
-        columns=("architecture", "curve", "metric", "threshold", "crossing_epoch",
-                 "gigaflops_per_image", f"total_compute_{args.unit}"),
-        rows=((
-            arch.name,
-            curve.name,
-            threshold.metric,
-            f"{threshold.value:g}",
-            str(epoch),
-            f"{counted.gigaops:.4f}",
-            fmt_compute(total, args.unit),
-        ),),
-    )
+    table = analysis_table(arch, curve, threshold, epoch, per_image, total, args.unit)
 
     if args.append_records:
         if args.date is None:
@@ -386,59 +338,22 @@ def _cmd_analyze(args) -> list[Table]:
         if any(r.name == name for r in existing):
             raise TrendError(f"record {name!r} already exists in {path}")
         if curve.cumulative_flops is not None:
-            new = EfficiencyRecord(
-                name=name, date=run_date, threshold=threshold, total_compute=total,
-                backward_multiplier=args.backward_multiplier,
-            )
+            work = {"total_compute": total}
         else:
-            new = EfficiencyRecord(
-                name=name, date=run_date, threshold=threshold,
-                flops_per_image=float(counted.total_per_image), epochs=float(epoch),
-                images_per_epoch=args.images_per_epoch,
-                backward_multiplier=args.backward_multiplier,
-            )
+            work = {"flops_per_image": per_image, "epochs": float(epoch),
+                    "images_per_epoch": args.images_per_epoch}
+        new = EfficiencyRecord(name=name, date=run_date, threshold=threshold,
+                               backward_multiplier=args.backward_multiplier, **work)
         _replace_file(path, records_to_json(list(existing) + [new]))
     return [table]
 
 
 def _cmd_factor(args) -> list[Table]:
-    records = _load_records(args.records)
-    baseline = find_record(records, args.baseline)
-    improved = find_record(records, args.improved)
-    ef = efficiency_factor(baseline, improved)
-    return [Table(
-        key="factor",
-        title=f"Efficiency factor, {ef.baseline} to {ef.improved}",
-        columns=("baseline", "improved", "factor", "elapsed_days", "elapsed_months",
-                 f"baseline_total_{args.unit}", f"improved_total_{args.unit}"),
-        rows=((
-            ef.baseline,
-            ef.improved,
-            fmt_factor(ef.factor),
-            str(ef.elapsed_days),
-            f"{ef.elapsed_months:.2f}",
-            fmt_compute(baseline.total, args.unit),
-            fmt_compute(improved.total, args.unit),
-        ),),
-    )]
+    return [factor_table(*_record_pair(args), args.unit)]
 
 
 def _cmd_decompose(args) -> list[Table]:
-    records = _load_records(args.records)
-    d = decompose(find_record(records, args.baseline), find_record(records, args.improved))
-    return [Table(
-        key="decomposition",
-        title=f"Factor decomposition, {d.baseline} to {d.improved}",
-        columns=("baseline", "improved", "epoch_reduction", "per_image_reduction",
-                 "efficiency_factor"),
-        rows=((
-            d.baseline,
-            d.improved,
-            fmt_factor(d.epochs_ratio),
-            fmt_factor(d.flops_per_image_ratio),
-            fmt_factor(d.factor),
-        ),),
-    )]
+    return [decomposition_table(*_record_pair(args))]
 
 
 def _cmd_doubling(args) -> list[Table]:
@@ -449,94 +364,26 @@ def _cmd_doubling(args) -> list[Table]:
     if explicit:
         if args.factor is None or args.period is None:
             raise UsageError("algoeff doubling: --factor and --period go together")
-        d = doubling_time(args.factor, args.period)
-        return [Table(
-            key="doubling",
-            title="Efficiency doubling time",
-            columns=("factor", "period", "doubling"),
-            rows=((
-                fmt_factor(args.factor),
-                f"{args.period:g} {args.period_unit}",
-                f"{d:.2f} {args.period_unit}",
-            ),),
-        )]
+        return [factor_doubling_table(args.factor, args.period, args.period_unit)]
     if named:
         if args.improved is None:
             raise UsageError("algoeff doubling: need both BASELINE and IMPROVED")
-        records = _load_records(args.records)
-        ef = efficiency_factor(
-            find_record(records, args.baseline), find_record(records, args.improved)
-        )
-        d = doubling_time(ef.factor, ef.elapsed_months)
-        return [Table(
-            key="doubling",
-            title=f"Efficiency doubling time, {ef.baseline} to {ef.improved}",
-            columns=("baseline", "improved", "factor", "period", "doubling"),
-            rows=((
-                ef.baseline,
-                ef.improved,
-                fmt_factor(ef.factor),
-                f"{ef.elapsed_months:.2f} months",
-                f"{d:.2f} months",
-            ),),
-        )]
+        return [pair_doubling_table(*_record_pair(args))]
     return [doubling_table(load_cross_domain())]
 
 
 def _cmd_frontier(args) -> list[Table]:
-    records = _load_records(args.records)
-    front = frontier(records)
-    rows = tuple(
-        (r.name, r.date.isoformat(), fmt_compute(r.total, args.unit)) for r in front
-    )
-    return [Table(
-        key="frontier",
-        title=f"Minimal-compute frontier ({args.unit} units)",
-        columns=("model", "date", "total"),
-        rows=rows,
-    )]
+    return [frontier_table(frontier(_load_records(args.records)), args.unit)]
 
 
 def _cmd_trend(args) -> list[Table]:
     records = _load_records(args.records)
     source = records if args.all_records else frontier(records)
-    fit = fit_trend(source, method=args.method)
-    return [Table(
-        key="trend",
-        title="Efficiency trend fit",
-        columns=("method", "points", "slope_log2_per_month", "doubling_months",
-                 "r_squared"),
-        rows=((
-            fit.method,
-            str(fit.points),
-            f"{fit.slope:.6f}",
-            f"{fit.doubling_months:.2f}",
-            f"{fit.r_squared:.4f}",
-        ),),
-    )]
+    return [trend_table(fit_trend(source, method=args.method))]
 
 
 def _cmd_effective(args) -> list[Table]:
-    if args.factors:
-        total = effective_compute(args.factors)  # rejects what _fmt_big cannot print
-        rows = [(f"input {i}", _fmt_big(f)) for i, f in enumerate(args.factors, start=1)]
-        rows.append(("effective", _fmt_big(total)))
-        return [Table(
-            key="effective",
-            title="Combined effective-compute multiplier",
-            columns=("component", "factor"),
-            rows=tuple(rows),
-        )]
-    model = EffectiveComputeModel()
-    rows = tuple(
-        (label, _fmt_big(value)) for label, value in model.breakdown().items()
-    )
-    return [Table(
-        key="effective",
-        title=f"Default effective-compute model over {model.period_months:g} months",
-        columns=("component", "factor"),
-        rows=rows,
-    )]
+    return [effective_table(args.factors)]
 
 
 def _cmd_report(args) -> list[Table]:
@@ -564,27 +411,13 @@ def _cmd_report(args) -> list[Table]:
     return tables
 
 
-_HANDLERS = {
-    "flops": _cmd_flops,
-    "shapes": _cmd_shapes,
-    "analyze": _cmd_analyze,
-    "factor": _cmd_factor,
-    "decompose": _cmd_decompose,
-    "doubling": _cmd_doubling,
-    "frontier": _cmd_frontier,
-    "trend": _cmd_trend,
-    "effective": _cmd_effective,
-    "report": _cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("algoeff: a subcommand is required (see --help)")
-        tables = _HANDLERS[args.command](args)
+        tables = args.handler(args)
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .curves import LearningCurve, parse_curve, positive_finite
@@ -105,7 +105,8 @@ class CrossDomainComparison:
             raise DatasetError(f"{self.label}: compute totals must come in pairs")
         if self.baseline_compute is None and self.reported_factor is None:
             raise DatasetError(f"{self.label}: needs compute totals or a reported factor")
-        for key in ("baseline_compute", "improved_compute"):
+        for key in ("baseline_compute", "improved_compute", "period_value", "reported_factor",
+                    "reported_period_value", "reported_doubling_value"):
             v = getattr(self, key)
             if v is not None and not positive_finite(v):
                 raise DatasetError(f"{self.label}: {key} must be positive and finite, got {v!r}")
@@ -161,13 +162,7 @@ class CrossDomainComparison:
         return value / math.log2(f), unit
 
 
-_COMPARISON_FIELDS = {
-    "task", "kind", "baseline", "improved", "baseline_compute", "improved_compute",
-    "compute_unit", "improved_fraction", "baseline_date", "improved_date",
-    "period_value", "period_unit", "reported_factor", "reported_period_value",
-    "reported_period_unit", "reported_doubling_value", "reported_doubling_unit",
-    "estimated", "notes",
-}
+_COMPARISON_FIELDS = frozenset(f.name for f in fields(CrossDomainComparison))
 
 
 def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainComparison:
@@ -195,7 +190,7 @@ def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainCom
 def comparisons_from_json(text: str) -> tuple[CrossDomainComparison, ...]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also a json int past the int-to-str digit limit
         raise DatasetError(f"comparisons file is not valid json: {e}") from None
     if not isinstance(data, list):
         raise DatasetError("comparisons file must contain a json array")

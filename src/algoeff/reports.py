@@ -1,10 +1,12 @@
-"""Summary tables and plot-point series, rendered as csv, json or markdown.
+"""Every table the package prints, and its renderers: csv, json or markdown.
 
-Builders return Table values whose cells are already formatted strings,
-so every renderer emits byte-identical output for the same inputs.
-Ratios and factors display at two significant figures with round half
-to even; warnings collect observations (a quoted number that does not
-match what the data implies) without failing the build.
+This module owns every table and every number format; the command line
+only parses arguments, loads inputs and calls a builder. Builders return
+Table values whose cells are already formatted strings, so every
+renderer emits byte-identical output for the same inputs. Ratios and
+factors display at two significant figures with round half to even;
+warnings collect observations (a quoted number that does not match what
+the data implies) without failing the build.
 """
 from __future__ import annotations
 
@@ -16,22 +18,23 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .curves import ComputeCurve
+from .archflops import ArchitectureSpec, FlopCount, TensorShape, infer_shapes
+from .curves import ComputeCurve, LearningCurve, Threshold
 from .datasets import CrossDomainComparison
 from .trends import (
     EffectiveComputeModel,
     EfficiencyRecord,
     Frontier,
     TrendError,
+    TrendFit,
     date_to_months,
     decompose,
+    doubling_time,
+    effective_compute,
     efficiency_factor,
-    fit_trend,
     frontier,
     to_report_units,
 )
-
-FORMATS = ("csv", "json", "markdown")
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,12 @@ def _fmt_period(value: float, unit: str) -> str:
     return f"{fmt_factor(value)} {unit}"
 
 
+def _fmt_big(v: float) -> str:
+    if v == int(v) and abs(v) < 1e15:
+        return f"{v:,.0f}"
+    return f"{v:.6g}"
+
+
 def _rounds_to(computed: float, reported: float) -> bool:
     """Does the computed value print as the reported one at its precision?
 
@@ -97,6 +106,153 @@ def _rounds_to(computed: float, reported: float) -> bool:
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
+
+def _one_row(key: str, title: str, cells: dict[str, str]) -> Table:
+    """A single-row table; cells maps each column name to its cell."""
+    return Table(key=key, title=title, columns=tuple(cells), rows=(tuple(cells.values()),))
+
+
+def flops_tables(
+    arch: ArchitectureSpec, count: FlopCount, per_image: float, per_layer: bool
+) -> list[Table]:
+    """The per-image total (per_image: that total as a float) and, with per_layer, each node."""
+    unit = count.convention.unit
+    unit_name = "multiply-accumulates" if unit == "mac" else "flops (2 per mac)"
+    tables = [_one_row("flops_total", f"Per-image {unit_name} for {arch.name}", {
+        "architecture": arch.name,
+        "input": str(count.input),
+        "counted_kinds": ",".join(sorted(count.convention.counted_kinds)),
+        "unit": unit,
+        "total_per_image": f"{count.total_per_image:,d}",
+        "giga_per_image": f"{per_image / 1e9:.4f}",
+    })]
+    if per_layer:
+        shapes = infer_shapes(arch, count.input)
+        tables.append(Table(
+            key="flops_per_layer",
+            title=f"Per-layer counts for {arch.name}",
+            columns=("node", "kind", "output_shape", unit),
+            rows=tuple((n.id, n.kind, str(shapes[n.id]), f"{count.per_layer[n.id]:,d}")
+                       for n in arch.nodes),
+        ))
+    return tables
+
+
+def shapes_table(arch: ArchitectureSpec, input_shape: TensorShape | None) -> Table:
+    """The network input and every node's inferred output shape."""
+    shapes = infer_shapes(arch, input_shape)
+    return Table(
+        key="shapes",
+        title=f"Inferred shapes for {arch.name}",
+        columns=("node", "kind", "shape"),
+        rows=(("input", "input", str(shapes["input"])),)
+        + tuple((n.id, n.kind, str(shapes[n.id])) for n in arch.nodes),
+    )
+
+
+def analysis_table(
+    arch: ArchitectureSpec, curve: LearningCurve, threshold: Threshold, epoch: int,
+    per_image: float, total: float, unit: str,
+) -> Table:
+    """Where a curve crosses a threshold, and the training compute spent by then."""
+    return _one_row("analysis", f"{arch.name} on curve {curve.name}", {
+        "architecture": arch.name,
+        "curve": curve.name,
+        "metric": threshold.metric,
+        "threshold": f"{threshold.value:g}",
+        "crossing_epoch": str(epoch),
+        "gigaflops_per_image": f"{per_image / 1e9:.4f}",
+        f"total_compute_{unit}": fmt_compute(total, unit),
+    })
+
+
+def factor_table(baseline: EfficiencyRecord, improved: EfficiencyRecord, unit: str) -> Table:
+    """The efficiency factor between two records, the time between them and both totals."""
+    ef = efficiency_factor(baseline, improved)
+    return _one_row("factor", f"Efficiency factor, {ef.baseline} to {ef.improved}", {
+        "baseline": ef.baseline,
+        "improved": ef.improved,
+        "factor": fmt_factor(ef.factor),
+        "elapsed_days": str(ef.elapsed_days),
+        "elapsed_months": f"{ef.elapsed_months:.2f}",
+        f"baseline_total_{unit}": fmt_compute(baseline.total, unit),
+        f"improved_total_{unit}": fmt_compute(improved.total, unit),
+    })
+
+
+def decomposition_table(baseline: EfficiencyRecord, improved: EfficiencyRecord) -> Table:
+    """The efficiency factor between two records split into epoch and per-image terms."""
+    d = decompose(baseline, improved)
+    return _one_row("decomposition", f"Factor decomposition, {d.baseline} to {d.improved}", {
+        "baseline": d.baseline,
+        "improved": d.improved,
+        "epoch_reduction": fmt_factor(d.epochs_ratio),
+        "per_image_reduction": fmt_factor(d.flops_per_image_ratio),
+        "efficiency_factor": fmt_factor(d.factor),
+    })
+
+
+def pair_doubling_table(baseline: EfficiencyRecord, improved: EfficiencyRecord) -> Table:
+    """The efficiency doubling time implied by two records."""
+    ef = efficiency_factor(baseline, improved)
+    d = doubling_time(ef.factor, ef.elapsed_months)
+    return _one_row("doubling", f"Efficiency doubling time, {ef.baseline} to {ef.improved}", {
+        "baseline": ef.baseline,
+        "improved": ef.improved,
+        "factor": fmt_factor(ef.factor),
+        "period": f"{ef.elapsed_months:.2f} months",
+        "doubling": f"{d:.2f} months",
+    })
+
+
+def factor_doubling_table(factor: float, period: float, period_unit: str) -> Table:
+    """The efficiency doubling time of a factor gained over a period."""
+    d = doubling_time(factor, period)
+    return _one_row("doubling", "Efficiency doubling time", {
+        "factor": fmt_factor(factor),
+        "period": f"{period:g} {period_unit}",
+        "doubling": f"{d:.2f} {period_unit}",
+    })
+
+
+def frontier_table(front: Frontier, unit: str) -> Table:
+    """The records on the minimal-compute frontier, oldest first."""
+    return Table(
+        key="frontier",
+        title=f"Minimal-compute frontier ({unit} units)",
+        columns=("model", "date", "total"),
+        rows=tuple((r.name, r.date.isoformat(), fmt_compute(r.total, unit)) for r in front),
+    )
+
+
+def trend_table(fit: TrendFit) -> Table:
+    """A fitted efficiency trend and its doubling time."""
+    return _one_row("trend", "Efficiency trend fit", {
+        "method": fit.method,
+        "points": str(fit.points),
+        "slope_log2_per_month": f"{fit.slope:.6f}",
+        "doubling_months": f"{fit.doubling_months:.2f}",
+        "r_squared": f"{fit.r_squared:.4f}",
+    })
+
+
+def effective_table(factors: Sequence[float]) -> Table:
+    """Stacked gain factors and their product; with none, the default model's."""
+    if factors:
+        title = "Combined effective-compute multiplier"
+        cells = [(f"input {i}", f) for i, f in enumerate(factors, start=1)]
+        cells.append(("effective", effective_compute(factors)))  # checks them for _fmt_big
+    else:
+        model = EffectiveComputeModel()
+        title = f"Default effective-compute model over {model.period_months:g} months"
+        cells = model.breakdown().items()
+    return Table(
+        key="effective",
+        title=title,
+        columns=("component", "factor"),
+        rows=tuple((label, _fmt_big(v)) for label, v in cells),
+    )
+
 
 def efficiency_table(
     records: Sequence[EfficiencyRecord], front: Frontier | None = None
@@ -167,27 +323,20 @@ def doubling_table(comparisons: Sequence[CrossDomainComparison]) -> Table:
             if c.reported_doubling_value is not None else "",
             "yes" if c.estimated else "",
         ))
+        quoted = []  # (what, computed, quoted, computed as shown, quoted as shown)
         if c.factor_is_computed and c.reported_factor is not None:
-            if not _rounds_to(f, c.reported_factor):
-                warnings.append(
-                    f"{c.label}: computed factor {fmt_factor(f)} does not round to "
-                    f"the quoted {c.reported_factor:g}"
-                )
-        if c.reported_period_value is not None and period_unit == c.reported_period_unit:
-            if not _rounds_to(period_value, c.reported_period_value):
-                warnings.append(
-                    f"{c.label}: elapsed period {_fmt_period(period_value, period_unit)} "
-                    f"does not round to the quoted "
-                    f"{_fmt_period(c.reported_period_value, c.reported_period_unit)}"
-                )
-        if c.reported_doubling_value is not None and doubling_unit == c.reported_doubling_unit:
-            if not _rounds_to(doubling_value, c.reported_doubling_value):
-                warnings.append(
-                    f"{c.label}: computed doubling "
-                    f"{_fmt_period(doubling_value, doubling_unit)} does not round to "
-                    f"the quoted "
-                    f"{_fmt_period(c.reported_doubling_value, c.reported_doubling_unit)}"
-                )
+            quoted.append(("computed factor", f, c.reported_factor, fmt_factor(f),
+                           f"{c.reported_factor:g}"))
+        for what, value, unit, q, q_unit in (
+            ("elapsed period", period_value, period_unit,
+             c.reported_period_value, c.reported_period_unit),
+            ("computed doubling", doubling_value, doubling_unit,
+             c.reported_doubling_value, c.reported_doubling_unit),
+        ):
+            if q is not None and unit == q_unit:
+                quoted.append((what, value, q, _fmt_period(value, unit), _fmt_period(q, q_unit)))
+        warnings.extend(f"{c.label}: {what} {shown} does not round to the quoted {q_shown}"
+                        for what, value, q, shown, q_shown in quoted if not _rounds_to(value, q))
     return Table(
         key="doubling_times",
         title="Efficiency doubling times across domains",
@@ -389,18 +538,15 @@ def render_json(tables: Sequence[Table]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_RENDERERS = {"csv": render_csv, "json": render_json, "markdown": render_markdown}
+FORMATS = tuple(_RENDERERS)
+
+
 def render(tables: Sequence[Table], format: str) -> str:
-    if format == "csv":
-        return render_csv(tables)
-    if format == "json":
-        return render_json(tables)
-    if format == "markdown":
-        return render_markdown(tables)
-    raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    if format not in FORMATS:  # a tuple test, so an unhashable format gets this error too
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    return _RENDERERS[format](tables)
 
 
 def table_warnings(tables: Sequence[Table]) -> tuple[str, ...]:
-    out = []
-    for t in tables:
-        out.extend(t.warnings)
-    return tuple(out)
+    return tuple(w for t in tables for w in t.warnings)

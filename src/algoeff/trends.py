@@ -148,19 +148,17 @@ class EfficiencyRecord:
 _RECORD_FIELDS = frozenset(f.name for f in fields(EfficiencyRecord))
 
 
-def _threshold_from_json(value, where: str) -> Threshold:
+def _threshold_from_json(value) -> Threshold:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Threshold("top5", value)
     if isinstance(value, dict):
         if value.keys() != {"metric", "value"}:
-            raise TrendError(
-                f"{where}: threshold object must have exactly the keys metric and value"
-            )
+            raise TrendError("threshold object must have exactly the keys metric and value")
         return Threshold(value["metric"], value["value"])
-    raise TrendError(f"{where}: threshold must be a number or a metric/value object")
+    raise TrendError("threshold must be a number or a metric/value object")
 
 
-def _shared_threshold(value, where: str, built: dict) -> Threshold:
+def _shared_threshold(value, built: dict) -> Threshold:
     """_threshold_from_json, reusing the Threshold built for an equal metric/value object.
 
     Only a two-key object with a str metric and an int or float value is
@@ -172,9 +170,9 @@ def _shared_threshold(value, where: str, built: dict) -> Threshold:
             key = (metric, type(v), v)
             threshold = built.get(key)
             if threshold is None:
-                threshold = built[key] = _threshold_from_json(value, where)
+                threshold = built[key] = _threshold_from_json(value)
             return threshold
-    return _threshold_from_json(value, where)
+    return _threshold_from_json(value)
 
 
 def record_from_dict(obj: dict, where: str = "record") -> EfficiencyRecord:
@@ -197,11 +195,11 @@ def _record_from_dict(obj, where: str, thresholds: dict) -> EfficiencyRecord:
     except (TypeError, ValueError):
         raise TrendError(f"{where} ({name}): date {obj['date']!r} is not YYYY-MM-DD") from None
     kwargs = dict(obj, date=date)
-    if "threshold" in obj:
-        kwargs["threshold"] = _shared_threshold(obj["threshold"], f"{where} ({name})", thresholds)
     try:
+        if "threshold" in obj:
+            kwargs["threshold"] = _shared_threshold(obj["threshold"], thresholds)
         return EfficiencyRecord(**kwargs)
-    except (TrendError, CurveError) as e:  # its messages start with the name alone
+    except (TrendError, CurveError) as e:  # record messages start with the name alone
         raise type(e)(f"{where} ({name}): {str(e).removeprefix(f'{name}: ')}") from None
 
 
@@ -212,7 +210,7 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also a json int past the int-to-str digit limit
         raise TrendError(f"records file is not valid json: {e}") from None
     if not isinstance(data, list):
         raise TrendError("records file must contain a json array")

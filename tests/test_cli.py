@@ -512,6 +512,85 @@ class TestNonFiniteInputs:
         assert err.count("\n") == 1
 
 
+def _alexnet_file(tmp_path, edit) -> str:
+    obj = json.loads(arch_to_json(builtin_arch("AlexNet")))
+    edit(obj)
+    path = tmp_path / "alexnet.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _huge_conv1(obj):
+    next(n for n in obj["nodes"] if n["id"] == "conv1.conv")["params"]["out_channels"] = 10**310
+
+
+def _huge_input(obj):
+    obj["default_input"] = {"c": 3, "h": 10**200, "w": 10**200}
+
+
+class TestCountBeyondFloatRange:
+    """An exact count too large for a float is an input error, not a traceback."""
+
+    @pytest.mark.parametrize("edit", [_huge_conv1, _huge_input])
+    @pytest.mark.parametrize("argv", [
+        ("flops", "{file}"),
+        ("flops", "{file}", "--per-layer", "--format", "csv"),
+        ("analyze", "{file}", "alexnet"),
+    ])
+    def test_exit_2_naming_the_architecture(self, capsys, tmp_path, edit, argv):
+        path = _alexnet_file(tmp_path, edit)
+        code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+        assert (code, out, err) == (2, "", "algoeff: AlexNet: per-image count exceeds the "
+                                           "float range\n")
+
+    @pytest.mark.parametrize("edit,row", [
+        (_huge_conv1, f"| conv1.conv | conv2d | {10**310}x55x55 |"),
+        (_huge_input, f"| input | input | 3x{10**200}x{10**200} |"),
+    ])
+    def test_shapes_still_prints(self, capsys, tmp_path, edit, row):
+        code, out, err = run(capsys, "shapes", _alexnet_file(tmp_path, edit))
+        assert (code, err) == (0, "")
+        assert row in out.splitlines()
+
+
+class TestInputEdges:
+    """Bad inputs found by probing end in exit 2 with one line on stderr."""
+
+    def test_bad_threshold_names_its_record(self, capsys, tmp_path):
+        objs = [{"name": f"r{i}", "date": f"201{i}-01-01", "total_compute": 10.0 - i}
+                for i in range(5)]
+        objs[3]["threshold"] = 1.5
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(objs))
+        code, out, err = run(capsys, "frontier", "--records", str(path))
+        assert (code, out) == (2, "")
+        assert err == "algoeff: record 3 (r3): threshold value 1.5 outside (0, 1]\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("flops", "{file}"), "algoeff: not valid JSON: Exceeds the limit"),
+        (("frontier", "--records", "{file}"), "algoeff: records file is not valid json: "
+                                              "Exceeds the limit"),
+    ])
+    def test_int_too_long_to_parse(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "long.json"
+        path.write_text("[" + "1" * 5000 + "]")
+        code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("shapes",), ("flops", "--per-layer", "--counted-kinds",
+                                                  "concat")])
+    def test_shape_too_long_to_print(self, capsys, tmp_path, argv):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "name": "wide", "default_input": {"c": 3, "h": 10**2999, "w": 10**2999},
+            "nodes": [{"id": "f", "kind": "flatten", "inputs": ["input"]}], "output": "f",
+        }))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", "algoeff: a shape has a dimension with too many "
+                                           "digits to print\n")
+
+
 class TestReport:
     def test_default_has_three_tables(self, capsys):
         code, out, _ = run(capsys, "report", "--format", "json")

@@ -1,4 +1,5 @@
-"""Generated inputs at the command line boundary: records json, curve csv, numeric flags.
+"""Generated inputs at the command line boundary: records json, curve csv, graph json
+and numeric flags.
 
 Whatever the input, a command ends in exit code 0, 1, 2 or 3, raises
 nothing, prints no inf or nan, and reports a failure as one line on
@@ -8,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -15,7 +17,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algoeff.archflops import arch_to_json
 from algoeff.cli import main
+
+from _generators import random_arch
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -99,6 +104,56 @@ def curve_csv(draw):
     return "\n".join(lines) + "\n"
 
 
+# huge and wrongly typed values for a graph file's fields and parameters
+HUGE_INTS = [10**308, 10**310, 10**400, 2**1024, 10**4000]
+WRONG_TYPES = [None, True, False, "3", "", 1.5, -1, 0, [], [1], {}, {"c": 3}]
+
+
+@st.composite
+def graph_json(draw):
+    """A random valid graph, then most often one mutation of its json."""
+    obj = json.loads(arch_to_json(random_arch(random.Random(draw(st.integers(0, 2**32 - 1))))))
+    nodes = obj["nodes"]
+    node = draw(st.sampled_from(nodes))
+    mutation = draw(st.sampled_from([
+        "none", "huge_param", "huge_input", "wrong_type", "name", "unknown_kind",
+        "unknown_param", "dangling_input", "default_input",
+    ]))
+    if mutation == "huge_param":
+        ints = [k for k, v in node["params"].items() if type(v) is int] or ["out_channels"]
+        node["params"][draw(st.sampled_from(ints))] = draw(st.sampled_from(HUGE_INTS))
+    elif mutation == "huge_input":
+        obj["default_input"][draw(st.sampled_from("chw"))] = draw(st.sampled_from(HUGE_INTS))
+    elif mutation == "wrong_type":
+        where = draw(st.sampled_from(["top", "node", "param"]))
+        if where == "top":
+            target, key = obj, draw(st.sampled_from(["name", "default_input", "nodes", "output"]))
+        elif where == "node":
+            target, key = node, draw(st.sampled_from(["id", "kind", "params", "inputs"]))
+        else:
+            target, key = node["params"], draw(st.sampled_from(sorted(node["params"]) or ["p"]))
+        target[key] = draw(st.sampled_from(WRONG_TYPES))
+    elif mutation == "name":
+        obj["name"] = draw(st.sampled_from([5, None, ["rand0"], {"name": "rand0"}, 1.5]))
+    elif mutation == "unknown_kind":
+        node["kind"] = draw(st.sampled_from(["conv3d", "", "Conv2d", "input"]))
+    elif mutation == "unknown_param":
+        node["params"][draw(st.sampled_from(["stide", "kernel", "units", ""]))] = 2
+    elif mutation == "dangling_input":
+        later = [n["id"] for n in nodes[nodes.index(node):]]
+        node["inputs"] = [draw(st.sampled_from(["ghost", "", *later]))]
+    elif mutation == "default_input":
+        di = obj["default_input"]
+        change = draw(st.sampled_from(["drop", "extra", "value"]))
+        if change == "drop":
+            del di[draw(st.sampled_from("chw"))]
+        elif change == "extra":
+            di["n"] = 1
+        else:
+            di[draw(st.sampled_from("chw"))] = draw(st.sampled_from(WRONG_TYPES + HUGE_INTS))
+    return json.dumps(obj)
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -153,3 +208,14 @@ def test_analyze(curve, records, images, multiplier, fmt):
 def test_numeric_flags(factor, period, factors, fmt):
     check(["doubling", f"--factor={factor}", f"--period={period}", "--format", fmt])
     check(["effective", "--format", fmt, "--"] + factors)
+
+
+@FUZZ
+@given(graph=graph_json(), fmt=FORMATS)
+def test_graph_commands(graph, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(graph)
+        for argv in (["flops", str(path)], ["flops", str(path), "--per-layer"],
+                     ["shapes", str(path)], ["analyze", str(path), "alexnet"]):
+            check(argv + ["--format", fmt])

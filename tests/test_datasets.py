@@ -207,6 +207,15 @@ class TestCrossDomainValidation:
         with pytest.raises(DatasetError, match=f"^a -> b: {field} must be positive and finite"):
             CrossDomainComparison(**self.base(**{field: value}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("period_value", -12), ("period_value", 0.0), ("reported_factor", "x"),
+        ("reported_factor", True), ("reported_period_value", math.nan),
+        ("reported_doubling_value", 10**400), ("reported_doubling_value", -math.inf),
+    ])
+    def test_quoted_numbers_positive_finite(self, field, value):
+        with pytest.raises(DatasetError, match=f"^a -> b: {field} must be positive and finite"):
+            CrossDomainComparison(**self.base(**{field: value}))
+
     def test_factor_outside_float_range(self):
         c = CrossDomainComparison(**self.base(baseline_compute=1e308, improved_compute=1e-10))
         with pytest.raises(DatasetError, match="^a -> b: factor .* is not a finite number$"):
@@ -266,6 +275,10 @@ class TestComparisonFromDict:
     def test_json_must_parse(self):
         with pytest.raises(DatasetError, match="not valid json"):
             comparisons_from_json("nope")
+
+    def test_json_int_too_long_to_parse(self):
+        with pytest.raises(DatasetError, match="not valid json: Exceeds the limit"):
+            comparisons_from_json("[" + "1" * 5000 + "]")
 
 
 class TestBundledCurves:

@@ -258,6 +258,16 @@ class TestValidation:
         with pytest.raises(GraphError, match=expected):
             arch_from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("field,value", [
+        ("name", 5), ("name", None), ("name", ["tiny"]), ("output", 5), ("output", ["c1"]),
+    ])
+    def test_non_string_name_or_output_rejected(self, field, value):
+        obj = json.loads(arch_to_json(tiny_arch()))
+        obj[field] = value
+        expected = rf"^{field} must be a string, got {re.escape(repr(value))}$"
+        with pytest.raises(GraphError, match=expected):
+            arch_from_json(json.dumps(obj))
+
     def test_non_string_kind_rejected(self):
         nodes = (LayerNode(id="x", kind=["conv2d"], params={}, inputs=("input",)),)
         problems = validate_arch(tiny_arch(nodes=nodes, output="x"))

@@ -272,11 +272,13 @@ class TestRecordJson:
 
     @pytest.mark.parametrize("threshold,error,message", [
         ({"metric": ["top5"], "value": 0.7}, CurveError,
-         "threshold metric must be a non-empty string"),
+         "record 1 (b): threshold metric must be a non-empty string"),
         ({"metric": "top5", "value": 0.7, "extra": 1}, TrendError,
          "record 1 (b): threshold object must have exactly the keys metric and value"),
-        ({"metric": "top5", "value": True}, CurveError, "threshold value True outside (0, 1]"),
-        ({"metric": "top5", "value": 1.5}, CurveError, "threshold value 1.5 outside (0, 1]"),
+        ({"metric": "top5", "value": True}, CurveError,
+         "record 1 (b): threshold value True outside (0, 1]"),
+        ({"metric": "top5", "value": 1.5}, CurveError,
+         "record 1 (b): threshold value 1.5 outside (0, 1]"),
     ])
     def test_threshold_that_cannot_be_shared_is_checked(self, threshold, error, message):
         # the first record builds a valid top5 threshold that a later lookup could wrongly reuse
