@@ -28,6 +28,7 @@ squeeze + ic for the biases of its two layers.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -67,8 +68,15 @@ class FlopCount:
         object.__setattr__(self, "per_layer", dict(self.per_layer))
 
     @property
+    def per_image_float(self) -> float:
+        """The exact per-image count as a float; GraphError if it exceeds the float range."""
+        if self.total_per_image > sys.float_info.max:
+            raise GraphError("per-image count exceeds the float range")
+        return float(self.total_per_image)
+
+    @property
     def gigaops(self) -> float:
-        return self.total_per_image / 1e9
+        return self.per_image_float / 1e9
 
 
 def count_flops(
@@ -79,7 +87,7 @@ def count_flops(
     """Count per-image operations for every node.
 
     The per-layer map carries every node id (zeros included), so the
-    total always equals the sum of the breakdown.
+    total always equals the sum of the breakdown. A malformed spec raises ShapeError.
     """
     convention = convention or CountingConvention()
     shapes = infer_shapes(arch, input_shape)
@@ -91,13 +99,7 @@ def count_flops(
         if node.kind in convention.counted_kinds:
             kind = _KINDS[node.kind]
             ins = [shapes[ref] for ref in node.inputs]
-            try:
-                macs = kind.macs(_resolve(node, kind), ins, shapes[node.id],
-                                 convention.include_bias)
-            except KeyError as exc:  # only a spec that skipped validation lacks a parameter
-                raise GraphError(
-                    f"node {node.id!r}: missing required parameter {exc.args[0]!r}"
-                ) from None
+            macs = kind.macs(_resolve(node, kind), ins, shapes[node.id], convention.include_bias)
         per_layer[node.id] = macs * scale
 
     return FlopCount(

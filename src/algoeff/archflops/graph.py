@@ -6,14 +6,17 @@ earlier node or the reserved network input id ``"input"``.
 
 What the package knows about each layer kind sits in one entry of
 ``_KINDS``: its parameters with their defaults and accepted values, its
-input arity, its shape rule and its mac rule. Validation lives here;
-``shapes`` walks a graph with the shape rules and ``counting`` with the
-mac rules.
+input arity, any rule across its parameters, its shape rule and its mac
+rule. One walk here checks every node and infers its shape; validation
+and ``shapes.infer_shapes`` both go through it. ``counting`` walks a
+checked graph with the mac rules.
 
 Everything here is immutable. Treat specs as values: helpers return new
 objects and never mutate their arguments, so sharing instances across
-threads is safe. Shape inference relies on this: it memoizes its result
-on each spec instance, so a spec must not be changed in place once built.
+threads is safe. The walk relies on this: a successful walk is memoized
+on the spec instance by input shape, so a memo entry means "valid, with
+these shapes, for this input". A failed walk runs again on every call; a
+spec changed in place after a walk keeps reporting its earlier state.
 """
 from __future__ import annotations
 
@@ -188,6 +191,11 @@ def _concat_shape(p, ins):
     return TensorShape(sum(s.channels for s in ins), first.height, first.width)
 
 
+def _conv_check(p):
+    if p["out_channels"] % p["groups"]:
+        return f"groups={p['groups']} does not divide out_channels={p['out_channels']}"
+
+
 def _conv_macs(p, ins, out, include_bias):
     macs = out.elements * (ins[0].channels // p["groups"]) * p["kernel_h"] * p["kernel_w"]
     return macs + out.elements if include_bias and p["has_bias"] else macs
@@ -242,15 +250,17 @@ class _Kind:
     params: name -> (default or _REQUIRED, what an explicit value must be).
     arity:  (min, max) number of inputs, max None for unbounded.
     shape:  shape rule; macs: mac rule (see above).
+    check:  None, or a rule across well-formed resolved parameters: a problem or None.
     """
 
-    __slots__ = ("params", "arity", "shape", "macs", "defaults")
+    __slots__ = ("params", "arity", "shape", "macs", "check", "defaults")
 
-    def __init__(self, params, shape, macs, arity=(1, 1)):
+    def __init__(self, params, shape, macs, arity=(1, 1), check=None):
         self.params = params
         self.arity = arity
         self.shape = shape
         self.macs = macs
+        self.check = check
         # built once here so resolving a node is a single dict merge
         self.defaults = {n: d for n, (d, _) in params.items() if d is not _REQUIRED}
 
@@ -272,7 +282,7 @@ _KINDS: dict[str, _Kind] = {
         "dilation": (1, _POSITIVE),
         "groups": (1, _POSITIVE),
         "has_bias": (False, _FLAG),
-    }, _conv_shape, _conv_macs),
+    }, _conv_shape, _conv_macs, check=_conv_check),
     "linear": _Kind(
         {"out_features": (_REQUIRED, _POSITIVE), "has_bias": (True, _FLAG)},
         lambda p, ins: TensorShape(p["out_features"], 1, 1), _linear_macs,
@@ -299,11 +309,7 @@ LAYER_KINDS = frozenset(_KINDS)
 
 
 def _resolve(node: LayerNode, kind: _Kind) -> dict[str, Any]:
-    """The node's parameters over its kind's defaults.
-
-    A required parameter the node lacks is missing from the result, so a
-    rule that reads it raises KeyError; validation reports it first.
-    """
+    """The node's parameters over its kind's defaults; the walk checks them first."""
     params = {**kind.defaults, **node.params}
     if params.get("stride", 1) is None:  # pools default stride to kernel
         params["stride"] = params["kernel"]
@@ -340,79 +346,96 @@ class ArchitectureSpec:
         object.__setattr__(self, "metadata", dict(self.metadata))
 
 
+# Instance attribute of an ArchitectureSpec holding its successful walks by input
+# shape. Not a dataclass field, so equality, repr and dataclasses.replace ignore it.
+_MEMO_ATTR = "_inferred_shapes"
+
+
+def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], dict]:
+    """Check every node and, while nothing is wrong, infer its shape.
+
+    Returns (problems, shapes), shapes complete when problems is empty:
+    the structural problems of every node, else the first shape problem.
+    """
+    memo = arch.__dict__.setdefault(_MEMO_ATTR, {})
+    if input_shape in memo:
+        return [], memo[input_shape]
+    problems: list[str] = [] if arch.nodes else ["architecture has no nodes"]
+    shapes, seen, shape_problem = {INPUT_ID: input_shape}, set(), None
+    for node in arch.nodes:
+        start = len(problems)
+        if not isinstance(node.id, str):
+            problems.append(f"node {node.id!r}: id must be a string")
+            continue
+        if node.id == INPUT_ID:
+            problems.append(f"id {INPUT_ID!r} is reserved for the network input")
+        if node.id in seen:
+            problems.append("duplicate id")
+        kind = _KINDS.get(node.kind) if isinstance(node.kind, str) else None
+        if kind is None:
+            problems.append(f"unknown kind {node.kind!r}")
+        else:
+            lo, hi = kind.arity
+            if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
+                expected = f"at least {lo}" if hi is None else str(lo)
+                problems.append(f"takes {expected} input(s), got {len(node.inputs)}")
+            for ref in node.inputs:
+                if ref != INPUT_ID and ref not in seen:
+                    problems.append(
+                        f"input {ref!r} is not an earlier node (cycle or ordering violation)"
+                    )
+            params = _check_params(node, kind, problems)
+        seen.add(node.id)
+        if len(problems) > start:  # only a node with problems pays for its label
+            problems[start:] = [f"node {node.id!r}: {p}" for p in problems[start:]]
+        elif not problems and shape_problem is None:
+            try:
+                shapes[node.id] = _node_shape(node, params, [shapes[r] for r in node.inputs])
+            except ValueError as exc:
+                shape_problem = f"node {node.id!r}: {exc}"
+    if arch.output not in seen:
+        problems.append(f"output {arch.output!r} does not name a node")
+    if problems or shape_problem is not None:
+        return problems or [shape_problem], shapes
+    memo[input_shape] = shapes
+    return problems, shapes
+
+
+def _check_params(node: LayerNode, kind: _Kind, problems: list[str]) -> dict[str, Any] | None:
+    """Append the node's parameter problems; resolve its parameters if there are none."""
+    start = len(problems)
+    for name, (default, (accepted, test)) in kind.params.items():
+        if name in node.params:
+            if not test(node.params[name]):
+                problems.append(f"parameter {name!r} must be {accepted}, got {node.params[name]!r}")
+        elif default is _REQUIRED:
+            problems.append(f"missing required parameter {name!r}")
+    if not node.params.keys() <= kind.params.keys():
+        unknown = [name for name in node.params if name not in kind.params]
+        problems.append(f"unknown parameter(s) {unknown}; {node.kind} takes {sorted(kind.params)}")
+    if len(problems) > start:
+        return None
+    params = _resolve(node, kind)
+    problem = kind.check and kind.check(params)
+    if problem:
+        problems.append(problem)
+    return params
+
+
+def _node_shape(node: LayerNode, params: dict[str, Any], ins: list[TensorShape]) -> TensorShape:
+    """The walk's one call of a shape rule per node and input shape."""
+    return _KINDS[node.kind].shape(params, ins)
+
+
 def validate_arch(arch: ArchitectureSpec) -> list[str]:
     """Return a list of human-readable contract violations, empty if valid.
 
-    Structural checks run first (ids, kinds, arity, parameter domains,
-    declaration order). If those pass, shape inference over the default
-    input runs as well, so problems that only appear with concrete shapes
-    (group divisibility against input channels, mismatched elementwise
-    operands, oversized kernels) are reported too.
+    Structural problems (ids, kinds, arity, parameter domains, declaration
+    order) are listed for every node. If there are none, a problem that
+    only appears with concrete shapes at the default input (group
+    divisibility, mismatched operands, oversized kernels) is reported.
     """
-    problems: list[str] = []
-    seen: set[str] = set()
-
-    if not arch.nodes:
-        problems.append("architecture has no nodes")
-    for node in arch.nodes:
-        label = f"node {node.id!r}"
-        if not isinstance(node.id, str):
-            problems.append(f"{label}: id must be a string")
-            continue
-        if node.id == INPUT_ID:
-            problems.append(f"{label}: id {INPUT_ID!r} is reserved for the network input")
-        if node.id in seen:
-            problems.append(f"{label}: duplicate id")
-        if not isinstance(node.kind, str) or node.kind not in LAYER_KINDS:
-            problems.append(f"{label}: unknown kind {node.kind!r}")
-            seen.add(node.id)
-            continue
-
-        lo, hi = _KINDS[node.kind].arity
-        if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
-            expected = f"at least {lo}" if hi is None else str(lo)
-            problems.append(f"{label}: takes {expected} input(s), got {len(node.inputs)}")
-        for ref in node.inputs:
-            if ref != INPUT_ID and ref not in seen:
-                problems.append(
-                    f"{label}: input {ref!r} is not an earlier node (cycle or ordering violation)"
-                )
-
-        problems.extend(f"{label}: {p}" for p in _check_params(node))
-        seen.add(node.id)
-
-    if arch.output not in seen:
-        problems.append(f"output {arch.output!r} does not name a node")
-
-    if not problems:
-        from .shapes import ShapeError, infer_shapes  # local import avoids a cycle
-
-        try:
-            infer_shapes(arch)
-        except ShapeError as exc:
-            problems.append(str(exc))
-    return problems
-
-
-def _check_params(node: LayerNode) -> list[str]:
-    problems = []
-    schema = _KINDS[node.kind].params
-    for name, (default, (accepted, test)) in schema.items():
-        if name in node.params:
-            if not test(node.params[name]):
-                problems.append(
-                    f"parameter {name!r} must be {accepted}, got {node.params[name]!r}"
-                )
-        elif default is _REQUIRED:
-            problems.append(f"missing required parameter {name!r}")
-    unknown = [name for name in node.params if name not in schema]
-    if unknown:
-        problems.append(f"unknown parameter(s) {unknown}; {node.kind} takes {sorted(schema)}")
-    if node.kind == "conv2d" and not problems:
-        out_channels, groups = node.params["out_channels"], node.params.get("groups", 1)
-        if out_channels % groups:
-            problems.append(f"groups={groups} does not divide out_channels={out_channels}")
-    return problems
+    return _walk(arch, arch.default_input)[0]
 
 
 def require_valid(arch: ArchitectureSpec) -> ArchitectureSpec:

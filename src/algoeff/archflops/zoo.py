@@ -45,14 +45,10 @@ class _Builder:
         self.name = name
         self.input_shape = TensorShape(*input_shape)
         self.nodes: list[LayerNode] = []
-        self._ids: set[str] = set()
 
     def add(self, kind: str, inputs: list[str] | tuple[str, ...] | str, id: str, **params: Any) -> str:
         if isinstance(inputs, str):
             inputs = (inputs,)
-        if id in self._ids:
-            raise GraphError(f"{self.name}: duplicate node id {id!r}")
-        self._ids.add(id)
         self.nodes.append(LayerNode(id=id, kind=kind, params=params, inputs=tuple(inputs)))
         return id
 

@@ -13,7 +13,6 @@ invalid inputs, 3 when a curve never reaches the requested threshold.
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import os
 import shutil
@@ -80,6 +79,7 @@ from .trends import (
     find_record,
     fit_trend,
     frontier,
+    parse_date,
     records_from_json,
     records_to_json,
 )
@@ -286,10 +286,11 @@ def _counting_convention(args) -> CountingConvention:
 
 
 def _per_image_flops(arch: ArchitectureSpec, count: FlopCount) -> float:
-    """The exact per-image count as a float: the one place it becomes one."""
-    if count.total_per_image > sys.float_info.max:
-        raise GraphError(f"{arch.name}: per-image count exceeds the float range")
-    return float(count.total_per_image)
+    """The exact per-image count as a float, naming arch if it does not fit."""
+    try:
+        return count.per_image_float
+    except GraphError as e:
+        raise GraphError(f"{arch.name}: {e}") from None
 
 
 def _record_pair(args) -> tuple[EfficiencyRecord, EfficiencyRecord]:
@@ -328,10 +329,7 @@ def _cmd_analyze(args) -> list[Table]:
     if args.append_records:
         if args.date is None:
             raise UsageError("algoeff analyze: --append-records requires --date")
-        try:
-            run_date = datetime.date.fromisoformat(args.date)
-        except ValueError:
-            raise TrendError(f"--date {args.date!r} is not YYYY-MM-DD") from None
+        run_date = parse_date(args.date, "--date", TrendError)
         name = args.name or arch.name
         path = Path(args.append_records)
         existing = records_from_json(path.read_text(encoding="utf-8")) if path.exists() else ()
@@ -398,7 +396,7 @@ def _cmd_report(args) -> list[Table]:
     ]
     if args.figures:
         tables.append(frontier_points(records, unit=args.unit, front=front))
-        bundled = load_imagenet_records()
+        bundled = records if args.records is None else load_imagenet_records()
         curves = []
         for cname in curve_names():
             match = [r for r in bundled if _normalize(r.name) == _normalize(cname)]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -32,7 +31,9 @@ from .trends import (
     MONTH_DAYS,
     EfficiencyRecord,
     TrendError,
+    doubling_time,
     find_record,
+    parse_date,
     partial_run_factor,
     records_from_json,
 )
@@ -156,10 +157,11 @@ class CrossDomainComparison:
     def doubling(self) -> tuple[float, str]:
         """Efficiency doubling (value, unit): period over log2(factor)."""
         f = self.factor()
-        if f <= 1.0:
-            raise DatasetError(f"{self.label}: factor {f!r} yields no doubling time")
         value, unit = self.period()
-        return value / math.log2(f), unit
+        try:
+            return doubling_time(f, value), unit
+        except TrendError as e:
+            raise DatasetError(f"{self.label}: {e}") from None
 
 
 _COMPARISON_FIELDS = frozenset(f.name for f in fields(CrossDomainComparison))
@@ -177,10 +179,7 @@ def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainCom
     kwargs = dict(obj)
     for key in ("baseline_date", "improved_date"):
         if key in kwargs:
-            try:
-                kwargs[key] = datetime.date.fromisoformat(kwargs[key])
-            except (TypeError, ValueError):
-                raise DatasetError(f"{where}: {key} {kwargs[key]!r} is not YYYY-MM-DD") from None
+            kwargs[key] = parse_date(kwargs[key], f"{where}: {key}", DatasetError)
     try:
         return CrossDomainComparison(**kwargs)
     except TypeError as e:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -61,6 +62,23 @@ def to_report_units(value: float, unit: str = "raw") -> float:
 def date_to_months(d: datetime.date) -> float:
     """A date as a real-valued month count on a fixed calendar origin."""
     return d.toordinal() / MONTH_DAYS
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text, what: str, error: type[Exception]) -> datetime.date:
+    """The date text spells as YYYY-MM-DD; raises error naming what otherwise.
+
+    date.fromisoformat alone also takes other ISO 8601 forms, such as
+    20120601 and 2013-W01-1, from Python 3.11 on.
+    """
+    if isinstance(text, str) and _ISO_DATE.fullmatch(text):
+        try:
+            return datetime.date.fromisoformat(text)
+        except ValueError:  # a month or day out of range
+            pass
+    raise error(f"{what} {text!r} is not YYYY-MM-DD")
 
 
 @dataclass(frozen=True)
@@ -190,11 +208,7 @@ def _record_from_dict(obj, where: str, thresholds: dict) -> EfficiencyRecord:
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise TrendError(f"{where}: name must be a non-empty string")
-    try:
-        date = datetime.date.fromisoformat(obj["date"])
-    except (TypeError, ValueError):
-        raise TrendError(f"{where} ({name}): date {obj['date']!r} is not YYYY-MM-DD") from None
-    kwargs = dict(obj, date=date)
+    kwargs = dict(obj, date=parse_date(obj["date"], f"{where} ({name}): date", TrendError))
     try:
         if "threshold" in obj:
             kwargs["threshold"] = _shared_threshold(obj["threshold"], thresholds)

@@ -1,18 +1,18 @@
 """Fixtures shared by several test modules."""
 import pytest
 
-import algoeff.archflops.shapes as shapes_mod
+import algoeff.archflops.graph as graph_mod
 
 
 @pytest.fixture
 def node_shape_calls(monkeypatch) -> list[str]:
     """Ids of the nodes whose shape rule runs during the test, in order."""
     calls: list[str] = []
-    real = shapes_mod._node_shape
+    real = graph_mod._node_shape
 
-    def counting(node, ins):
+    def counting(node, params, ins):
         calls.append(node.id)
-        return real(node, ins)
+        return real(node, params, ins)
 
-    monkeypatch.setattr(shapes_mod, "_node_shape", counting)
+    monkeypatch.setattr(graph_mod, "_node_shape", counting)
     return calls

@@ -233,6 +233,14 @@ class TestAnalyze:
         assert code == 2
         assert "not YYYY-MM-DD" in err
 
+    @pytest.mark.parametrize("date", ["20210601", "2013-W01-1"])
+    def test_append_other_iso_date_forms(self, capsys, tmp_path, date):
+        path = tmp_path / "r.json"
+        code, out, err = run(capsys, "analyze", "AlexNet", "alexnet", "--date", date,
+                             "--append-records", str(path))
+        assert (code, out, err) == (2, "", f"algoeff: --date '{date}' is not YYYY-MM-DD\n")
+        assert not path.exists()
+
     def test_append_then_factor_round_trip(self, capsys, tmp_path):
         records_file = tmp_path / "runs.json"
         code, _, _ = run(capsys, "analyze", "AlexNet", "alexnet",
@@ -462,6 +470,14 @@ class TestFrontierTrendEffective:
         assert (code, out) == (2, "")
         assert err == "algoeff: the product of the factors is not a finite number\n"
 
+    @pytest.mark.parametrize("date", ["20120601", "2013-W01-1"])
+    def test_records_file_other_iso_date_forms(self, capsys, tmp_path, date):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps([{"name": "a", "date": date, "total_compute": 4e17}]))
+        code, out, err = run(capsys, "frontier", "--records", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"algoeff: record 0 (a): date '{date}' is not YYYY-MM-DD\n"
+
 
 INF_TOTAL = '[{"name": "a", "date": "2012-01-01", "total_compute": Infinity},' \
             ' {"name": "b", "date": "2013-01-01", "total_compute": 1e18}]'
@@ -621,6 +637,22 @@ class TestReport:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "EfficientNet-b0" in out
         assert calls == [len(load_imagenet_records())]
+
+    @pytest.mark.parametrize("argv", [("report", "--figures"),
+                                      ("report", "--figures", "--records", "{file}")])
+    def test_bundled_records_loaded_once(self, capsys, monkeypatch, tmp_path, argv):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps([{"name": "a", "date": "2015-01-01", "total_compute": 4e17}]))
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return load_imagenet_records()
+
+        monkeypatch.setattr(cli_mod, "load_imagenet_records", counting)
+        code, out, _ = run(capsys, *(a.format(file=path) for a in argv))
+        assert code == 0 and "alexnet" in out
+        assert len(calls) == 1
 
     def test_markdown_embeds_warnings(self, capsys):
         code, out, err = run(capsys, "report")

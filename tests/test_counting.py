@@ -1,4 +1,5 @@
 """Operation counting against the loop-nest oracle and hand arithmetic."""
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from algoeff.archflops import (
     GraphError,
     LayerNode,
     TensorShape,
+    builtin_arch,
     count_flops,
 )
 
@@ -105,6 +107,17 @@ class TestHandArithmetic:
     def test_gigaops(self):
         arch = chain(conv("c", ["input"], 8, 3, padding=1))
         assert count_flops(arch).gigaops == pytest.approx(13824 / 1e9)
+
+    def test_gigaops_beyond_the_float_range(self):
+        arch = builtin_arch("AlexNet")
+        nodes = tuple(
+            dataclasses.replace(n, params={**n.params, "out_channels": 10**310})
+            if n.id == "conv1.conv" else n for n in arch.nodes
+        )
+        count = count_flops(dataclasses.replace(arch, nodes=nodes))
+        assert count.total_per_image > 10**310
+        with pytest.raises(GraphError, match="^per-image count exceeds the float range$"):
+            count.gigaops
 
     def test_input_override_changes_counts(self):
         arch = chain(conv("c", ["input"], 8, 3, padding=1))

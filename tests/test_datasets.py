@@ -146,6 +146,16 @@ class TestCrossDomainValidation:
         assert c.period() == (12.0, "months")
         assert c.doubling() == (6.0, "months")
 
+    @pytest.mark.parametrize("improved_date", [datetime.date(2012, 6, 1),
+                                               datetime.date(2012, 1, 1)])
+    def test_doubling_needs_time_to_pass(self, improved_date):
+        c = CrossDomainComparison(**self.base(period_value=None,
+                                              baseline_date=datetime.date(2012, 6, 1),
+                                              improved_date=improved_date))
+        with pytest.raises(DatasetError,
+                           match=r"^a -> b: elapsed time must be positive and finite"):
+            c.doubling()
+
     def test_bad_kind(self):
         with pytest.raises(DatasetError, match="training or inference"):
             CrossDomainComparison(**self.base(kind="deployment"))
@@ -260,6 +270,13 @@ class TestComparisonFromDict:
     def test_bad_date(self):
         obj = {**self.GOOD, "baseline_date": "June 2012", "improved_date": "2019-05-28"}
         with pytest.raises(DatasetError, match="not YYYY-MM-DD"):
+            comparison_from_dict(obj)
+
+    @pytest.mark.parametrize("text", ["20120601", "2013-W01-1"])
+    def test_other_iso_date_forms(self, text):
+        obj = {**self.GOOD, "baseline_date": "2012-06-01", "improved_date": text}
+        with pytest.raises(DatasetError,
+                           match=f"^comparison: improved_date '{text}' is not YYYY-MM-DD$"):
             comparison_from_dict(obj)
 
     def test_json_array_errors_name_index(self):

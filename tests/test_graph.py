@@ -1,23 +1,33 @@
 """Graph model: shapes as values, validation, and the json file format."""
+import dataclasses
 import json
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algoeff.archflops import (
     INPUT_ID,
     LAYER_KINDS,
     ArchitectureSpec,
+    CountingConvention,
     GraphError,
     LayerNode,
+    ShapeError,
     TensorShape,
     arch_from_json,
     arch_to_json,
+    builtin_arch,
     count_flops,
+    infer_shapes,
     node_param,
     require_valid,
     validate_arch,
 )
+
+from _generators import random_arch
 
 
 def tiny_arch(**overrides) -> ArchitectureSpec:
@@ -390,3 +400,86 @@ class TestJsonFormat:
         obj["nodes"][0]["params"]["kernel_h"] = 99  # larger than padded input
         with pytest.raises(GraphError, match="exceeds"):
             arch_from_json(json.dumps(obj))
+
+
+# Every parameter name some kind takes; a name the mutated node's kind
+# does not take makes an unknown parameter.
+_PARAM_NAMES = ("out_channels", "kernel_h", "kernel_w", "stride", "padding", "dilation",
+                "groups", "has_bias", "out_features", "kernel", "ceil", "target",
+                "reduction", "p", "size", "function")
+_BAD_VALUES = {"string": "3", "zero": 0, "float": 2.5, "bool": True}
+_COUNT_ALL = CountingConvention(counted_kinds=LAYER_KINDS, include_bias=True)
+
+
+@st.composite
+def one_bad_parameter(draw) -> ArchitectureSpec:
+    """A random valid graph with one parameter of one node mutated."""
+    arch = random_arch(random.Random(draw(st.integers(0, 2**32 - 1))))
+    node = draw(st.sampled_from(arch.nodes))
+    params = dict(node.params)
+    how = draw(st.sampled_from(sorted(_BAD_VALUES) + ["missing", "unknown"]))
+    if how == "missing" and params:
+        del params[draw(st.sampled_from(sorted(params)))]
+    elif how == "unknown":
+        params["bogus"] = 1
+    elif how in _BAD_VALUES:
+        params[draw(st.sampled_from(sorted(set(params) | set(_PARAM_NAMES))))] = _BAD_VALUES[how]
+    nodes = tuple(dataclasses.replace(n, params=params) if n is node else n for n in arch.nodes)
+    return dataclasses.replace(arch, nodes=nodes)
+
+
+def _with_params(arch: ArchitectureSpec, node_id: str, **params) -> ArchitectureSpec:
+    nodes = tuple(dataclasses.replace(n, params={**n.params, **params}) if n.id == node_id else n
+                  for n in arch.nodes)
+    return dataclasses.replace(arch, nodes=nodes)
+
+
+class TestOneCheckedWalk:
+    """validate_arch, infer_shapes and count_flops check a spec the same way."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(one_bad_parameter())
+    def test_infer_and_count_raise_exactly_when_validation_fails(self, arch):
+        # each call gets its own copy, so none is served by another's memo
+        problems = validate_arch(dataclasses.replace(arch))
+        if not problems:
+            assert infer_shapes(dataclasses.replace(arch))[arch.output]
+            assert count_flops(dataclasses.replace(arch), convention=_COUNT_ALL).per_layer
+            return
+        with pytest.raises(ShapeError) as raised:
+            infer_shapes(dataclasses.replace(arch))
+        assert str(raised.value) == "; ".join(problems)
+        with pytest.raises(GraphError):
+            count_flops(dataclasses.replace(arch), convention=_COUNT_ALL)
+
+    @pytest.mark.parametrize("node_id,params,message", [
+        ("conv1.conv", {"kernel_h": "3"}, "parameter 'kernel_h' must be a positive integer"),
+        ("conv1.conv", {"groups": 0}, "parameter 'groups' must be a positive integer, got 0"),
+        ("pool1", {"stride": 0}, "parameter 'stride' must be a positive integer, got 0"),
+    ])
+    def test_malformed_parameter_is_a_shape_error(self, node_id, params, message):
+        arch = _with_params(builtin_arch("AlexNet"), node_id, **params)
+        for call in (infer_shapes, count_flops):
+            with pytest.raises(ShapeError, match=re.escape(f"node {node_id!r}: {message}")):
+                call(dataclasses.replace(arch))
+
+    def test_missing_required_parameter_is_a_shape_error(self):
+        arch = tiny_arch(nodes=(LayerNode(id="se", kind="squeeze_excite", inputs=("input",)),),
+                         output="se")
+        for call in (infer_shapes, count_flops):
+            with pytest.raises(ShapeError, match="node 'se': missing required parameter"):
+                call(dataclasses.replace(arch))
+
+    def test_shape_problem_is_reported_only_alone(self):
+        big = LayerNode(id="c", kind="conv2d", inputs=("input",),
+                        params={"out_channels": 4, "kernel_h": 99, "kernel_w": 1})
+
+        def then_relu(**params):
+            relu = LayerNode(id="r", kind="activation", params=params, inputs=("c",))
+            return tiny_arch(nodes=(big, relu), output="r")
+
+        [alone] = validate_arch(then_relu())
+        assert alone.startswith("node 'c': window (kernel 99, dilation 1) exceeds")
+        assert validate_arch(then_relu(bogus=1)) == [
+            "node 'r': unknown parameter(s) ['bogus']; activation takes ['function']"
+        ]

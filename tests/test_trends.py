@@ -215,6 +215,11 @@ class TestRecordJson:
         with pytest.raises(TrendError, match="YYYY-MM-DD"):
             record_from_dict({"name": "x", "date": "June 2015", "total_compute": 1.0})
 
+    @pytest.mark.parametrize("text", ["20120601", "2013-W01-1", "2012-02-30"])
+    def test_other_iso_date_forms(self, text):
+        with pytest.raises(TrendError, match=f"^record \\(x\\): date '{text}' is not YYYY-MM-DD$"):
+            record_from_dict({"name": "x", "date": text, "total_compute": 1.0})
+
     def test_notes_must_be_string(self):
         with pytest.raises(TrendError, match="notes"):
             record_from_dict({"name": "x", "date": "2015-01-02",
