@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graph import _KINDS, ArchitectureSpec, GraphError, TensorShape, _resolve
+from .graph import _KINDS, LAYER_KINDS, ArchitectureSpec, GraphError, TensorShape, _resolve
 from .shapes import infer_shapes
 
 UNITS = ("mac", "flop2")
@@ -52,7 +52,19 @@ class CountingConvention:
     def __post_init__(self) -> None:
         if self.unit not in UNITS:
             raise GraphError(f"unknown unit {self.unit!r}; expected one of {UNITS}")
-        object.__setattr__(self, "counted_kinds", frozenset(self.counted_kinds))
+        given = self.counted_kinds
+        try:
+            kinds = None if isinstance(given, str) else frozenset(given)
+        except TypeError:  # not iterable, or an item is unhashable
+            kinds = None
+        if kinds is None:
+            raise GraphError(f"counted_kinds must be a set of layer kinds, not {given!r}")
+        if not kinds:
+            raise GraphError("counted_kinds needs at least one layer kind")
+        if not kinds <= LAYER_KINDS:
+            unknown = sorted(kinds - LAYER_KINDS, key=str)
+            raise GraphError(f"unknown layer kinds in counted_kinds: {unknown}")
+        object.__setattr__(self, "counted_kinds", kinds)
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,8 @@ def node_param(node: LayerNode, name: str) -> Any:
     kind = _KINDS.get(node.kind)
     if kind is None or name not in kind.defaults:
         raise GraphError(f"node {node.id!r}: missing required parameter {name!r}")
-    return _resolve(node, kind)[name]
+    default = kind.defaults[name]
+    return node_param(node, "kernel") if default is None else default  # pools: stride = kernel
 
 
 @dataclass(frozen=True)
@@ -357,6 +358,8 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
     Returns (problems, shapes), shapes complete when problems is empty:
     the structural problems of every node, else the first shape problem.
     """
+    if not isinstance(input_shape, TensorShape):
+        return [f"input shape {input_shape!r} is not a TensorShape"], {}
     memo = arch.__dict__.setdefault(_MEMO_ATTR, {})
     if input_shape in memo:
         return [], memo[input_shape]
@@ -380,7 +383,9 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
                 expected = f"at least {lo}" if hi is None else str(lo)
                 problems.append(f"takes {expected} input(s), got {len(node.inputs)}")
             for ref in node.inputs:
-                if ref != INPUT_ID and ref not in seen:
+                if not isinstance(ref, str):
+                    problems.append(f"input {ref!r} is not a node id string")
+                elif ref != INPUT_ID and ref not in seen:
                     problems.append(
                         f"input {ref!r} is not an earlier node (cycle or ordering violation)"
                     )
@@ -393,7 +398,7 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
                 shapes[node.id] = _node_shape(node, params, [shapes[r] for r in node.inputs])
             except ValueError as exc:
                 shape_problem = f"node {node.id!r}: {exc}"
-    if arch.output not in seen:
+    if not isinstance(arch.output, str) or arch.output not in seen:
         problems.append(f"output {arch.output!r} does not name a node")
     if problems or shape_problem is not None:
         return problems or [shape_problem], shapes

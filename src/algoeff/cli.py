@@ -24,7 +24,6 @@ from .archflops import (
     CountingConvention,
     FlopCount,
     GraphError,
-    LAYER_KINDS,
     TensorShape,
     arch_from_json,
     builtin_arch,
@@ -103,8 +102,17 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, handler, unit=False):
+    def graph(p):
+        p.add_argument("arch", help="bundled architecture name, or a path to a graph "
+                                    "json file (anything containing / or ending in .json)")
+        p.add_argument("--input", default=None, metavar="CxHxW",
+                       help="override the graph's default input shape")
+
+    def common(p, handler, unit=False, records=False):
         p.set_defaults(handler=handler)
+        if records:
+            p.add_argument("--records", default=None, metavar="FILE",
+                           help="records json (default: bundled image classification records)")
         p.add_argument("--format", choices=FORMATS, default="markdown",
                        help="output format (default markdown)")
         if unit:
@@ -113,10 +121,7 @@ def _build_parser() -> _Parser:
                                 "(raw / 8.64e16) or table (raw / 1e15); default table")
 
     p = sub.add_parser("flops", help="per-image operation count of an architecture")
-    p.add_argument("arch", help="bundled architecture name, or a path to a graph "
-                                "json file (anything containing / or ending in .json)")
-    p.add_argument("--input", default=None, metavar="CxHxW",
-                   help="override the graph's default input shape")
+    graph(p)
     p.add_argument("--count-unit", choices=("mac", "flop2"), default="mac",
                    help="mac counts multiply-accumulates; flop2 doubles them")
     p.add_argument("--include-bias", action="store_true",
@@ -127,16 +132,14 @@ def _build_parser() -> _Parser:
     common(p, _cmd_flops)
 
     p = sub.add_parser("shapes", help="inferred output shape of every node")
-    p.add_argument("arch")
-    p.add_argument("--input", default=None, metavar="CxHxW")
+    graph(p)
     common(p, _cmd_shapes)
 
     p = sub.add_parser("analyze", help="epochs and compute for a curve to reach a threshold")
-    p.add_argument("arch", help="architecture (for per-image cost)")
+    graph(p)
     p.add_argument("curve", help="curve csv path, or the name of a bundled curve")
     p.add_argument("--threshold", default="0.791", metavar="V|METRIC:V",
                    help="accuracy target, top5 unless written metric:value (default 0.791)")
-    p.add_argument("--input", default=None, metavar="CxHxW")
     p.add_argument("--percent", action="store_true",
                    help="curve accuracies are percentages, not fractions")
     p.add_argument("--images-per-epoch", type=float, default=IMAGES_PER_EPOCH)
@@ -151,15 +154,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("factor", help="efficiency factor between two records")
     p.add_argument("baseline")
     p.add_argument("improved")
-    p.add_argument("--records", default=None, metavar="FILE",
-                   help="records json (default: bundled image classification records)")
-    common(p, _cmd_factor, unit=True)
+    common(p, _cmd_factor, unit=True, records=True)
 
     p = sub.add_parser("decompose", help="split a factor into epoch and per-image terms")
     p.add_argument("baseline")
     p.add_argument("improved")
-    p.add_argument("--records", default=None, metavar="FILE")
-    common(p, _cmd_decompose)
+    common(p, _cmd_decompose, records=True)
 
     p = sub.add_parser(
         "doubling",
@@ -168,23 +168,20 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("baseline", nargs="?")
     p.add_argument("improved", nargs="?")
-    p.add_argument("--records", default=None, metavar="FILE")
     p.add_argument("--factor", type=float, default=None,
                    help="efficiency factor gained over --period")
     p.add_argument("--period", type=float, default=None, help="elapsed time")
     p.add_argument("--period-unit", choices=("months", "days"), default="months")
-    common(p, _cmd_doubling)
+    common(p, _cmd_doubling, records=True)
 
     p = sub.add_parser("frontier", help="records on the minimal-compute frontier")
-    p.add_argument("--records", default=None, metavar="FILE")
-    common(p, _cmd_frontier, unit=True)
+    common(p, _cmd_frontier, unit=True, records=True)
 
     p = sub.add_parser("trend", help="fit the efficiency trend and its doubling time")
-    p.add_argument("--records", default=None, metavar="FILE")
     p.add_argument("--method", choices=("regression", "endpoints"), default="regression")
     p.add_argument("--all-records", action="store_true",
                    help="fit through all records instead of the frontier")
-    common(p, _cmd_trend)
+    common(p, _cmd_trend, records=True)
 
     p = sub.add_parser("effective", help="combined multiplier of stacked gain factors")
     p.add_argument("factors", nargs="*", type=float,
@@ -193,10 +190,9 @@ def _build_parser() -> _Parser:
     common(p, _cmd_effective)
 
     p = sub.add_parser("report", help="all summary tables at once")
-    p.add_argument("--records", default=None, metavar="FILE")
     p.add_argument("--figures", action="store_true",
                    help="also emit plot-point series (bundled curves and records)")
-    common(p, _cmd_report, unit=True)
+    common(p, _cmd_report, unit=True, records=True)
 
     return parser
 
@@ -275,13 +271,7 @@ def _replace_file(path: Path, text: str):
 def _counting_convention(args) -> CountingConvention:
     kwargs = {"unit": args.count_unit, "include_bias": args.include_bias}
     if args.counted_kinds is not None:
-        kinds = frozenset(k.strip() for k in args.counted_kinds.split(",") if k.strip())
-        if not kinds:
-            raise GraphError("--counted-kinds needs at least one kind")
-        unknown = kinds - LAYER_KINDS
-        if unknown:
-            raise GraphError(f"unknown layer kinds in --counted-kinds: {sorted(unknown)}")
-        kwargs["counted_kinds"] = kinds
+        kwargs["counted_kinds"] = [k.strip() for k in args.counted_kinds.split(",") if k.strip()]
     return CountingConvention(**kwargs)
 
 

@@ -101,29 +101,14 @@ class Threshold:
 DEFAULT_THRESHOLD = Threshold()
 
 
-def _first_break(values, end: int) -> int:
-    """Index of the first of values[:end] that is not positive, finite and
-    above the value before it; end when every one is."""
-    if end == 0 or not positive_finite(values[0]):
-        return 0
-    i = next((i for i in range(1, end) if not values[i - 1] < values[i]), end)  # also for NaN
-    # values[:i] rise from a positive start, so those too large for a float come last
-    return i if positive_finite(values[i - 1]) else bisect_right(values, _FLOAT_MAX, 0, i)
-
-
 def _check_series(name: str, metric, epochs, accuracies, compute, lines=None):
     """Check the rules every curve obeys; raise CurveError at the first point that breaks one.
 
     epochs is None for a compute curve, compute None for a learning
     curve without a cumulative_flops column. lines, when given, holds
     the file line number of each point, and a message names the line.
+    Each point's accuracy is tested first, then its epoch, then its compute.
     """
-    def epoch_problem(i):
-        e = epochs[i]
-        if i and e <= epochs[i - 1]:
-            return f"epoch {e} not greater than {epochs[i - 1]}"
-        return f"epoch {e} is not positive" if e <= 0 else f"epoch {e} is too large for a float"
-
     if not metric:
         raise CurveError("curve metric must be a non-empty string")
     n = len(accuracies)
@@ -133,31 +118,38 @@ def _check_series(name: str, metric, epochs, accuracies, compute, lines=None):
         raise CurveError(f"{name}: {len(epochs)} epochs but {n} accuracies")
     if compute is not None and len(compute) != n:
         raise CurveError(f"{name}: {n} accuracies but {len(compute)} compute values")
-    # (index, problem) of the first point that breaks each rule; a tie goes to the earlier rule
-    breaks = [(next((i for i, a in enumerate(accuracies) if not 0.0 <= a <= 1.0), n),
-               lambda i: f"accuracy {accuracies[i]!r} outside [0, 1]")]
-    if epochs is not None:
-        k = next((i for i, e in enumerate(epochs) if type(e) is not int), n)
-        breaks += [(k, lambda i: f"epoch {epochs[i]!r} is not an integer"),
-                   (_first_break(epochs, k), epoch_problem)]
-    if compute is not None:
-        breaks.append((_first_break(compute, n),
-                       lambda _: "compute must be finite, positive and strictly increasing"))
-    i, problem = min(breaks, key=lambda b: b[0])
-    if i < n:
+
+    def fail(i, problem):
         at = f"line {lines[i]}" if lines else f"epoch {epochs[i]}" if epochs else f"point {i + 1}"
-        raise CurveError(f"{name} {at}: {problem(i)}")
+        return CurveError(f"{name} {at}: {problem}")
+
+    e, c = e0, c0 = 0, 0.0  # e0, c0: epoch and compute of the last point that passed
+    try:
+        for i, a in enumerate(accuracies):
+            if not 0.0 <= a <= 1.0:  # also NaN
+                raise fail(i, f"accuracy {a!r} outside [0, 1]")
+            if epochs is not None and not (type(e := epochs[i]) is int and e0 < e <= _FLOAT_MAX):
+                raise fail(i, f"epoch {e!r} is not an integer" if type(e) is not int
+                           else f"epoch {e} not greater than {e0}" if i and e <= e0
+                           else f"epoch {e} is not positive" if e <= 0
+                           else f"epoch {e} is too large for a float")
+            if compute is not None and not (c0 < c <= _FLOAT_MAX if type(c := compute[i]) is float
+                                            else positive_finite(c) and c0 < c):
+                raise fail(i, "compute must be finite, positive and strictly increasing")
+            e0, c0 = e, c
+    except TypeError:  # an accuracy that float() rejected
+        raise fail(i, f"accuracy {a!r} is not a number") from None
 
 
 def _floats(values) -> tuple:
-    """values as floats, or as given when one is an int too large for a float.
+    """values as floats, or as given when float() rejects one or it is too large for a float.
 
-    _check_series runs next and rejects such an int with the point it is at.
+    _check_series runs next and rejects such a value with the point it is at.
     """
     values = tuple(values)
     try:
         return tuple(float(v) for v in values)
-    except OverflowError:
+    except (TypeError, ValueError, OverflowError):
         return values
 
 
@@ -290,21 +282,43 @@ def training_compute(
     return finite_product(factors, where="training_compute: ")
 
 
-def epochs_to_threshold(curve: LearningCurve, threshold: Threshold = DEFAULT_THRESHOLD) -> int:
-    """Smallest recorded epoch whose accuracy meets the threshold.
+def _crossing(curve: LearningCurve, threshold: Threshold) -> int:
+    """Index of the first row whose accuracy meets the threshold.
 
-    No interpolation: the crossing epoch is the first row at or above
-    the target. Raises ThresholdNotReached if no row qualifies.
+    No interpolation: the crossing is the first row at or above the
+    target. Raises ThresholdNotReached if no row qualifies.
     """
     if curve.metric != threshold.metric:
         raise CurveError(
             f"{curve.name}: curve metric {curve.metric!r} does not match "
             f"threshold metric {threshold.metric!r}"
         )
-    for epoch, acc in zip(curve.epochs, curve.accuracies):
+    for i, acc in enumerate(curve.accuracies):
         if acc >= threshold.value:
-            return epoch
+            return i
     raise ThresholdNotReached(curve.name, threshold, curve.best_accuracy)
+
+
+def epochs_to_threshold(curve: LearningCurve, threshold: Threshold = DEFAULT_THRESHOLD) -> int:
+    """Smallest recorded epoch whose accuracy meets the threshold."""
+    return curve.epochs[_crossing(curve, threshold)]
+
+
+def _priced(curve: LearningCurve, rows: slice, flops_per_image, images_per_epoch,
+            backward_multiplier) -> tuple:
+    """Cumulative compute of the curve's rows in the slice.
+
+    A cumulative_flops column wins outright. Otherwise flops_per_image
+    is required and the compute is analytic, from each row's epoch.
+    """
+    if curve.cumulative_flops is not None:
+        return curve.cumulative_flops[rows]
+    if flops_per_image is None:
+        raise CurveError(
+            f"{curve.name}: curve has no cumulative_flops column; flops_per_image is required"
+        )
+    return tuple(training_compute(flops_per_image, e, images_per_epoch, backward_multiplier)
+                 for e in curve.epochs[rows])
 
 
 @dataclass(frozen=True)
@@ -362,18 +376,7 @@ def to_compute_curve(
     and each epoch e costs backward_multiplier * flops_per_image *
     images_per_epoch * e cumulatively.
     """
-    if curve.cumulative_flops is not None:
-        compute = curve.cumulative_flops
-    else:
-        if flops_per_image is None:
-            raise CurveError(
-                f"{curve.name}: curve has no cumulative_flops column; "
-                "flops_per_image is required"
-            )
-        compute = tuple(
-            training_compute(flops_per_image, e, images_per_epoch, backward_multiplier)
-            for e in curve.epochs
-        )
+    compute = _priced(curve, slice(None), flops_per_image, images_per_epoch, backward_multiplier)
     return ComputeCurve(
         name=curve.name, metric=curve.metric, compute=compute, accuracies=curve.accuracies
     )
@@ -387,15 +390,9 @@ def compute_to_threshold(
     backward_multiplier: float = BACKWARD_MULTIPLIER,
 ) -> float:
     """Cumulative training compute at the curve's threshold crossing."""
-    epoch = epochs_to_threshold(curve, threshold)
-    idx = curve.epochs.index(epoch)
-    if curve.cumulative_flops is not None:
-        return curve.cumulative_flops[idx]
-    if flops_per_image is None:
-        raise CurveError(
-            f"{curve.name}: curve has no cumulative_flops column; flops_per_image is required"
-        )
-    return training_compute(flops_per_image, epoch, images_per_epoch, backward_multiplier)
+    i = _crossing(curve, threshold)
+    return _priced(curve, slice(i, i + 1), flops_per_image, images_per_epoch,
+                   backward_multiplier)[0]
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,10 @@ class CrossDomainComparison:
     notes: str = ""
 
     def __post_init__(self):
+        for key in ("task", "kind", "baseline", "improved"):
+            v = getattr(self, key)
+            if not isinstance(v, str) or not v:
+                raise DatasetError(f"comparison {key} must be a non-empty string, got {v!r}")
         if self.kind not in ("training", "inference"):
             raise DatasetError(f"{self.label}: kind must be training or inference")
         if (self.baseline_compute is None) != (self.improved_compute is None):
@@ -111,7 +115,7 @@ class CrossDomainComparison:
             v = getattr(self, key)
             if v is not None and not positive_finite(v):
                 raise DatasetError(f"{self.label}: {key} must be positive and finite, got {v!r}")
-        if not 0.0 < self.improved_fraction <= 1.0:
+        if not positive_finite(self.improved_fraction) or self.improved_fraction > 1.0:
             raise DatasetError(f"{self.label}: improved_fraction outside (0, 1]")
         for unit in (self.period_unit, self.reported_period_unit, self.reported_doubling_unit):
             if unit not in _PERIOD_UNITS:

@@ -103,7 +103,7 @@ class EfficiencyRecord:
     notes: str = ""
 
     def __post_init__(self):
-        if not self.name:
+        if not isinstance(self.name, str) or not self.name:
             raise TrendError("record name must be a non-empty string")
         if not isinstance(self.date, datetime.date) or isinstance(self.date, datetime.datetime):
             raise TrendError(f"{self.name}: date must be a datetime.date")

@@ -4,11 +4,14 @@ Everything here recomputes results by a different route than the
 package: window placement by walking candidate positions instead of
 closed-form division, operation counts by looping over output
 positions, dominance by dense grid evaluation with numpy, frontier by
-a quadratic scan of the exclusion rule. Slow and simple on purpose.
+a quadratic scan of the exclusion rule, a curve's first bad point by
+one search per rule. Slow and simple on purpose.
 """
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 
 import numpy as np
 
@@ -212,3 +215,52 @@ def regression_oracle(xs, ys) -> tuple[float, float, float]:
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _positive_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= _FLOAT_MAX
+
+
+def _first_break(values, end: int) -> int:
+    """Index of the first of values[:end] that is not positive, finite and
+    above the value before it; end when every one is."""
+    if end == 0 or not _positive_finite(values[0]):
+        return 0
+    i = next((i for i in range(1, end) if not values[i - 1] < values[i]), end)  # also for NaN
+    # values[:i] rise from a positive start, so those too large for a float come last
+    return i if _positive_finite(values[i - 1]) else bisect_right(values, _FLOAT_MAX, 0, i)
+
+
+def first_bad_point_oracle(name, epochs, accuracies, compute, lines=None) -> str | None:
+    """The message for a curve's first bad point, or None when every point is good.
+
+    One search per rule finds the first point that breaks it, and the
+    earliest of those wins, a tie going to the earlier rule: accuracy,
+    integer epoch, rising epoch, rising compute. Takes numbers only, and
+    equally long non-empty series.
+    """
+    n = len(accuracies)
+
+    def epoch_problem(i):
+        e = epochs[i]
+        if i and e <= epochs[i - 1]:
+            return f"epoch {e} not greater than {epochs[i - 1]}"
+        return f"epoch {e} is not positive" if e <= 0 else f"epoch {e} is too large for a float"
+
+    breaks = [(next((i for i, a in enumerate(accuracies) if not 0.0 <= a <= 1.0), n),
+               lambda i: f"accuracy {accuracies[i]!r} outside [0, 1]")]
+    if epochs is not None:
+        k = next((i for i, e in enumerate(epochs) if type(e) is not int), n)
+        breaks += [(k, lambda i: f"epoch {epochs[i]!r} is not an integer"),
+                   (_first_break(epochs, k), epoch_problem)]
+    if compute is not None:
+        breaks.append((_first_break(compute, n),
+                       lambda _: "compute must be finite, positive and strictly increasing"))
+    i, problem = min(breaks, key=lambda b: b[0])
+    if i == n:
+        return None
+    at = f"line {lines[i]}" if lines else f"epoch {epochs[i]}" if epochs else f"point {i + 1}"
+    return f"{name} {at}: {problem(i)}"

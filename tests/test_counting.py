@@ -56,6 +56,25 @@ class TestConvention:
         c = CountingConvention(counted_kinds={"conv2d"})
         assert isinstance(c.counted_kinds, frozenset)
 
+    @pytest.mark.parametrize("kinds,message", [
+        ({"bogus"}, "unknown layer kinds in counted_kinds: ['bogus']"),
+        (["linear", "zeta", "conv"], "unknown layer kinds in counted_kinds: ['conv', 'zeta']"),
+        ({"conv2d", 5}, "unknown layer kinds in counted_kinds: [5]"),
+        ("conv2d", "counted_kinds must be a set of layer kinds, not 'conv2d'"),
+        (5, "counted_kinds must be a set of layer kinds, not 5"),
+        ([["conv2d"]], "counted_kinds must be a set of layer kinds, not [['conv2d']]"),
+        (set(), "counted_kinds needs at least one layer kind"),
+        ((k for k in ()), "counted_kinds needs at least one layer kind"),
+    ])
+    def test_counted_kinds_checked(self, kinds, message):
+        with pytest.raises(GraphError) as raised:
+            CountingConvention(counted_kinds=kinds)
+        assert str(raised.value) == message
+
+    def test_counted_kinds_from_any_iterable(self):
+        c = CountingConvention(counted_kinds=(k for k in ["conv2d", "maxpool"]))
+        assert c.counted_kinds == frozenset({"conv2d", "maxpool"})
+
 
 class TestHandArithmetic:
     def test_single_conv(self):

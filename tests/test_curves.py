@@ -1,8 +1,11 @@
 """Learning curves: parsing, thresholds, compute attribution, dominance."""
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algoeff.curves import (
     BACKWARD_MULTIPLIER,
@@ -22,9 +25,10 @@ from algoeff.curves import (
     to_compute_curve,
     training_compute,
 )
+from algoeff.curves import _check_series
 
 from _generators import random_curve_pair
-from _oracles import dominance_oracle
+from _oracles import dominance_oracle, first_bad_point_oracle
 
 GOOD_CSV = """\
 # demo curve
@@ -535,3 +539,107 @@ class TestDominance:
                     assert lo <= w <= hi
                     checked += 1
         assert checked > 10
+
+
+_FLOAT_MAX = sys.float_info.max
+# Numbers a series built in Python can hold, most of which break a rule at some point.
+_ODD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**1024,
+                                0, 1, -1, 0.0, -0.0, 1.0, 2.5, True, _FLOAT_MAX, 5e-324])
+
+
+@st.composite
+def _rising(draw, n, start, steps, odd):
+    """n values from start by steps that are mostly positive; some replaced by odd ones."""
+    values, v = [], start
+    for _ in range(n):
+        v = v + draw(steps)
+        values.append(draw(odd) if draw(st.integers(0, 9)) == 0 else v)
+    return values
+
+
+@st.composite
+def curve_series(draw):
+    """(epochs or None, accuracies, compute or None, lines or None) of one length."""
+    n = draw(st.integers(1, 8))
+    accuracies = [draw(_ODD_NUMBERS) if draw(st.integers(0, 14)) == 0
+                  else draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    epochs = draw(st.none() | _rising(n, draw(st.sampled_from([-1, 0, 0, 0, 2**1024 - 3])),
+                                      st.integers(-1, 3),
+                                      st.one_of(_ODD_NUMBERS, st.sampled_from(
+                                          [int(_FLOAT_MAX), int(_FLOAT_MAX) + 1, 2**1030]))))
+    compute = draw(st.none() | _rising(n, draw(st.sampled_from([-1, 0, 0.0, 1.0, 1e300])),
+                                       st.sampled_from([1, 3.0, 1e300, 0, -2.0, 1e-300]),
+                                       st.sampled_from([_FLOAT_MAX, math.nan, math.inf, 10**400,
+                                                        1, True, 0.5])))
+    lines = draw(st.none() | st.just(list(range(2, 2 + 2 * n, 2))))
+    return epochs, accuracies, compute, lines
+
+
+@st.composite
+def good_curve(draw) -> LearningCurve:
+    n = draw(st.integers(1, 10))
+    epochs = sorted(draw(st.sets(st.integers(1, 500), min_size=n, max_size=n)))
+    accuracies = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    flops = draw(st.none() | st.sets(st.floats(1.0, 1e20), min_size=n, max_size=n).map(sorted))
+    return mk_curve(epochs, accuracies, flops)
+
+
+class TestOneCheckLoop:
+    """_check_series walks the points once and agrees with a search per rule."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(curve_series())
+    def test_first_bad_point_matches_per_rule_oracle(self, series):
+        epochs, accuracies, compute, lines = series
+        expected = first_bad_point_oracle("c", epochs, accuracies, compute, lines)
+        if expected is None:
+            _check_series("c", "top5", epochs, accuracies, compute, lines)
+            return
+        with pytest.raises(CurveError) as raised:
+            _check_series("c", "top5", epochs, accuracies, compute, lines)
+        assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ComputeCurve("c", "top5", ("x",), (0.5,)),
+         "c point 1: compute must be finite, positive and strictly increasing"),
+        (lambda: ComputeCurve("c", "top5", (1.0, 2.0), (0.5, [1])),
+         "c point 2: accuracy [1] is not a number"),
+        (lambda: LearningCurve("c", "top5", (1,), (None,)),
+         "c epoch 1: accuracy None is not a number"),
+        (lambda: LearningCurve("c", "top5", (1, 2), (0.5, "x")),
+         "c epoch 2: accuracy 'x' is not a number"),
+        (lambda: LearningCurve("c", "top5", (1, 2), (0.5, 0.6), (1.0, None)),
+         "c epoch 2: compute must be finite, positive and strictly increasing"),
+        (lambda: LearningCurve("c", "top5", (1, "2"), (0.5, 0.6)),
+         "c epoch 2: epoch '2' is not an integer"),
+    ])
+    def test_non_number_is_a_curve_error_at_its_point(self, make, message):
+        with pytest.raises(CurveError) as raised:
+            make()
+        assert str(raised.value) == message
+
+    def test_largest_float_is_a_good_last_point(self):
+        assert ComputeCurve("c", "top5", (1, _FLOAT_MAX), (0.5, 0.6)).compute == (1.0, _FLOAT_MAX)
+        assert LearningCurve("c", "top5", (1, int(_FLOAT_MAX)), (0.5, 0.6)).epochs[-1] == _FLOAT_MAX
+
+    def test_strings_float_accepts_are_converted(self):
+        c = LearningCurve("c", "top5", (1, 2), ("0.5", "0.6"), ("1e15", "2e15"))
+        assert c.accuracies == (0.5, 0.6) and c.cumulative_flops == (1e15, 2e15)
+
+
+class TestOneCrossing:
+    """compute_to_threshold prices the row that epochs_to_threshold finds."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(good_curve(), st.floats(0.01, 1.0), st.sampled_from([1.0, 7.5e8, 3.1e9]))
+    def test_compute_to_threshold_is_the_compute_curve_at_the_crossing(self, curve, t, fpi):
+        threshold = Threshold("top5", t)
+        try:
+            epoch = epochs_to_threshold(curve, threshold)
+        except ThresholdNotReached:
+            with pytest.raises(ThresholdNotReached):
+                compute_to_threshold(curve, threshold, flops_per_image=fpi)
+            return
+        row = curve.epochs.index(epoch)
+        assert (compute_to_threshold(curve, threshold, flops_per_image=fpi)
+                == to_compute_curve(curve, flops_per_image=fpi).compute[row])

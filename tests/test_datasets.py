@@ -181,6 +181,24 @@ class TestCrossDomainValidation:
         with pytest.raises(DatasetError, match="improved_fraction"):
             CrossDomainComparison(**self.base(improved_fraction=fraction))
 
+    @pytest.mark.parametrize("fraction", ["x", None, True, math.nan, math.inf])
+    def test_fraction_must_be_a_number(self, fraction):
+        with pytest.raises(DatasetError, match=r"^a -> b: improved_fraction outside \(0, 1\]$"):
+            CrossDomainComparison(**self.base(improved_fraction=fraction))
+
+    def test_non_numeric_fraction_from_dict_is_reported_as_such(self):
+        with pytest.raises(DatasetError, match=r"^a -> b: improved_fraction outside"):
+            comparison_from_dict(self.base(improved_fraction="x"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("task", 5), ("task", ""), ("kind", None), ("baseline", None), ("improved", [1]),
+    ])
+    def test_names_must_be_strings(self, field, value):
+        expected = f"comparison {field} must be a non-empty string, got {value!r}"
+        with pytest.raises(DatasetError) as raised:
+            CrossDomainComparison(**self.base(**{field: value}))
+        assert str(raised.value) == expected
+
     @pytest.mark.parametrize("field", ["period_unit", "reported_period_unit",
                                        "reported_doubling_unit"])
     def test_period_units_checked(self, field):

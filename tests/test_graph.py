@@ -117,6 +117,15 @@ class TestNodeParam:
         node = LayerNode(id="p", kind="maxpool", params={"kernel": 3}, inputs=("input",))
         assert node_param(node, "stride") == 3
 
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
+    def test_pool_without_kernel(self, kind):
+        node = LayerNode(id="p", kind=kind, params={}, inputs=("input",))
+        assert node_param(node, "padding") == 0
+        assert node_param(node, "ceil") is False
+        with pytest.raises(GraphError) as raised:
+            node_param(node, "stride")
+        assert str(raised.value) == "node 'p': missing required parameter 'kernel'"
+
     def test_linear_bias_defaults_true(self):
         node = LayerNode(id="fc", kind="linear", params={"out_features": 5}, inputs=("input",))
         assert node_param(node, "has_bias") is True
@@ -412,19 +421,30 @@ _COUNT_ALL = CountingConvention(counted_kinds=LAYER_KINDS, include_bias=True)
 
 
 @st.composite
-def one_bad_parameter(draw) -> ArchitectureSpec:
-    """A random valid graph with one parameter of one node mutated."""
+def one_mutation(draw) -> ArchitectureSpec:
+    """A random valid graph with one parameter of one node, one input reference,
+    the output or the default input mutated."""
     arch = random_arch(random.Random(draw(st.integers(0, 2**32 - 1))))
     node = draw(st.sampled_from(arch.nodes))
-    params = dict(node.params)
-    how = draw(st.sampled_from(sorted(_BAD_VALUES) + ["missing", "unknown"]))
+    params, inputs = dict(node.params), list(node.inputs)
+    how = draw(st.sampled_from(sorted(_BAD_VALUES) + [
+        "missing", "unknown", "list_input", "int_input", "list_output", "tuple_default_input"]))
     if how == "missing" and params:
         del params[draw(st.sampled_from(sorted(params)))]
     elif how == "unknown":
         params["bogus"] = 1
     elif how in _BAD_VALUES:
         params[draw(st.sampled_from(sorted(set(params) | set(_PARAM_NAMES))))] = _BAD_VALUES[how]
-    nodes = tuple(dataclasses.replace(n, params=params) if n is node else n for n in arch.nodes)
+    elif how in ("list_input", "int_input"):
+        k = draw(st.integers(0, len(inputs) - 1))
+        inputs[k] = [inputs[k]] if how == "list_input" else draw(st.integers(-1, 3))
+    elif how == "list_output":
+        arch = dataclasses.replace(arch, output=[arch.output])
+    else:
+        d = arch.default_input
+        arch = dataclasses.replace(arch, default_input=(d.channels, d.height, d.width))
+    nodes = tuple(dataclasses.replace(n, params=params, inputs=tuple(inputs)) if n is node else n
+                  for n in arch.nodes)
     return dataclasses.replace(arch, nodes=nodes)
 
 
@@ -438,7 +458,7 @@ class TestOneCheckedWalk:
     """validate_arch, infer_shapes and count_flops check a spec the same way."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(one_bad_parameter())
+    @given(one_mutation())
     def test_infer_and_count_raise_exactly_when_validation_fails(self, arch):
         # each call gets its own copy, so none is served by another's memo
         problems = validate_arch(dataclasses.replace(arch))
@@ -462,6 +482,22 @@ class TestOneCheckedWalk:
         for call in (infer_shapes, count_flops):
             with pytest.raises(ShapeError, match=re.escape(f"node {node_id!r}: {message}")):
                 call(dataclasses.replace(arch))
+
+    @pytest.mark.parametrize("inputs,output,default_input,problem", [
+        ((["input"],), "r", TensorShape(3, 8, 8),
+         "node 'r': input ['input'] is not a node id string"),
+        ((0,), "r", TensorShape(3, 8, 8), "node 'r': input 0 is not a node id string"),
+        (("input",), ["r"], TensorShape(3, 8, 8), "output ['r'] does not name a node"),
+        (("input",), "r", (3, 8, 8), "input shape (3, 8, 8) is not a TensorShape"),
+    ])
+    def test_python_built_references_are_checked(self, inputs, output, default_input, problem):
+        relu = LayerNode(id="r", kind="activation", inputs=inputs)
+        arch = ArchitectureSpec(name="t", default_input=default_input, nodes=(relu,), output=output)
+        assert validate_arch(arch) == [problem]
+        for call in (infer_shapes, count_flops):
+            with pytest.raises(ShapeError) as raised:
+                call(dataclasses.replace(arch))
+            assert str(raised.value) == problem
 
     def test_missing_required_parameter_is_a_shape_error(self):
         arch = tiny_arch(nodes=(LayerNode(id="se", kind="squeeze_excite", inputs=("input",)),),

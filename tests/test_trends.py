@@ -103,6 +103,11 @@ class TestEfficiencyRecord:
         with pytest.raises(TrendError, match="name"):
             EfficiencyRecord(name="", date=datetime.date(2015, 1, 1), total_compute=1.0)
 
+    @pytest.mark.parametrize("name", [5, None, ["r"], b"r"])
+    def test_rejects_non_string_name(self, name):
+        with pytest.raises(TrendError, match=r"^record name must be a non-empty string$"):
+            EfficiencyRecord(name=name, date=datetime.date(2015, 1, 1), total_compute=1.0)
+
     def test_rejects_non_date(self):
         with pytest.raises(TrendError, match="date"):
             EfficiencyRecord(name="r", date="2015-01-01", total_compute=1.0)
