@@ -88,7 +88,9 @@ class LayerNode:
     inputs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(self.inputs))
+        # a bare string stays whole for the walk to report
+        if type(self.inputs) is not tuple and not isinstance(self.inputs, str):
+            object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "params", dict(self.params))
 
 
@@ -318,10 +320,14 @@ def _resolve(node: LayerNode, kind: _Kind) -> dict[str, Any]:
 
 def node_param(node: LayerNode, name: str) -> Any:
     """Parameter lookup with per-kind defaults. Raises on missing required."""
+    if not isinstance(name, str):
+        raise GraphError(f"node {node.id!r}: parameter name {name!r} is not a string")
     if name in node.params:
         return node.params[name]
-    kind = _KINDS.get(node.kind)
-    if kind is None or name not in kind.defaults:
+    kind = _KINDS.get(node.kind) if isinstance(node.kind, str) else None
+    if kind is None:
+        raise GraphError(f"node {node.id!r}: unknown kind {node.kind!r}")
+    if name not in kind.defaults:
         raise GraphError(f"node {node.id!r}: missing required parameter {name!r}")
     default = kind.defaults[name]
     return node_param(node, "kernel") if default is None else default  # pools: stride = kernel
@@ -379,10 +385,14 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
             problems.append(f"unknown kind {node.kind!r}")
         else:
             lo, hi = kind.arity
-            if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
+            refs = node.inputs
+            if isinstance(refs, str):
+                problems.append(f"inputs {refs!r} is a string, not a list of node ids")
+                refs = ()
+            elif len(refs) < lo or (hi is not None and len(refs) > hi):
                 expected = f"at least {lo}" if hi is None else str(lo)
-                problems.append(f"takes {expected} input(s), got {len(node.inputs)}")
-            for ref in node.inputs:
+                problems.append(f"takes {expected} input(s), got {len(refs)}")
+            for ref in refs:
                 if not isinstance(ref, str):
                     problems.append(f"input {ref!r} is not a node id string")
                 elif ref != INPUT_ID and ref not in seen:

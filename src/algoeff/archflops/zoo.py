@@ -1,10 +1,20 @@
 """Bundled architecture graphs for the 2012-2019 ImageNet classifiers.
 
+``_GRAPHS`` is the registry: one row per network, keyed by its canonical
+name, holding the function that builds its graph, that function's
+arguments, the reported gigaops per image (benchmark: value the bundled
+records use; counter: an independent counting tool; original: the
+architecture's own publication) and the reported accuracy, or None where
+none is published. A builder adds nodes to a ``_Builder`` and returns
+the id of the output node; ``builtin_arch`` wraps the nodes in an
+``ArchitectureSpec`` at the 3x224x224 input, with the row's figures
+verbatim in ``metadata``. Metadata is documentation only and never feeds
+computation.
+
 Each builder mirrors a widely used reference implementation of the
-architecture at 3x224x224 input. Counted with the default convention
-(conv2d + linear macs), the graphs land within ten percent of the
-per-image operation figures quoted in the bundled efficiency records;
-exact expectations live in the test suite.
+architecture. Counted with the default convention (conv2d + linear
+macs), the graphs land within ten percent of the reported benchmark
+figures; exact expectations live in the test suite.
 
 Implementation notes that affect counts:
 
@@ -23,12 +33,6 @@ Implementation notes that affect counts:
 * AlexNet is the 224-input variant (first conv padded by 2). Several
   reported per-image figures for it are a few percent above what the
   reference graph arithmetic yields; the graph is left faithful.
-
-metadata on each spec records reported figures verbatim for reference:
-``reported_gigaops_per_image`` (benchmark: value the bundled records
-use; counter: an independent counting tool; original: the architecture's
-own publication) and ``reported_accuracy`` where published. Metadata is
-documentation only and never feeds computation.
 """
 from __future__ import annotations
 
@@ -41,9 +45,7 @@ from .graph import ArchitectureSpec, GraphError, LayerNode, TensorShape
 class _Builder:
     """Accumulates nodes with readable auto-generated ids."""
 
-    def __init__(self, name: str, input_shape: tuple[int, int, int] = (3, 224, 224)):
-        self.name = name
-        self.input_shape = TensorShape(*input_shape)
+    def __init__(self) -> None:
         self.nodes: list[LayerNode] = []
 
     def add(self, kind: str, inputs: list[str] | tuple[str, ...] | str, id: str, **params: Any) -> str:
@@ -76,43 +78,20 @@ class _Builder:
     def avgpool(self, x: str, id: str, k: int, s: int, p: int = 0) -> str:
         return self.add("avgpool", x, id, kernel=k, stride=s, padding=p)
 
-    def classifier(self, x: str, features: int = 1000,
-                   pool_target: int | None = 1, dropout: bool = False) -> str:
-        if pool_target is not None:
-            x = self.add("global_avgpool", x, "head.pool", target=pool_target)
+    def classifier(self, x: str, dropout: bool = False) -> str:
+        """Global average pool to 1x1, flatten, optional dropout, 1000-way linear."""
+        x = self.add("global_avgpool", x, "head.pool", target=1)
         x = self.add("flatten", x, "head.flatten")
         if dropout:
             x = self.add("dropout", x, "head.dropout")
-        return self.add("linear", x, "head.fc", out_features=features, has_bias=True)
-
-    def finish(self, output: str, metadata: dict[str, Any] | None = None) -> ArchitectureSpec:
-        return ArchitectureSpec(
-            name=self.name,
-            default_input=self.input_shape,
-            nodes=tuple(self.nodes),
-            output=output,
-            metadata=metadata or {},
-        )
-
-
-def _reported(benchmark: float, counter: float | None, original: float | None,
-              accuracy: dict[str, Any] | None = None) -> dict[str, Any]:
-    meta: dict[str, Any] = {
-        "reported_gigaops_per_image": {
-            "benchmark": benchmark, "counter": counter, "original": original,
-        }
-    }
-    if accuracy:
-        meta["reported_accuracy"] = accuracy
-    return meta
+        return self.add("linear", x, "head.fc", out_features=1000, has_bias=True)
 
 
 # ---------------------------------------------------------------------------
 # plain feed-forward stacks
 # ---------------------------------------------------------------------------
 
-def _alexnet() -> ArchitectureSpec:
-    b = _Builder("AlexNet")
+def _alexnet(b: _Builder) -> str:
     x = "input"
     x = b.conv_relu(x, "conv1", 64, k=11, s=4, p=2)
     x = b.maxpool(x, "pool1", 3, 2)
@@ -130,15 +109,10 @@ def _alexnet() -> ArchitectureSpec:
     x = b.add("dropout", x, "drop7")
     x = b.add("linear", x, "fc7", out_features=4096, has_bias=True)
     x = b.add("activation", x, "relu7", function="relu")
-    x = b.add("linear", x, "fc8", out_features=1000, has_bias=True)
-    return b.finish(x, _reported(0.77, 0.77, None, {
-        "metric": "top5", "benchmark_run": 79.0, "reference_impl": 79.1,
-        "original_publication": 83.0,
-    }))
+    return b.add("linear", x, "fc8", out_features=1000, has_bias=True)
 
 
-def _vgg11() -> ArchitectureSpec:
-    b = _Builder("Vgg-11")
+def _vgg11(b: _Builder) -> str:
     x = "input"
     block = 0
     for spec in (64, "M", 128, "M", 256, 256, "M", 512, 512, "M", 512, 512, "M"):
@@ -155,11 +129,7 @@ def _vgg11() -> ArchitectureSpec:
     x = b.add("linear", x, "fc2", out_features=4096, has_bias=True)
     x = b.add("activation", x, "fc2.relu", function="relu")
     x = b.add("dropout", x, "drop2")
-    x = b.add("linear", x, "fc3", out_features=1000, has_bias=True)
-    return b.finish(x, _reported(7.98, 7.98, None, {
-        "metric": "top5", "benchmark_run": 86.8, "reference_impl": 88.6,
-        "original_publication": 93.0,
-    }))
+    return b.add("linear", x, "fc3", out_features=1000, has_bias=True)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +155,7 @@ def _googlenet_inception(b: _Builder, x: str, prefix: str, c1: int, c3r: int, c3
     return b.add("concat", branches, f"{prefix}.concat")
 
 
-def _googlenet() -> ArchitectureSpec:
-    b = _Builder("GoogLeNet")
+def _googlenet(b: _Builder) -> str:
     x = "input"
     x = b.cba(x, "stem.1", 64, k=7, s=2, p=3)
     x = b.maxpool(x, "stem.pool1", 3, 2, 1)
@@ -204,20 +173,15 @@ def _googlenet() -> ArchitectureSpec:
     x = inc(b, x, "4e", 0, 128, 192, 192, 256, None, stride=2)
     x = inc(b, x, "5a", 352, 192, 320, 160, 224, 128)
     x = inc(b, x, "5b", 352, 192, 320, 192, 224, 128, pool="maxpool")
-    x = b.classifier(x)
-    return b.finish(x, _reported(2.00, 2.00, None, {
-        "metric": "top5", "benchmark_run": 88.0, "reference_impl": 89.5,
-        "original_publication": 89.9,
-    }))
+    return b.classifier(x)
 
 
 # ---------------------------------------------------------------------------
 # resnets
 # ---------------------------------------------------------------------------
 
-def _resnet(name: str, block: str, layers: tuple[int, ...], groups: int = 1,
-            base_width: int = 64, metadata: dict[str, Any] | None = None) -> ArchitectureSpec:
-    b = _Builder(name)
+def _resnet(b: _Builder, block: str, layers: tuple[int, ...], groups: int = 1,
+            base_width: int = 64) -> str:
     x = b.cba("input", "stem", 64, k=7, s=2, p=3)
     x = b.maxpool(x, "stem.pool", 3, 2, 1)
     expansion = 4 if block == "bottleneck" else 1
@@ -242,42 +206,15 @@ def _resnet(name: str, block: str, layers: tuple[int, ...], groups: int = 1,
             x = b.add("elementwise_add", [y, shortcut], f"{prefix}.add")
             x = b.add("activation", x, f"{prefix}.relu", function="relu")
             in_c = out_c
-    x = b.classifier(x)
-    return b.finish(x, metadata or {})
-
-
-def _resnet18() -> ArchitectureSpec:
-    return _resnet("Resnet-18", "basic", (2, 2, 2, 2), metadata=_reported(1.70, 1.70, None))
-
-
-def _resnet34() -> ArchitectureSpec:
-    return _resnet("Resnet-34", "basic", (3, 4, 6, 3), metadata=_reported(3.43, 3.43, None))
-
-
-def _resnet50() -> ArchitectureSpec:
-    return _resnet("Resnet-50", "bottleneck", (3, 4, 6, 3), metadata=_reported(3.86, 3.86, None, {
-        "metric": "top5", "benchmark_run": 92.8, "reference_impl": 92.9,
-        "original_publication": 93.3,
-    }))
-
-
-def _wide_resnet50() -> ArchitectureSpec:
-    return _resnet("Wide_ResNet_50", "bottleneck", (3, 4, 6, 3), base_width=128,
-                   metadata=_reported(11.46, 11.46, None))
-
-
-def _resnext50() -> ArchitectureSpec:
-    return _resnet("ResNext_50", "bottleneck", (3, 4, 6, 3), groups=32, base_width=4,
-                   metadata=_reported(4.29, 4.29, None))
+    return b.classifier(x)
 
 
 # ---------------------------------------------------------------------------
 # densenet
 # ---------------------------------------------------------------------------
 
-def _densenet121() -> ArchitectureSpec:
+def _densenet121(b: _Builder) -> str:
     growth, bn_size = 32, 4
-    b = _Builder("DenseNet121")
     x = b.cba("input", "stem", 64, k=7, s=2, p=3)
     x = b.maxpool(x, "stem.pool", 3, 2, 1)
     channels = 64
@@ -301,16 +238,14 @@ def _densenet121() -> ArchitectureSpec:
             x = b.avgpool(x, f"{prefix}.pool", 2, 2)
     x = b.add("batchnorm", x, "final.bn")
     x = b.add("activation", x, "final.relu", function="relu")
-    x = b.classifier(x)
-    return b.finish(x, _reported(2.70, 2.70, None))
+    return b.classifier(x)
 
 
 # ---------------------------------------------------------------------------
 # squeezenet
 # ---------------------------------------------------------------------------
 
-def _squeezenet11() -> ArchitectureSpec:
-    b = _Builder("Squeezenet_v1_1")
+def _squeezenet11(b: _Builder) -> str:
 
     def fire(x: str, prefix: str, squeeze: int, expand: int) -> str:
         s = b.conv_relu(x, f"{prefix}.squeeze", squeeze, k=1)
@@ -333,19 +268,14 @@ def _squeezenet11() -> ArchitectureSpec:
     x = b.add("dropout", x, "drop")
     x = b.conv_relu(x, "conv10", 1000, k=1)
     x = b.add("global_avgpool", x, "head.pool", target=1)
-    x = b.add("flatten", x, "head.flatten")
-    return b.finish(x, _reported(0.36, 0.36, None, {
-        "metric": "top5", "benchmark_run": 80.6, "reference_impl": 80.6,
-        "original_publication": 80.3,
-    }))
+    return b.add("flatten", x, "head.flatten")
 
 
 # ---------------------------------------------------------------------------
 # mobilenets
 # ---------------------------------------------------------------------------
 
-def _mobilenet_v1() -> ArchitectureSpec:
-    b = _Builder("MobileNet_v1")
+def _mobilenet_v1(b: _Builder) -> str:
     x = b.cba("input", "stem", 32, k=3, s=2, p=1)
     channels = 32
     plan = [(64, 1), (128, 2), (128, 1), (256, 2), (256, 1), (512, 2),
@@ -355,15 +285,10 @@ def _mobilenet_v1() -> ArchitectureSpec:
         x = b.cba(x, f"{prefix}.depth", channels, k=3, s=stride, p=1, groups=channels)
         x = b.cba(x, f"{prefix}.point", out_c, k=1)
         channels = out_c
-    x = b.classifier(x)
-    return b.finish(x, _reported(0.57, 0.58, 0.57, {
-        "metric": "top1", "benchmark_run": 71.0, "reference_impl": None,
-        "original_publication": 70.6,
-    }))
+    return b.classifier(x)
 
 
-def _mobilenet_v2() -> ArchitectureSpec:
-    b = _Builder("MobileNet_v2")
+def _mobilenet_v2(b: _Builder) -> str:
     x = b.cba("input", "stem", 32, k=3, s=2, p=1, act="relu6")
     channels = 32
     plan = [(1, 16, 1, 1), (6, 24, 2, 2), (6, 32, 3, 2), (6, 64, 4, 2),
@@ -386,20 +311,15 @@ def _mobilenet_v2() -> ArchitectureSpec:
             x = y
             channels = out_c
     x = b.cba(x, "head.conv", 1280, k=1, act="relu6")
-    x = b.classifier(x)
-    return b.finish(x, _reported(0.33, 0.33, None, {
-        "metric": "top1", "benchmark_run": 68.5, "reference_impl": 71.9,
-        "original_publication": 72.0,
-    }))
+    return b.classifier(x)
 
 
 # ---------------------------------------------------------------------------
 # shufflenets
 # ---------------------------------------------------------------------------
 
-def _shufflenet_v1() -> ArchitectureSpec:
+def _shufflenet_v1(b: _Builder) -> str:
     groups = 3
-    b = _Builder("ShuffleNet_v1_1x")
     x = b.cba("input", "stem", 24, k=3, s=2, p=1)
     x = b.maxpool(x, "stem.pool", 3, 2, 1)
     in_c = 24
@@ -426,21 +346,11 @@ def _shufflenet_v1() -> ArchitectureSpec:
                 x = b.add("elementwise_add", [x, y], f"{prefix}.add")
             x = b.add("activation", x, f"{prefix}.relu", function="relu")
             in_c = out_c
-    x = b.classifier(x)
-    return b.finish(x, _reported(0.14, 0.15, 0.14, {
-        "metric": "top1", "benchmark_run": 64.6, "reference_impl": None,
-        "original_publication": 67.6,
-    }))
+    return b.classifier(x)
 
 
-def _shufflenet_v2(name: str, stage_out: tuple[int, int, int], benchmark: float,
-                   counter: float, original: float | None,
-                   accuracy: dict[str, Any] | None = None) -> ArchitectureSpec:
-    # The reference network splits channels in half each unit, processes
-    # one half and passes the other through. A split node kind does not
-    # exist, so the two halves run as parallel streams; counts match the
-    # reference layer for layer.
-    b = _Builder(name)
+def _shufflenet_v2(b: _Builder, stage_out: tuple[int, int, int]) -> str:
+    # no channel-split kind: the two halves of each unit run as parallel streams
     x = b.cba("input", "stem", 24, k=3, s=2, p=1)
     x = b.maxpool(x, "stem.pool", 3, 2, 1)
     in_c = 24
@@ -468,27 +378,14 @@ def _shufflenet_v2(name: str, stage_out: tuple[int, int, int], benchmark: float,
         x = b.add("channel_shuffle", x, f"stage{stage}.shuffle", groups=2)
         in_c = out_c
     x = b.cba(x, "head.conv", 1024, k=1)
-    x = b.classifier(x)
-    return b.finish(x, _reported(benchmark, counter, original, accuracy))
-
-
-def _shufflenet_v2_1x() -> ArchitectureSpec:
-    return _shufflenet_v2("ShuffleNet_v2_1x", (116, 232, 464), 0.14, 0.15, 0.14)
-
-
-def _shufflenet_v2_15x() -> ArchitectureSpec:
-    return _shufflenet_v2("ShuffleNet_v2_1_5x", (176, 352, 704), 0.31, 0.31, None, {
-        "metric": "top1", "benchmark_run": 69.3, "reference_impl": 69.4,
-        "original_publication": 71.6,
-    })
+    return b.classifier(x)
 
 
 # ---------------------------------------------------------------------------
 # efficientnet
 # ---------------------------------------------------------------------------
 
-def _efficientnet_b0() -> ArchitectureSpec:
-    b = _Builder("EfficientNet-b0")
+def _efficientnet_b0(b: _Builder) -> str:
     x = b.cba("input", "stem", 32, k=3, s=2, p=1, act="swish")
     channels = 32
     plan = [(1, 16, 1, 3, 1), (6, 24, 2, 3, 2), (6, 40, 2, 5, 2), (6, 80, 3, 3, 2),
@@ -513,47 +410,53 @@ def _efficientnet_b0() -> ArchitectureSpec:
             x = y
             channels = out_c
     x = b.cba(x, "head.conv", 1280, k=1, act="swish")
-    x = b.add("global_avgpool", x, "head.pool", target=1)
-    x = b.add("flatten", x, "head.flatten")
-    x = b.add("dropout", x, "head.dropout")
-    x = b.add("linear", x, "head.fc", out_features=1000, has_bias=True)
-    return b.finish(x, _reported(0.39, None, 0.39))
+    return b.classifier(x, dropout=True)
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-_BUILDERS: dict[str, Callable[[], ArchitectureSpec]] = {
-    "AlexNet": _alexnet,
-    "Vgg-11": _vgg11,
-    "GoogLeNet": _googlenet,
-    "Resnet-18": _resnet18,
-    "Resnet-34": _resnet34,
-    "Resnet-50": _resnet50,
-    "Wide_ResNet_50": _wide_resnet50,
-    "ResNext_50": _resnext50,
-    "DenseNet121": _densenet121,
-    "Squeezenet_v1_1": _squeezenet11,
-    "MobileNet_v1": _mobilenet_v1,
-    "MobileNet_v2": _mobilenet_v2,
-    "ShuffleNet_v1_1x": _shufflenet_v1,
-    "ShuffleNet_v2_1x": _shufflenet_v2_1x,
-    "ShuffleNet_v2_1_5x": _shufflenet_v2_15x,
-    "EfficientNet-b0": _efficientnet_b0,
+# name -> (builder, its arguments, reported gigaops per image as (benchmark,
+# counter, original), reported accuracy as (metric, benchmark_run,
+# reference_impl, original_publication) or None)
+_GRAPHS: dict[str, tuple[Callable[..., str], dict[str, Any], tuple, tuple | None]] = {
+    "AlexNet": (_alexnet, {}, (0.77, 0.77, None), ("top5", 79.0, 79.1, 83.0)),
+    "Vgg-11": (_vgg11, {}, (7.98, 7.98, None), ("top5", 86.8, 88.6, 93.0)),
+    "GoogLeNet": (_googlenet, {}, (2.00, 2.00, None), ("top5", 88.0, 89.5, 89.9)),
+    "Resnet-18": (_resnet, {"block": "basic", "layers": (2, 2, 2, 2)}, (1.70, 1.70, None), None),
+    "Resnet-34": (_resnet, {"block": "basic", "layers": (3, 4, 6, 3)}, (3.43, 3.43, None), None),
+    "Resnet-50": (_resnet, {"block": "bottleneck", "layers": (3, 4, 6, 3)},
+                  (3.86, 3.86, None), ("top5", 92.8, 92.9, 93.3)),
+    "Wide_ResNet_50": (_resnet, {"block": "bottleneck", "layers": (3, 4, 6, 3), "base_width": 128},
+                       (11.46, 11.46, None), None),
+    "ResNext_50": (_resnet, {"block": "bottleneck", "layers": (3, 4, 6, 3), "groups": 32,
+                             "base_width": 4}, (4.29, 4.29, None), None),
+    "DenseNet121": (_densenet121, {}, (2.70, 2.70, None), None),
+    "Squeezenet_v1_1": (_squeezenet11, {}, (0.36, 0.36, None), ("top5", 80.6, 80.6, 80.3)),
+    "MobileNet_v1": (_mobilenet_v1, {}, (0.57, 0.58, 0.57), ("top1", 71.0, None, 70.6)),
+    "MobileNet_v2": (_mobilenet_v2, {}, (0.33, 0.33, None), ("top1", 68.5, 71.9, 72.0)),
+    "ShuffleNet_v1_1x": (_shufflenet_v1, {}, (0.14, 0.15, 0.14), ("top1", 64.6, None, 67.6)),
+    "ShuffleNet_v2_1x": (_shufflenet_v2, {"stage_out": (116, 232, 464)}, (0.14, 0.15, 0.14), None),
+    "ShuffleNet_v2_1_5x": (_shufflenet_v2, {"stage_out": (176, 352, 704)},
+                           (0.31, 0.31, None), ("top1", 69.3, 69.4, 71.6)),
+    "EfficientNet-b0": (_efficientnet_b0, {}, (0.39, None, 0.39), None),
 }
+
+_GIGAOPS_KEYS = ("benchmark", "counter", "original")
+_ACCURACY_KEYS = ("metric", "benchmark_run", "reference_impl", "original_publication")
 
 
 def _normalize(name: str) -> str:
     return re.sub(r"[-_.\s]", "", name).lower()
 
 
-_CANONICAL = {_normalize(k): k for k in _BUILDERS}
+_CANONICAL = {_normalize(k): k for k in _GRAPHS}
 
 
 def builtin_names() -> tuple[str, ...]:
     """Canonical names of all bundled architectures."""
-    return tuple(_BUILDERS)
+    return tuple(_GRAPHS)
 
 
 def builtin_arch(name: str) -> ArchitectureSpec:
@@ -565,6 +468,14 @@ def builtin_arch(name: str) -> ArchitectureSpec:
     """
     key = _normalize(name)
     if key not in _CANONICAL:
-        known = ", ".join(sorted(_BUILDERS))
+        known = ", ".join(sorted(_GRAPHS))
         raise GraphError(f"unknown architecture {name!r}; bundled graphs: {known}")
-    return _BUILDERS[_CANONICAL[key]]()
+    canonical = _CANONICAL[key]
+    build, args, gigaops, accuracy = _GRAPHS[canonical]
+    b = _Builder()
+    output = build(b, **args)
+    metadata: dict[str, Any] = {"reported_gigaops_per_image": dict(zip(_GIGAOPS_KEYS, gigaops))}
+    if accuracy:
+        metadata["reported_accuracy"] = dict(zip(_ACCURACY_KEYS, accuracy))
+    return ArchitectureSpec(name=canonical, default_input=TensorShape(3, 224, 224),
+                            nodes=tuple(b.nodes), output=output, metadata=metadata)

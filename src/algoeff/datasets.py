@@ -24,7 +24,7 @@ from __future__ import annotations
 import datetime
 import json
 from dataclasses import dataclass, fields
-from importlib import resources
+from pathlib import Path
 
 from .curves import LearningCurve, parse_curve, positive_finite
 from .trends import (
@@ -202,8 +202,11 @@ def comparisons_from_json(text: str) -> tuple[CrossDomainComparison, ...]:
     )
 
 
+_DATA = Path(__file__).with_name("data")
+
+
 def _data_text(*relpath: str) -> str:
-    return resources.files("algoeff").joinpath("data", *relpath).read_text(encoding="utf-8")
+    return _DATA.joinpath(*relpath).read_text(encoding="utf-8")
 
 
 def load_imagenet_records() -> tuple[EfficiencyRecord, ...]:
@@ -221,18 +224,15 @@ def load_cross_domain() -> tuple[CrossDomainComparison, ...]:
 
 def curve_names() -> tuple[str, ...]:
     """Names of the bundled synthetic learning curves."""
-    names = []
-    for entry in resources.files("algoeff").joinpath("data", "curves").iterdir():
-        if entry.name.endswith(".csv"):
-            names.append(entry.name[: -len(".csv")])
-    return tuple(sorted(names))
+    entries = (_DATA / "curves").iterdir()
+    return tuple(sorted(e.name[: -len(".csv")] for e in entries if e.name.endswith(".csv")))
 
 
 def load_curve(name: str) -> LearningCurve:
     """One bundled curve by name; see curve_names()."""
-    if name not in curve_names():
-        known = ", ".join(curve_names())
-        raise DatasetError(f"unknown bundled curve {name!r}; available: {known}")
+    names = curve_names()
+    if name not in names:
+        raise DatasetError(f"unknown bundled curve {name!r}; available: {', '.join(names)}")
     return parse_curve(_data_text("curves", f"{name}.csv"), name=name)
 
 

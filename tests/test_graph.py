@@ -135,6 +135,17 @@ class TestNodeParam:
         with pytest.raises(GraphError, match="out_channels"):
             node_param(node, "out_channels")
 
+    @pytest.mark.parametrize("node,name,message", [
+        (LayerNode(id="p", kind=["maxpool"], params={}), "padding",
+         "node 'p': unknown kind ['maxpool']"),
+        (LayerNode(id="p", kind="maxpool", params={"kernel": 3}), ["x"],
+         "node 'p': parameter name ['x'] is not a string"),
+    ])
+    def test_unhashable_kind_or_name_is_a_graph_error(self, node, name, message):
+        with pytest.raises(GraphError) as raised:
+            node_param(node, name)
+        assert str(raised.value) == message
+
 
 class TestValidation:
     def test_valid_arch_has_no_problems(self):
@@ -489,6 +500,8 @@ class TestOneCheckedWalk:
         ((0,), "r", TensorShape(3, 8, 8), "node 'r': input 0 is not a node id string"),
         (("input",), ["r"], TensorShape(3, 8, 8), "output ['r'] does not name a node"),
         (("input",), "r", (3, 8, 8), "input shape (3, 8, 8) is not a TensorShape"),
+        ("input", "r", TensorShape(3, 8, 8),
+         "node 'r': inputs 'input' is a string, not a list of node ids"),
     ])
     def test_python_built_references_are_checked(self, inputs, output, default_input, problem):
         relu = LayerNode(id="r", kind="activation", inputs=inputs)

@@ -1,4 +1,7 @@
 """The sixteen bundled classifier graphs: totals, lookups, metadata."""
+import hashlib
+import json
+
 import pytest
 
 from algoeff.archflops import (
@@ -33,6 +36,52 @@ EXPECTED_MACS = {
     "ShuffleNet_v2_1_5x": 295_759_392,
     "EfficientNet-b0": 385_187_552,
 }
+
+
+# sha256 of each graph's arch_to_json text followed by its metadata as
+# json.dumps(..., sort_keys=True). Unlike the totals these pin every node
+# id, kind, parameter and input, and every reported figure.
+EXPECTED_DIGESTS = {
+    "AlexNet": "a7889eccecd8489baab6f71f50c66f3bddbe5410a4f784c0420e74b666730a32",
+    "Vgg-11": "b7c092f13e135cdbdfad2c9c1c3e8cb58b8eb15eda23f9f9cf0063ba8e62b1f9",
+    "GoogLeNet": "b40ceaa9c217f58f8177d4addc4664074fa21fa24271e09ce7dd16c0fd41b430",
+    "Resnet-18": "5d49a5e4566d8a55ac533684d02eec8fe7b1e6455559b24c0827e30faefe48a0",
+    "Resnet-34": "e662af1fd1976ca6d7b646d49ab612572e31ec654219bbe0e80782593c0f2c16",
+    "Resnet-50": "8054a772f8d7fa09614527d44fc20bc5063a03a9131475ddfb9b9d4213263f05",
+    "Wide_ResNet_50": "937f9e59624fe6aa8e5fc8845ab906a1725643a4eaac2fad915e6fdce9a770b6",
+    "ResNext_50": "a05a59b0775b7abd98fee63580df4f936247fb6ea462fef6ff6035db0525a070",
+    "DenseNet121": "270860121cc3982fccee7575335b105d262e6d16622d6e16ddc4585bdc5b4f01",
+    "Squeezenet_v1_1": "33bd4050a48d368cd6e4070052a8c50342791ff60f8d67bfc17e678fa36ff85c",
+    "MobileNet_v1": "0e9384e050d5e4ed8592fba7367c9a6d5c4083c978be18c938b8af72b90562a1",
+    "MobileNet_v2": "9c90ce37266fd18bf7602d70b5b54dd37b838547db3bda3f8f49c91f10366639",
+    "ShuffleNet_v1_1x": "ddf5fc57a8689e7faa12971b0b521e44439f7ba8384dc7009fa38359762dbf56",
+    "ShuffleNet_v2_1x": "3c2875420ba4b512e28787580e797596c705a508e462f42cbf267e803a0f00f0",
+    "ShuffleNet_v2_1_5x": "0d3b92e37dde19ba73b8b6b60691fc41602265c0e53b7d72a77b3817797e232c",
+    "EfficientNet-b0": "143d5a65e92222739a95fa2ef221557c67ef9330b3587417abb6dd75f0c28998",
+}
+
+
+def _spec_bytes(arch):
+    return arch_to_json(arch).encode() + json.dumps(arch.metadata, sort_keys=True).encode()
+
+
+def test_builtins_are_pinned_exactly():
+    assert list(builtin_names()) == list(EXPECTED_DIGESTS)
+    for name in builtin_names():
+        digest = hashlib.sha256(_spec_bytes(builtin_arch(name))).hexdigest()
+        assert digest == EXPECTED_DIGESTS[name], name
+
+
+def test_metadata_is_fresh_per_call():
+    first = builtin_arch("Resnet-50")
+    first.metadata["reported_accuracy"]["benchmark_run"] = 0.0
+    first.metadata["reported_gigaops_per_image"]["benchmark"] = 0.0
+    first.metadata["extra"] = True
+    again = builtin_arch("Resnet-50")
+    assert again.metadata["reported_accuracy"]["benchmark_run"] == 92.8
+    assert again.metadata["reported_gigaops_per_image"]["benchmark"] == 3.86
+    assert "extra" not in again.metadata
+    assert hashlib.sha256(_spec_bytes(again)).hexdigest() == EXPECTED_DIGESTS["Resnet-50"]
 
 
 def test_sixteen_builtins():
