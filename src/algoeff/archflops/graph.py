@@ -534,7 +534,8 @@ def arch_to_json(arch: ArchitectureSpec, indent: int | None = 2) -> str:
     """Serialize to the architecture file format.
 
     metadata is documentation carried by bundled specs only; the file
-    format has no field for it, so it is dropped here.
+    format has no field for it, so it is dropped here. A bare-string
+    inputs is written as the string, which arch_from_json rejects.
     """
     obj = {
         "name": arch.name,
@@ -544,7 +545,8 @@ def arch_to_json(arch: ArchitectureSpec, indent: int | None = 2) -> str:
             "w": arch.default_input.width,
         },
         "nodes": [
-            {"id": n.id, "kind": n.kind, "params": dict(n.params), "inputs": list(n.inputs)}
+            {"id": n.id, "kind": n.kind, "params": dict(n.params),
+             "inputs": n.inputs if isinstance(n.inputs, str) else list(n.inputs)}
             for n in arch.nodes
         ],
         "output": arch.output,

@@ -212,13 +212,14 @@ def _load_curve_arg(value: str, percent: bool):
     if "/" in value or value.endswith(".csv") or path.exists():
         return parse_curve(path.read_text(encoding="utf-8"), name=path.stem,
                            percent=percent)
-    if value in curve_names():
+    names = curve_names()
+    if value in names:
         if percent:
             raise CurveError("bundled curves are stored as fractions; drop --percent")
         return load_curve(value)
     raise CurveError(
         f"{value!r} is neither a readable csv path nor a bundled curve "
-        f"(available: {', '.join(curve_names())})"
+        f"(available: {', '.join(names)})"
     )
 
 

@@ -178,7 +178,7 @@ def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainCom
     if unknown:
         raise DatasetError(f"{where}: unknown fields {sorted(unknown)}")
     for req in ("task", "kind", "baseline", "improved"):
-        if req not in obj or not isinstance(obj[req], str) or not obj[req]:
+        if req not in obj:
             raise DatasetError(f"{where}: missing or invalid required field {req!r}")
     kwargs = dict(obj)
     for key in ("baseline_date", "improved_date"):
@@ -187,6 +187,10 @@ def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainCom
     try:
         return CrossDomainComparison(**kwargs)
     except TypeError as e:
+        raise DatasetError(f"{where}: {e}") from None
+    except DatasetError as e:  # only the name checks' messages do not lead with the label
+        if not str(e).startswith("comparison "):
+            raise
         raise DatasetError(f"{where}: {e}") from None
 
 
@@ -229,11 +233,16 @@ def curve_names() -> tuple[str, ...]:
 
 
 def load_curve(name: str) -> LearningCurve:
-    """One bundled curve by name; see curve_names()."""
-    names = curve_names()
-    if name not in names:
-        raise DatasetError(f"unknown bundled curve {name!r}; available: {', '.join(names)}")
-    return parse_curve(_data_text("curves", f"{name}.csv"), name=name)
+    """One bundled curve by name; see curve_names().
+
+    The directory is listed only for the error message: a name is bundled
+    when it names a file of the curves directory itself.
+    """
+    path = _DATA / "curves" / f"{name}.csv"
+    if path.name != f"{name}.csv" or not path.is_file():
+        names = ", ".join(curve_names())
+        raise DatasetError(f"unknown bundled curve {name!r}; available: {names}")
+    return parse_curve(path.read_text(encoding="utf-8"), name=name)
 
 
 @dataclass(frozen=True)

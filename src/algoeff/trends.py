@@ -114,12 +114,13 @@ class EfficiencyRecord:
         for label in ("total_compute", "flops_per_image", "epochs", "images_per_epoch",
                       "backward_multiplier"):
             v = getattr(self, label)
+            if type(v) is float and 0.0 < v < math.inf:  # positive_finite's float case, inlined
+                continue  # because this loop runs for every field of every loaded record
             if v is None and label != "backward_multiplier":
                 continue
             if not positive_finite(v):
                 raise TrendError(f"{self.name}: {label} must be positive and finite, got {v!r}")
-            if type(v) is not float:  # most values are floats already; setting one costs
-                object.__setattr__(self, label, float(v))
+            object.__setattr__(self, label, float(v))
         has_triple = self.flops_per_image is not None and self.epochs is not None
         if (self.flops_per_image is None) != (self.epochs is None):
             raise TrendError(
@@ -176,28 +177,35 @@ def _threshold_from_json(value) -> Threshold:
     raise TrendError("threshold must be a number or a metric/value object")
 
 
-def _shared_threshold(value, built: dict) -> Threshold:
+def _shared_threshold(value, shared: dict) -> Threshold:
     """_threshold_from_json, reusing the Threshold built for an equal metric/value object.
 
     Only a two-key object with a str metric and an int or float value is
-    looked up in built; any other value takes the checked path every time.
+    looked up in shared; any other value takes the checked path every time.
     """
     if type(value) is dict and len(value) == 2:
         metric, v = value.get("metric"), value.get("value")
         if type(metric) is str and type(v) in (int, float):
             key = (metric, type(v), v)
-            threshold = built.get(key)
+            threshold = shared.get(key)
             if threshold is None:
-                threshold = built[key] = _threshold_from_json(value)
+                threshold = shared[key] = _threshold_from_json(value)
             return threshold
     return _threshold_from_json(value)
 
 
 def record_from_dict(obj: dict, where: str = "record") -> EfficiencyRecord:
-    return _record_from_dict(obj, where, {})
+    """One record from its json object, which is left as it was."""
+    return _record_from_dict(dict(obj) if isinstance(obj, dict) else obj, where, {})
 
 
-def _record_from_dict(obj, where: str, thresholds: dict) -> EfficiencyRecord:
+def _record_from_dict(obj, where: str, shared: dict) -> EfficiencyRecord:
+    """record_from_dict on an object the caller owns: its date and threshold are replaced.
+
+    shared holds what earlier records of the same file built: the date of
+    each date string (keyed by the str) and the Threshold of each
+    metric/value object (keyed by a tuple), so equal ones are built once.
+    """
     if not isinstance(obj, dict):
         raise TrendError(f"{where}: expected an object, got {type(obj).__name__}")
     if not _RECORD_FIELDS.issuperset(obj):
@@ -208,11 +216,15 @@ def _record_from_dict(obj, where: str, thresholds: dict) -> EfficiencyRecord:
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise TrendError(f"{where}: name must be a non-empty string")
-    kwargs = dict(obj, date=parse_date(obj["date"], f"{where} ({name}): date", TrendError))
+    text = obj["date"]
+    date = shared.get(text) if type(text) is str else None
+    if date is None:  # parse_date raises for a text that is not a str
+        date = shared[text] = parse_date(text, f"{where} ({name}): date", TrendError)
+    obj["date"] = date
     try:
         if "threshold" in obj:
-            kwargs["threshold"] = _shared_threshold(obj["threshold"], thresholds)
-        return EfficiencyRecord(**kwargs)
+            obj["threshold"] = _shared_threshold(obj["threshold"], shared)
+        return EfficiencyRecord(**obj)
     except (TrendError, CurveError) as e:  # record messages start with the name alone
         raise type(e)(f"{where} ({name}): {str(e).removeprefix(f'{name}: ')}") from None
 
@@ -220,7 +232,8 @@ def _record_from_dict(obj, where: str, thresholds: dict) -> EfficiencyRecord:
 def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     """Parse a json array of records. Unknown fields are rejected.
 
-    Records with equal metric/value threshold objects share one Threshold.
+    Records with equal date strings share one date, and records with
+    equal metric/value threshold objects share one Threshold.
     """
     try:
         data = json.loads(text)
@@ -228,12 +241,13 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
         raise TrendError(f"records file is not valid json: {e}") from None
     if not isinstance(data, list):
         raise TrendError("records file must contain a json array")
-    thresholds: dict = {}
-    return tuple(_record_from_dict(obj, f"record {i}", thresholds)
+    shared: dict = {}
+    return tuple(_record_from_dict(obj, f"record {i}", shared)
                  for i, obj in enumerate(data))
 
 
 def record_to_dict(r: EfficiencyRecord) -> dict:
+    """The json object records_to_json writes for r, with its keys in the same order."""
     obj: dict = {
         "name": r.name,
         "date": r.date.isoformat(),
@@ -259,13 +273,34 @@ def find_record(records, name: str, error: type[Exception] = TrendError) -> Effi
     raise error(f"no record named {name!r}; known records: {known}")
 
 
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps's str encoder (ensure_ascii)
+
+
 def records_to_json(records: Sequence[EfficiencyRecord]) -> str:
     """Serialize records to the json array format records_from_json reads.
 
     The explicit total is always written alongside any triple, so files
-    stay self-checking when edited by hand.
+    stay self-checking when edited by hand. The text is exactly
+    json.dumps([record_to_dict(r) for r in records], indent=2) + "\\n",
+    formatted here because json's C encoder is not used with an indent.
     """
-    return json.dumps([record_to_dict(r) for r in records], indent=2) + "\n"
+    num = float.__repr__  # as json.dumps writes a float; every number here is finite
+    items = []
+    for r in records:
+        t = r.threshold
+        item = (f'  {{\n    "name": {_json_str(r.name)},\n'
+                f'    "date": {_json_str(r.date.isoformat())},\n'
+                f'    "threshold": {{\n      "metric": {_json_str(t.metric)},\n'
+                f'      "value": {num(t.value)}\n    }},\n    "total_compute": {num(r.total)},\n')
+        if r.flops_per_image is not None:
+            item += (f'    "flops_per_image": {num(r.flops_per_image)},\n'
+                     f'    "epochs": {num(r.epochs)},\n'
+                     f'    "images_per_epoch": {num(r.effective_images_per_epoch)},\n')
+        item += f'    "backward_multiplier": {num(r.backward_multiplier)}'
+        if r.notes:
+            item += f',\n    "notes": {_json_str(r.notes)}'
+        items.append(item + "\n  }")
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 # ---------------------------------------------------------------------------

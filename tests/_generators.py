@@ -10,7 +10,7 @@ import datetime
 import random
 
 from algoeff.archflops import ArchitectureSpec, LayerNode, TensorShape, require_valid
-from algoeff.curves import ComputeCurve
+from algoeff.curves import ComputeCurve, Threshold
 from algoeff.trends import EfficiencyRecord
 
 from _oracles import out_dim_floor
@@ -162,6 +162,35 @@ def random_records(rng: random.Random, max_records: int = 12) -> list[Efficiency
         )
         for i in range(n)
     ]
+
+
+def records_file_records(rng: random.Random, n: int) -> list[EfficiencyRecord]:
+    """n distinct-named records in every form a records file holds.
+
+    About a third are in triple form, some with images_per_epoch or an
+    explicit matching total; some carry notes or a second threshold.
+    """
+    base = datetime.date(2010, 1, 1)
+    thresholds = (Threshold("top5", 0.791), Threshold("top1", 0.7))
+    records = []
+    for i in range(n):
+        kwargs = {"name": f"run {i:05d}", "threshold": thresholds[rng.random() < 0.1],
+                  "date": base + datetime.timedelta(days=rng.randrange(3650))}
+        if rng.random() < 0.2:
+            kwargs["backward_multiplier"] = rng.choice((2.0, 3.5))
+        if rng.random() < 0.35:
+            kwargs["flops_per_image"] = float(rng.randint(10**6, 10**10))
+            kwargs["epochs"] = float(rng.randint(1, 120))
+            if rng.random() < 0.3:
+                kwargs["images_per_epoch"] = rng.choice((1.28e6, 5e4))
+            if rng.random() < 0.3:
+                kwargs["total_compute"] = EfficiencyRecord(**kwargs).total
+        else:
+            kwargs["total_compute"] = 2.0 ** rng.uniform(50.0, 70.0)
+        if rng.random() < 0.1:
+            kwargs["notes"] = rng.choice(("hand-entered", "résumé \"quoted\"\n", "\\ tab\t"))
+        records.append(EfficiencyRecord(**kwargs))
+    return records
 
 
 def _random_compute_curve(rng: random.Random, name: str, lo_exp: float, hi_exp: float,

@@ -5,10 +5,12 @@ package: window placement by walking candidate positions instead of
 closed-form division, operation counts by looping over output
 positions, dominance by dense grid evaluation with numpy, frontier by
 a quadratic scan of the exclusion rule, a curve's first bad point by
-one search per rule. Slow and simple on purpose.
+one search per rule, a records file by json.dumps. Slow and simple on
+purpose.
 """
 from __future__ import annotations
 
+import json
 import math
 import sys
 from bisect import bisect_right
@@ -16,6 +18,7 @@ from bisect import bisect_right
 import numpy as np
 
 from algoeff.archflops import INPUT_ID, node_param
+from algoeff.trends import record_to_dict
 
 
 def window_positions_floor(in_dim: int, kernel: int, stride: int, padding: int,
@@ -264,3 +267,8 @@ def first_bad_point_oracle(name, epochs, accuracies, compute, lines=None) -> str
         return None
     at = f"line {lines[i]}" if lines else f"epoch {epochs[i]}" if epochs else f"point {i + 1}"
     return f"{name} {at}: {problem(i)}"
+
+
+def records_json_oracle(records) -> str:
+    """The records file text, by json's own indent=2 encoder."""
+    return json.dumps([record_to_dict(r) for r in records], indent=2) + "\n"

@@ -1,6 +1,8 @@
 """End-to-end command line behavior: output, exit codes, file round trips."""
 import json
 import os
+import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -17,6 +19,9 @@ from algoeff.cli import _build_parser, main
 from algoeff.datasets import load_imagenet_records
 from algoeff.reports import fmt_compute
 from algoeff.trends import fit_trend, frontier, records_from_json
+
+from _generators import records_file_records
+from _oracles import records_json_oracle
 
 
 def run(capsys, *argv):
@@ -240,6 +245,18 @@ class TestAnalyze:
                              "--append-records", str(path))
         assert (code, out, err) == (2, "", f"algoeff: --date '{date}' is not YYYY-MM-DD\n")
         assert not path.exists()
+
+    def test_append_writes_json_dumps_bytes(self, capsys, tmp_path):
+        before = records_json_oracle(records_file_records(random.Random(5), 2_000))
+        path = tmp_path / "runs.json"
+        path.write_text(before)
+        code, _, err = run(capsys, "analyze", "AlexNet", "alexnet", "--date", "2021-06-01",
+                           "--append-records", str(path))
+        assert (code, err) == (0, "")
+        saved = records_from_json(path.read_text())
+        assert (len(saved), saved[-1].name, saved[-1].epochs) == (2_001, "AlexNet", 90.0)
+        assert path.read_text() == records_json_oracle(saved)
+        assert records_json_oracle(saved[:-1]) == before
 
     def test_append_then_factor_round_trip(self, capsys, tmp_path):
         records_file = tmp_path / "runs.json"
@@ -605,6 +622,25 @@ class TestInputEdges:
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out, err) == (2, "", "algoeff: a shape has a dimension with too many "
                                            "digits to print\n")
+
+
+class TestCurvesListedOncePerCommand:
+    @pytest.mark.parametrize("argv,code", [
+        (("analyze", "AlexNet", "alexnet"), 0),
+        (("analyze", "AlexNet", "nosuch"), 2),
+        (("report", "--figures"), 0),
+    ])
+    def test_one_listing(self, capsys, monkeypatch, argv, code):
+        listed = []
+        real = pathlib.Path.iterdir
+
+        def counting(self):
+            listed.append(self.name)
+            return real(self)
+
+        monkeypatch.setattr(pathlib.Path, "iterdir", counting)
+        assert run(capsys, *argv)[0] == code
+        assert listed == ["curves"]
 
 
 class TestReport:

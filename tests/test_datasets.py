@@ -1,5 +1,6 @@
 """Bundled records, cross-domain comparisons and example curves."""
 import datetime
+import json
 import math
 
 import pytest
@@ -277,6 +278,17 @@ class TestComparisonFromDict:
         del obj[missing]
         with pytest.raises(DatasetError, match="missing or invalid"):
             comparison_from_dict(obj)
+
+    @pytest.mark.parametrize("field,value", [
+        ("task", 5), ("kind", ""), ("baseline", None), ("improved", [1]),
+    ])
+    def test_name_errors_lead_with_position(self, field, value):
+        good = json.dumps(self.GOOD)
+        text = f"[{good}, {json.dumps({**self.GOOD, field: value})}]"
+        with pytest.raises(DatasetError) as raised:
+            comparisons_from_json(text)
+        assert str(raised.value) == (
+            f"comparison 1: comparison {field} must be a non-empty string, got {value!r}")
 
     def test_dates_parsed(self):
         obj = {**self.GOOD, "baseline_date": "2012-06-01",

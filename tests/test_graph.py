@@ -347,6 +347,15 @@ class TestJsonFormat:
             (n.id, n.kind, dict(n.params), n.inputs) for n in arch.nodes
         ]
 
+    def test_bare_string_inputs_written_as_a_string(self):
+        relu = LayerNode(id="r", kind="activation", inputs="input")
+        arch = tiny_arch(nodes=(relu,), output="r")
+        text = arch_to_json(arch)
+        assert json.loads(text)["nodes"][0]["inputs"] == "input"
+        with pytest.raises(GraphError) as raised:
+            arch_from_json(text)
+        assert str(raised.value) == "nodes[0]: inputs must be an array of node ids"
+
     def test_metadata_not_serialized(self):
         arch = tiny_arch(metadata={"reported_accuracy": {"top5": 99.0}})
         obj = json.loads(arch_to_json(arch))

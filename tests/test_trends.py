@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algoeff.curves import CurveError, Threshold
@@ -34,8 +34,10 @@ from algoeff.trends import (
     to_report_units,
 )
 
-from _generators import random_records
-from _oracles import frontier_oracle, regression_oracle
+from algoeff.datasets import load_imagenet_records
+
+from _generators import random_records, records_file_records
+from _oracles import frontier_oracle, records_json_oracle, regression_oracle
 
 
 def rec(name="r", date=datetime.date(2015, 1, 1), **kwargs):
@@ -280,6 +282,24 @@ class TestRecordJson:
         assert records[4].threshold == records[5].threshold == Threshold("top5", 1.0)
         assert all(type(r.threshold.value) is float for r in records)
 
+    def test_equal_date_strings_share_one_date(self):
+        objs = [{"name": f"r{i}", "date": d, "total_compute": 1.0}
+                for i, d in enumerate(["2015-01-02", "2016-03-04", "2015-01-02", "2016-03-04"])]
+        records = records_from_json(json.dumps(objs))
+        assert records[0].date is records[2].date
+        assert records[1].date is records[3].date
+        assert [r.date for r in records[:2]] == [datetime.date(2015, 1, 2),
+                                                 datetime.date(2016, 3, 4)]
+
+    def test_record_from_dict_leaves_its_argument_as_it_was(self):
+        obj = {"name": "x", "date": "2015-01-02", "flops_per_image": 2, "epochs": 3,
+               "threshold": {"metric": "top1", "value": 0.7}}
+        before = json.dumps(obj)
+        r = record_from_dict(obj)
+        assert json.dumps(obj) == before
+        assert (r.date, r.threshold, r.epochs) == (datetime.date(2015, 1, 2),
+                                                   Threshold("top1", 0.7), 3.0)
+
     @pytest.mark.parametrize("threshold,error,message", [
         ({"metric": ["top5"], "value": 0.7}, CurveError,
          "record 1 (b): threshold metric must be a non-empty string"),
@@ -326,6 +346,64 @@ class TestRecordJson:
 
     def test_record_to_dict_omits_empty_notes(self):
         assert "notes" not in record_to_dict(rec())
+
+
+# strings with every kind of character json escapes: quotes, backslashes,
+# control characters, non-ASCII and astral code points
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\u2028é€😀'),
+                               st.characters()), min_size=1, max_size=12)
+# subnormal, huge and integral-valued floats beside arbitrary ones
+_EXTREME = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e22, 1e16,
+                     1.0, 3.0, 90.0, 2.0 ** 53]),
+    st.integers(1, 2**63),
+)
+_FACTOR = st.one_of(st.floats(min_value=1e-60, max_value=1e60), st.integers(1, 10**6))
+
+
+@st.composite
+def any_record(draw) -> EfficiencyRecord:
+    kwargs = {
+        "name": draw(_JSON_TEXT),
+        "date": draw(st.dates()),
+        "threshold": Threshold(draw(_JSON_TEXT),
+                               draw(st.floats(min_value=5e-324, max_value=1.0))),
+        "backward_multiplier": draw(_FACTOR),
+        "notes": draw(st.one_of(st.just(""), _JSON_TEXT)),
+    }
+    if draw(st.booleans()):
+        kwargs["flops_per_image"] = draw(_FACTOR)
+        kwargs["epochs"] = draw(_FACTOR)
+        if draw(st.booleans()):
+            kwargs["images_per_epoch"] = draw(_FACTOR)
+        try:
+            r = EfficiencyRecord(**kwargs)
+        except (TrendError, CurveError):  # the product left the float range
+            assume(False)
+        if draw(st.booleans()):
+            return EfficiencyRecord(**kwargs, total_compute=r.total)
+        return r
+    return EfficiencyRecord(**kwargs, total_compute=draw(_EXTREME))
+
+
+class TestRecordsFileText:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(any_record(), max_size=4))
+    def test_matches_json_dumps(self, records):
+        assert records_to_json(records) == records_json_oracle(records)
+
+    def test_empty(self):
+        assert records_to_json([]) == records_json_oracle([]) == "[]\n"
+
+    def test_bundled_records(self):
+        records = load_imagenet_records()
+        assert records_to_json(records) == records_json_oracle(records)
+
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_generated_files(self, n):
+        records = records_file_records(random.Random(n), n)
+        assert records_to_json(records) == records_json_oracle(records)
 
 
 class TestEfficiencyFactor:
