@@ -16,13 +16,13 @@ Three resources ship with the package:
   curve tooling has runnable examples; they are not measurements.
 
 REPORTED_TERAFLOP_S_DAYS holds the training totals as conventionally
-quoted for the sixteen runs. The values equal raw flops divided by
-1e15, i.e. the "table" display unit in trends.to_report_units.
+quoted for the sixteen runs, and is their one owner: callers read it
+directly. The values equal raw flops divided by 1e15, i.e. the "table"
+display unit in trends.to_report_units.
 """
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -31,6 +31,8 @@ from .trends import (
     MONTH_DAYS,
     EfficiencyRecord,
     TrendError,
+    _check_json_object,
+    _json_array,
     doubling_time,
     find_record,
     parse_date,
@@ -172,14 +174,8 @@ _COMPARISON_FIELDS = frozenset(f.name for f in fields(CrossDomainComparison))
 
 
 def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainComparison:
-    if not isinstance(obj, dict):
-        raise DatasetError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - _COMPARISON_FIELDS
-    if unknown:
-        raise DatasetError(f"{where}: unknown fields {sorted(unknown)}")
-    for req in ("task", "kind", "baseline", "improved"):
-        if req not in obj:
-            raise DatasetError(f"{where}: missing or invalid required field {req!r}")
+    _check_json_object(obj, where, _COMPARISON_FIELDS, ("task", "kind", "baseline", "improved"),
+                       DatasetError)
     kwargs = dict(obj)
     for key in ("baseline_date", "improved_date"):
         if key in kwargs:
@@ -195,15 +191,8 @@ def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainCom
 
 
 def comparisons_from_json(text: str) -> tuple[CrossDomainComparison, ...]:
-    try:
-        data = json.loads(text)
-    except ValueError as e:  # also a json int past the int-to-str digit limit
-        raise DatasetError(f"comparisons file is not valid json: {e}") from None
-    if not isinstance(data, list):
-        raise DatasetError("comparisons file must contain a json array")
-    return tuple(
-        comparison_from_dict(obj, where=f"comparison {i}") for i, obj in enumerate(data)
-    )
+    return tuple(comparison_from_dict(obj, where=f"comparison {i}")
+                 for i, obj in enumerate(_json_array(text, "comparisons", DatasetError)))
 
 
 _DATA = Path(__file__).with_name("data")
@@ -251,15 +240,10 @@ class Dataset:
 
     records: tuple[EfficiencyRecord, ...]
     comparisons: tuple[CrossDomainComparison, ...]
-    reported_totals: dict[str, float]
 
     def record(self, name: str) -> EfficiencyRecord:
         return find_record(self.records, name, DatasetError)
 
 
 def load_default_dataset() -> Dataset:
-    return Dataset(
-        records=load_imagenet_records(),
-        comparisons=load_cross_domain(),
-        reported_totals=dict(REPORTED_TERAFLOP_S_DAYS),
-    )
+    return Dataset(records=load_imagenet_records(), comparisons=load_cross_domain())

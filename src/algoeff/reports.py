@@ -33,6 +33,7 @@ from .trends import (
     effective_compute,
     efficiency_factor,
     frontier,
+    moore_factor,
     to_report_units,
 )
 
@@ -94,13 +95,9 @@ def _fmt_big(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _rounds_to(computed: float, reported: float) -> bool:
-    """Does the computed value print as the reported one at its precision?
-
-    Reported headline numbers are integers here, so the check is a
-    round-half-even to the nearest whole.
-    """
-    return round(computed) == round(reported)
+def _quote_note(subject: str, what: str, shown: str, miss: str, q_shown: str) -> str:
+    """The warning for a computed figure that misses its quote, e.g. "does not round to"."""
+    return f"{subject}: {what} {shown} {miss} the quoted {q_shown}"
 
 
 # ---------------------------------------------------------------------------
@@ -299,44 +296,27 @@ def doubling_table(comparisons: Sequence[CrossDomainComparison]) -> Table:
 
     The computed columns derive from each comparison's own compute
     totals and dates where present, falling back to quoted numbers.
-    Quoted headline figures that disagree with what the data implies
-    become warnings, not errors.
+    A quoted figure (reported headline numbers are integers) that the
+    computed one does not round to, half to even, becomes a warning,
+    not an error; a quote in another unit is shown but not checked.
     """
     rows = []
     warnings = []
     for c in comparisons:
-        f = c.factor()
-        period_value, period_unit = c.period()
-        doubling_value, doubling_unit = c.doubling()
-        rows.append((
-            c.task,
-            c.kind,
-            c.baseline,
-            c.improved,
-            fmt_factor(f),
-            str(c.reported_factor) if c.reported_factor is not None else "",
-            _fmt_period(period_value, period_unit),
-            _fmt_period(c.reported_period_value, c.reported_period_unit)
-            if c.reported_period_value is not None else "",
-            _fmt_period(doubling_value, doubling_unit),
-            _fmt_period(c.reported_doubling_value, c.reported_doubling_unit)
-            if c.reported_doubling_value is not None else "",
-            "yes" if c.estimated else "",
-        ))
-        quoted = []  # (what, computed, quoted, computed as shown, quoted as shown)
-        if c.factor_is_computed and c.reported_factor is not None:
-            quoted.append(("computed factor", f, c.reported_factor, fmt_factor(f),
-                           f"{c.reported_factor:g}"))
-        for what, value, unit, q, q_unit in (
-            ("elapsed period", period_value, period_unit,
-             c.reported_period_value, c.reported_period_unit),
-            ("computed doubling", doubling_value, doubling_unit,
+        row = [c.task, c.kind, c.baseline, c.improved]
+        for what, (value, unit), q, q_unit in (
+            ("computed factor", (c.factor(), None), c.reported_factor, None),
+            ("elapsed period", c.period(), c.reported_period_value, c.reported_period_unit),
+            ("computed doubling", c.doubling(),
              c.reported_doubling_value, c.reported_doubling_unit),
         ):
-            if q is not None and unit == q_unit:
-                quoted.append((what, value, q, _fmt_period(value, unit), _fmt_period(q, q_unit)))
-        warnings.extend(f"{c.label}: {what} {shown} does not round to the quoted {q_shown}"
-                        for what, value, q, shown, q_shown in quoted if not _rounds_to(value, q))
+            shown = fmt_factor(value) if unit is None else _fmt_period(value, unit)
+            q_shown = "" if q is None else f"{q:g}" if q_unit is None else _fmt_period(q, q_unit)
+            row += (shown, q_shown)
+            if q is not None and unit == q_unit and round(value) != round(q):
+                warnings.append(_quote_note(c.label, what, shown, "does not round to", q_shown))
+        row.append("yes" if c.estimated else "")
+        rows.append(tuple(row))
     return Table(
         key="doubling_times",
         title="Efficiency doubling times across domains",
@@ -371,10 +351,8 @@ def compute_table(
             dev = (r.total - quoted_raw) / quoted_raw
             deviation_cell = f"{dev * 100:+.2f}%"
             if abs(dev) > 0.02:
-                warnings.append(
-                    f"{r.name}: computed total {fmt_compute(r.total, unit)} deviates "
-                    f"{dev * 100:+.2f}% from the quoted {quoted_cell}"
-                )
+                warnings.append(_quote_note(r.name, "computed total", fmt_compute(r.total, unit),
+                                            f"deviates {deviation_cell} from", quoted_cell))
         rows.append((
             r.name,
             r.date.isoformat(),
@@ -456,7 +434,8 @@ def effective_compute_points(
 
     Spending and efficiency grow exponentially to hit their period-end
     factors; hardware doubles on its own clock. The product is the
-    effective multiple relative to month zero.
+    effective multiple relative to month zero. A factor that overflows
+    a float raises TrendError.
     """
     model = model or EffectiveComputeModel()
     if not step_months > 0:
@@ -465,7 +444,7 @@ def effective_compute_points(
     t = 0.0
     while True:
         share = t / model.period_months
-        hardware = 2.0 ** (t / model.hardware_doubling_months)
+        hardware = moore_factor(t, model.hardware_doubling_months)
         spending = model.spending_factor ** share
         efficiency = model.efficiency_factor ** share
         rows.append((
@@ -473,7 +452,7 @@ def effective_compute_points(
             f"{hardware:.4g}",
             f"{spending:.4g}",
             f"{efficiency:.4g}",
-            f"{hardware * spending * efficiency:.4g}",
+            f"{effective_compute((hardware, spending, efficiency)):.4g}",
         ))
         if t >= model.period_months:
             break

@@ -167,21 +167,36 @@ class EfficiencyRecord:
 _RECORD_FIELDS = frozenset(f.name for f in fields(EfficiencyRecord))
 
 
-def _threshold_from_json(value) -> Threshold:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Threshold("top5", value)
-    if isinstance(value, dict):
-        if value.keys() != {"metric", "value"}:
-            raise TrendError("threshold object must have exactly the keys metric and value")
-        return Threshold(value["metric"], value["value"])
-    raise TrendError("threshold must be a number or a metric/value object")
+def _json_array(text: str, noun: str, error: type[Exception]) -> list:
+    """The json array a records-like file holds; errors name the file by its noun."""
+    try:
+        data = json.loads(text)
+    except ValueError as e:  # also a json int past the int-to-str digit limit
+        raise error(f"{noun} file is not valid json: {e}") from None
+    if not isinstance(data, list):
+        raise error(f"{noun} file must contain a json array")
+    return data
 
 
-def _shared_threshold(value, shared: dict) -> Threshold:
-    """_threshold_from_json, reusing the Threshold built for an equal metric/value object.
+def _check_json_object(obj, where: str, known: frozenset, required: tuple,
+                       error: type[Exception]) -> None:
+    """Raise error, led by where, unless obj is a dict of known fields with every required one."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected an object, got {type(obj).__name__}")
+    if not known.issuperset(obj):
+        raise error(f"{where}: unknown fields {sorted(set(obj) - known)}")
+    for req in required:
+        if req not in obj:
+            raise error(f"{where}: missing required field {req!r}")
 
-    Only a two-key object with a str metric and an int or float value is
-    looked up in shared; any other value takes the checked path every time.
+
+def _threshold_from_json(value, shared: dict) -> Threshold:
+    """A record's threshold: a number (a top5 value) or a metric/value object.
+
+    shared maps (metric, value type, value) to the Threshold built for an
+    equal object earlier in the file, so each is built once. Only a
+    two-key object with a str metric and an int or float value is looked
+    up; any other value is built, and checked, every time.
     """
     if type(value) is dict and len(value) == 2:
         metric, v = value.get("metric"), value.get("value")
@@ -189,9 +204,15 @@ def _shared_threshold(value, shared: dict) -> Threshold:
             key = (metric, type(v), v)
             threshold = shared.get(key)
             if threshold is None:
-                threshold = shared[key] = _threshold_from_json(value)
+                threshold = shared[key] = Threshold(metric, v)
             return threshold
-    return _threshold_from_json(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return Threshold("top5", value)
+    if isinstance(value, dict):
+        if value.keys() != {"metric", "value"}:
+            raise TrendError("threshold object must have exactly the keys metric and value")
+        return Threshold(value["metric"], value["value"])
+    raise TrendError("threshold must be a number or a metric/value object")
 
 
 def record_from_dict(obj: dict, where: str = "record") -> EfficiencyRecord:
@@ -206,13 +227,7 @@ def _record_from_dict(obj, where: str, shared: dict) -> EfficiencyRecord:
     each date string (keyed by the str) and the Threshold of each
     metric/value object (keyed by a tuple), so equal ones are built once.
     """
-    if not isinstance(obj, dict):
-        raise TrendError(f"{where}: expected an object, got {type(obj).__name__}")
-    if not _RECORD_FIELDS.issuperset(obj):
-        raise TrendError(f"{where}: unknown fields {sorted(set(obj) - _RECORD_FIELDS)}")
-    for req in ("name", "date"):
-        if req not in obj:
-            raise TrendError(f"{where}: missing required field {req!r}")
+    _check_json_object(obj, where, _RECORD_FIELDS, ("name", "date"), TrendError)
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise TrendError(f"{where}: name must be a non-empty string")
@@ -223,7 +238,7 @@ def _record_from_dict(obj, where: str, shared: dict) -> EfficiencyRecord:
     obj["date"] = date
     try:
         if "threshold" in obj:
-            obj["threshold"] = _shared_threshold(obj["threshold"], shared)
+            obj["threshold"] = _threshold_from_json(obj["threshold"], shared)
         return EfficiencyRecord(**obj)
     except (TrendError, CurveError) as e:  # record messages start with the name alone
         raise type(e)(f"{where} ({name}): {str(e).removeprefix(f'{name}: ')}") from None
@@ -235,15 +250,9 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     Records with equal date strings share one date, and records with
     equal metric/value threshold objects share one Threshold.
     """
-    try:
-        data = json.loads(text)
-    except ValueError as e:  # also a json int past the int-to-str digit limit
-        raise TrendError(f"records file is not valid json: {e}") from None
-    if not isinstance(data, list):
-        raise TrendError("records file must contain a json array")
     shared: dict = {}
     return tuple(_record_from_dict(obj, f"record {i}", shared)
-                 for i, obj in enumerate(data))
+                 for i, obj in enumerate(_json_array(text, "records", TrendError)))
 
 
 def record_to_dict(r: EfficiencyRecord) -> dict:

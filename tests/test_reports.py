@@ -6,7 +6,7 @@ import math
 import pytest
 
 from algoeff.curves import ComputeCurve
-from algoeff.datasets import load_cross_domain, load_default_dataset
+from algoeff.datasets import REPORTED_TERAFLOP_S_DAYS, load_cross_domain, load_default_dataset
 from algoeff.reports import (
     FORMATS,
     Table,
@@ -174,6 +174,18 @@ class TestDoublingTable:
         assert "Resnet-50 -> EfficientNet-b0: computed doubling 14 months" in joined
         assert "AlexNet -> ShuffleNet_v2_1x: computed doubling 14 months" in joined
 
+    def test_expected_warnings_in_full(self, dataset):
+        assert doubling_table(dataset.comparisons).warnings == (
+            "AlexNet -> EfficientNet-b0: elapsed period 84 months does not round to "
+            "the quoted 72 months",
+            "AlexNet -> EfficientNet-b0: computed doubling 15 months does not round to "
+            "the quoted 16 months",
+            "Resnet-50 -> EfficientNet-b0: computed doubling 14 months does not round to "
+            "the quoted 17 months",
+            "AlexNet -> ShuffleNet_v2_1x: computed doubling 14 months does not round to "
+            "the quoted 15 months",
+        )
+
     def test_consistent_quotes_produce_no_warning(self):
         comparisons = [c for c in load_cross_domain()
                        if c.baseline == "GNMT"]
@@ -189,10 +201,20 @@ class TestDoublingTable:
         assert any("computed factor 9.0 does not round to the quoted 4" in w
                    for w in t.warnings)
 
+    def test_float_quoted_factor_cell_matches_its_note(self):
+        from algoeff.datasets import CrossDomainComparison
+        c = CrossDomainComparison(task="t", kind="training", baseline="a",
+                                  improved="b", baseline_compute=9.0,
+                                  improved_compute=1.0, period_value=12.0,
+                                  reported_factor=4.0)
+        t = doubling_table([c])
+        assert t.rows[0][5] == "4"
+        assert t.warnings == ("a -> b: computed factor 9.0 does not round to the quoted 4",)
+
 
 class TestComputeTable:
     def test_bundled_order_and_frontier_flags(self, dataset):
-        t = compute_table(dataset.records, reported=dataset.reported_totals)
+        t = compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS)
         assert t.columns == ("model", "date", "epochs", "gigaflops_per_image",
                              "total", "quoted_total", "deviation", "on_frontier")
         names = [r[0] for r in t.rows]
@@ -203,14 +225,14 @@ class TestComputeTable:
         assert flagged == set(FRONTIER_NAMES)
 
     def test_bundled_deviations_small_and_warningless(self, dataset):
-        t = compute_table(dataset.records, reported=dataset.reported_totals)
+        t = compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS)
         assert t.warnings == ()
         for row in t.rows:
             assert row[6].endswith("%")
             assert abs(float(row[6].rstrip("%"))) <= 2.0
 
     def test_alexnet_cells(self, dataset):
-        t = compute_table(dataset.records, reported=dataset.reported_totals)
+        t = compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS)
         row = next(r for r in t.rows if r[0] == "AlexNet")
         assert row[2] == "90"
         assert row[3] == "0.77"
@@ -229,6 +251,12 @@ class TestComputeTable:
         t = compute_table([r], reported={"big": 100.0})  # quoted 1e17
         assert len(t.warnings) == 1
         assert "deviates +100.00%" in t.warnings[0]
+
+    def test_large_deviation_note_in_full(self):
+        r = simple_record("big", datetime.date(2015, 1, 1), 2e17)
+        t = compute_table([r], reported={"big": 100.0})
+        assert t.rows[0][4:7] == ("200.0", "100.0", "+100.00%")
+        assert t.warnings == ("big: computed total 200.0 deviates +100.00% from the quoted 100.0",)
 
     def test_unquoted_records_have_blank_cells(self):
         r = simple_record("solo", datetime.date(2015, 1, 1), 2e17)
@@ -312,6 +340,15 @@ class TestEffectiveComputePoints:
         with pytest.raises(TrendError, match="step_months"):
             effective_compute_points(step_months=0.0)
 
+    def test_hardware_overflow_is_a_trend_error(self):
+        with pytest.raises(TrendError, match="growth factor"):
+            effective_compute_points(EffectiveComputeModel(period_months=1e6), step_months=1e5)
+
+    def test_product_overflow_is_a_trend_error(self):
+        model = EffectiveComputeModel(spending_factor=1e300, efficiency_factor=1e300)
+        with pytest.raises(TrendError, match="not a finite number"):
+            effective_compute_points(model)
+
 
 SMALL = Table(key="k", title="Small table", columns=("a", "b"),
               rows=(("1", "2"), ("3", "x,y")), warnings=("check row two",))
@@ -354,12 +391,12 @@ class TestRenderers:
         tables = [
             efficiency_table(dataset.records),
             doubling_table(dataset.comparisons),
-            compute_table(dataset.records, reported=dataset.reported_totals),
+            compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS),
         ]
         again = [
             efficiency_table(dataset.records),
             doubling_table(dataset.comparisons),
-            compute_table(dataset.records, reported=dataset.reported_totals),
+            compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS),
         ]
         for fmt in FORMATS:
             assert render(tables, fmt) == render(again, fmt)
