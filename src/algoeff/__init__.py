@@ -46,6 +46,7 @@ from .curves import (
     epochs_to_threshold,
     parse_curve,
     to_compute_curve,
+    training_compute,
 )
 from .trends import (
     Decomposition,
@@ -65,7 +66,6 @@ from .trends import (
     records_from_json,
     records_to_json,
     to_report_units,
-    training_compute,
 )
 
 __version__ = "0.1.0"

@@ -493,9 +493,8 @@ def arch_from_json(text: str) -> ArchitectureSpec:
     if missing:
         raise GraphError(f"missing field(s) {sorted(missing)}")
 
-    for key in ("name", "output"):
-        if not isinstance(obj[key], str):
-            raise GraphError(f"{key} must be a string, got {obj[key]!r}")
+    if not isinstance(obj["name"], str):
+        raise GraphError(f"name must be a string, got {obj['name']!r}")
     di = obj["default_input"]
     if not isinstance(di, dict) or set(di) != _INPUT_FIELDS:
         raise GraphError('default_input must be an object with exactly the fields "c", "h", "w"')
@@ -517,7 +516,7 @@ def arch_from_json(text: str) -> ArchitectureSpec:
         inputs = raw.get("inputs", [])
         if not isinstance(params, dict):
             raise GraphError(f"nodes[{i}]: params must be an object")
-        if not isinstance(inputs, list) or not all(isinstance(s, str) for s in inputs):
+        if not isinstance(inputs, list):
             raise GraphError(f"nodes[{i}]: inputs must be an array of node ids")
         nodes.append(LayerNode(id=raw["id"], kind=raw["kind"], params=params, inputs=tuple(inputs)))
 

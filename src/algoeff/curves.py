@@ -77,6 +77,11 @@ def finite_product(factors, error: type[Exception] = CurveError, where: str = ""
             total = math.inf
         else:
             raise error(f"{where}{label} must be positive, got {v!r}")
+    return _checked_product(total, error, where)
+
+
+def _checked_product(total: float, error: type[Exception], where: str) -> float:
+    """total, a product of positive factors; raises error, led by where, if it is not finite."""
     if not positive_finite(total):
         bound = "finite" if total else "positive"  # overflow, or underflow to 0
         raise error(f"{where}the product of the factors is not a {bound} number")
@@ -141,16 +146,19 @@ def _check_series(name: str, metric, epochs, accuracies, compute, lines=None):
         raise fail(i, f"accuracy {a!r} is not a number") from None
 
 
-def _floats(values) -> tuple:
-    """values as floats, or as given when float() rejects one or it is too large for a float.
+def _numbers(values, kind=float) -> tuple:
+    """Each value converted by kind, or kept as given when kind rejects it.
 
-    _check_series runs next and rejects such a value with the point it is at.
+    _check_series runs next and rejects a kept value with the point it is
+    at, so the first bad point is the one reported.
     """
-    values = tuple(values)
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
-        return values
+    out = []
+    for v in values:
+        try:
+            out.append(kind(v))
+        except (TypeError, ValueError, OverflowError):  # also an int too large for a float
+            out.append(v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -170,9 +178,9 @@ class LearningCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "epochs", tuple(self.epochs))
-        object.__setattr__(self, "accuracies", _floats(self.accuracies))
+        object.__setattr__(self, "accuracies", _numbers(self.accuracies))
         if self.cumulative_flops is not None:
-            object.__setattr__(self, "cumulative_flops", _floats(self.cumulative_flops))
+            object.__setattr__(self, "cumulative_flops", _numbers(self.cumulative_flops))
         _check_series(self.name or "curve", self.metric, self.epochs, self.accuracies,
                       self.cumulative_flops)
 
@@ -189,15 +197,16 @@ def parse_curve(text: str, name: str = "curve", percent: bool = False) -> Learni
     """Parse curve csv: header ``epoch,<metric>_accuracy[,cumulative_flops]``.
 
     Lines starting with # and blank lines are skipped. Accuracies are
-    fractions unless percent=True, in which case values in [0, 100] are
-    divided by 100. Errors carry 1-based line numbers.
+    fractions unless percent=True, in which case every numeric accuracy
+    is divided by 100 and then checked as a fraction. Errors carry
+    1-based line numbers: a row with the wrong number of fields stops
+    the parse there, and otherwise the first bad value in the file is
+    reported.
     """
     header: list[str] | None = None
     metric = ""
     has_flops = False
-    epochs: list[int] = []
-    accuracies: list[float] = []
-    flops: list[float] = []
+    rows: list[list[str]] = []
     lines: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -230,35 +239,18 @@ def parse_curve(text: str, name: str = "curve", percent: bool = False) -> Learni
             raise CurveError(
                 f"{name} line {lineno}: expected {len(header)} fields, got {len(fields)}"
             )
-        try:
-            epoch = int(fields[0])
-        except ValueError:
-            raise CurveError(f"{name} line {lineno}: epoch {fields[0]!r} is not an integer") from None
-        try:
-            acc = float(fields[1])
-        except ValueError:
-            raise CurveError(f"{name} line {lineno}: accuracy {fields[1]!r} is not a number") from None
-        if percent:
-            if not 0.0 <= acc <= 100.0:
-                raise CurveError(f"{name} line {lineno}: percent accuracy {acc!r} outside [0, 100]")
-            acc /= 100.0
-        if has_flops:
-            try:
-                flops.append(float(fields[2]))
-            except ValueError:
-                raise CurveError(
-                    f"{name} line {lineno}: cumulative_flops {fields[2]!r} is not a number"
-                ) from None
-        epochs.append(epoch)
-        accuracies.append(acc)
+        rows.append(fields)
         lines.append(lineno)
 
     if header is None:
         raise CurveError(f"{name}: no header line found")
-    compute = tuple(flops) if has_flops else None
+    columns = list(zip(*rows)) or [()] * len(header)
+    epochs = _numbers(columns[0], int)
+    accuracies = _numbers(columns[1], (lambda t: float(t) / 100.0) if percent else float)
+    compute = _numbers(columns[2]) if has_flops else None
     try:
-        return LearningCurve(name=name, metric=metric, epochs=tuple(epochs),
-                             accuracies=tuple(accuracies), cumulative_flops=compute)
+        return LearningCurve(name=name, metric=metric, epochs=epochs,
+                             accuracies=accuracies, cumulative_flops=compute)
     except CurveError:
         # only a curve that fails is checked again, to name the offending line
         _check_series(name, metric, epochs, accuracies, compute, lines)
@@ -331,8 +323,8 @@ class ComputeCurve:
     accuracies: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "compute", _floats(self.compute))
-        object.__setattr__(self, "accuracies", _floats(self.accuracies))
+        object.__setattr__(self, "compute", _numbers(self.compute))
+        object.__setattr__(self, "accuracies", _numbers(self.accuracies))
         _check_series(self.name, self.metric, None, self.accuracies, self.compute)
 
     @property

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .archflops import ArchitectureSpec, FlopCount, TensorShape, infer_shapes
-from .curves import ComputeCurve, LearningCurve, Threshold
+from .curves import ComputeCurve, LearningCurve, Threshold, positive_finite
 from .datasets import CrossDomainComparison
 from .trends import (
+    MONTH_DAYS,
     EffectiveComputeModel,
     EfficiencyRecord,
     Frontier,
@@ -297,8 +298,8 @@ def doubling_table(comparisons: Sequence[CrossDomainComparison]) -> Table:
     The computed columns derive from each comparison's own compute
     totals and dates where present, falling back to quoted numbers.
     A quoted figure (reported headline numbers are integers) that the
-    computed one does not round to, half to even, becomes a warning,
-    not an error; a quote in another unit is shown but not checked.
+    computed one, in the quote's unit, does not round to, half to even,
+    becomes a warning, not an error.
     """
     rows = []
     warnings = []
@@ -313,7 +314,9 @@ def doubling_table(comparisons: Sequence[CrossDomainComparison]) -> Table:
             shown = fmt_factor(value) if unit is None else _fmt_period(value, unit)
             q_shown = "" if q is None else f"{q:g}" if q_unit is None else _fmt_period(q, q_unit)
             row += (shown, q_shown)
-            if q is not None and unit == q_unit and round(value) != round(q):
+            if unit != q_unit:  # days against months or the reverse: compare in the quote's unit
+                value = value / MONTH_DAYS if q_unit == "months" else value * MONTH_DAYS
+            if q is not None and (value == math.inf or round(value) != round(q)):  # days overflow
                 warnings.append(_quote_note(c.label, what, shown, "does not round to", q_shown))
         row.append("yes" if c.estimated else "")
         rows.append(tuple(row))
@@ -336,7 +339,8 @@ def compute_table(
     """Every record's training total, largest first, with quoted values.
 
     reported maps record names to quoted totals in table units (raw
-    flops / 1e15); deviations beyond two percent become warnings.
+    flops / 1e15), positive and finite in raw flops or TrendError names
+    the record; deviations beyond two percent become warnings.
     """
     front_names = set((front or frontier(records)).names) if records else set()
     ordered = sorted(records, key=lambda r: (-r.total, r.name))
@@ -346,7 +350,10 @@ def compute_table(
         quoted_cell = ""
         deviation_cell = ""
         if reported and r.name in reported:
-            quoted_raw = reported[r.name] * 1e15
+            q = reported[r.name]
+            if not (positive_finite(q) and positive_finite(quoted_raw := q * 1e15)):
+                raise TrendError(f"{r.name}: quoted total must be positive and finite "
+                                 f"in raw flops, got {q!r}")
             quoted_cell = fmt_compute(quoted_raw, unit)
             dev = (r.total - quoted_raw) / quoted_raw
             deviation_cell = f"{dev * 100:+.2f}%"

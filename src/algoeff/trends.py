@@ -28,9 +28,9 @@ from .curves import (
     DEFAULT_THRESHOLD,
     CurveError,
     Threshold,
+    _checked_product,
     finite_product,
     positive_finite,
-    training_compute,
 )
 
 # Mean Gregorian month, used whenever dates become month counts.
@@ -89,7 +89,8 @@ class EfficiencyRecord:
     epochs (with images_per_epoch defaulting to 1.28e6) must be given.
     When both appear they must agree to within TOTAL_AGREEMENT_RTOL
     relative. backward_multiplier scales forward cost per image to full
-    training cost and participates in the triple product.
+    training cost and participates in the triple product. A triple record
+    holds images_per_epoch and total_compute as used, so it reloads equal.
     """
 
     name: str
@@ -121,43 +122,42 @@ class EfficiencyRecord:
             if not positive_finite(v):
                 raise TrendError(f"{self.name}: {label} must be positive and finite, got {v!r}")
             object.__setattr__(self, label, float(v))
-        has_triple = self.flops_per_image is not None and self.epochs is not None
         if (self.flops_per_image is None) != (self.epochs is None):
             raise TrendError(
                 f"{self.name}: flops_per_image and epochs must be given together"
             )
-        if self.images_per_epoch is not None and not has_triple:
-            raise TrendError(
-                f"{self.name}: images_per_epoch is meaningless without flops_per_image and epochs"
-            )
-        if not has_triple and self.total_compute is None:
-            raise TrendError(
-                f"{self.name}: needs total_compute or flops_per_image with epochs"
-            )
+        if self.epochs is None:
+            if self.images_per_epoch is not None:
+                raise TrendError(
+                    f"{self.name}: images_per_epoch is meaningless without "
+                    "flops_per_image and epochs"
+                )
+            if self.total_compute is None:
+                raise TrendError(
+                    f"{self.name}: needs total_compute or flops_per_image with epochs"
+                )
+            return
+        if self.images_per_epoch is None:
+            object.__setattr__(self, "images_per_epoch", IMAGES_PER_EPOCH)
+        derived = _checked_product(
+            self.backward_multiplier * self.epochs * self.flops_per_image * self.images_per_epoch,
+            CurveError, f"{self.name}: training_compute: ")
         total = self.total_compute
-        if has_triple:
-            derived = training_compute(self.flops_per_image, self.epochs,
-                                       self.effective_images_per_epoch, self.backward_multiplier)
-            if total is None:
-                total = derived
-            else:
-                rel = abs(total - derived) / derived
-                if rel > TOTAL_AGREEMENT_RTOL:
-                    raise TrendError(
-                        f"{self.name}: total_compute {total!r} disagrees with "
-                        f"epochs * flops_per_image product {derived!r} "
-                        f"(relative difference {rel:.3e})"
-                    )
-        object.__setattr__(self, "_total", total)  # not a field: eq and repr ignore it
+        if total is None:
+            object.__setattr__(self, "total_compute", derived)
+        else:
+            rel = abs(total - derived) / derived
+            if rel > TOTAL_AGREEMENT_RTOL:
+                raise TrendError(
+                    f"{self.name}: total_compute {total!r} disagrees with "
+                    f"epochs * flops_per_image product {derived!r} "
+                    f"(relative difference {rel:.3e})"
+                )
 
     @property
     def total(self) -> float:
-        """Total training compute in raw flops, computed once at construction."""
-        return self._total
-
-    @property
-    def effective_images_per_epoch(self) -> float:
-        return self.images_per_epoch if self.images_per_epoch is not None else IMAGES_PER_EPOCH
+        """Total training compute in raw flops: total_compute, given or derived."""
+        return self.total_compute
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +223,10 @@ def record_from_dict(obj: dict, where: str = "record") -> EfficiencyRecord:
 def _record_from_dict(obj, where: str, shared: dict) -> EfficiencyRecord:
     """record_from_dict on an object the caller owns: its date and threshold are replaced.
 
-    shared holds what earlier records of the same file built: the date of
-    each date string (keyed by the str) and the Threshold of each
-    metric/value object (keyed by a tuple), so equal ones are built once.
+    Every message starts with where. shared holds what earlier records of
+    the same file built: the date of each date string (keyed by the str)
+    and the Threshold of each metric/value object (keyed by a tuple), so
+    equal ones are built once.
     """
     _check_json_object(obj, where, _RECORD_FIELDS, ("name", "date"), TrendError)
     name = obj["name"]
@@ -251,8 +252,13 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     equal metric/value threshold objects share one Threshold.
     """
     shared: dict = {}
-    return tuple(_record_from_dict(obj, f"record {i}", shared)
-                 for i, obj in enumerate(_json_array(text, "records", TrendError)))
+    records = []
+    for i, obj in enumerate(_json_array(text, "records", TrendError)):
+        try:
+            records.append(_record_from_dict(obj, "", shared))
+        except (TrendError, CurveError) as e:  # the position is written only into a message
+            raise type(e)(f"record {i}{e}") from None
+    return tuple(records)
 
 
 def record_to_dict(r: EfficiencyRecord) -> dict:
@@ -266,7 +272,7 @@ def record_to_dict(r: EfficiencyRecord) -> dict:
     if r.flops_per_image is not None:
         obj["flops_per_image"] = r.flops_per_image
         obj["epochs"] = r.epochs
-        obj["images_per_epoch"] = r.effective_images_per_epoch
+        obj["images_per_epoch"] = r.images_per_epoch
     obj["backward_multiplier"] = r.backward_multiplier
     if r.notes:
         obj["notes"] = r.notes
@@ -304,7 +310,7 @@ def records_to_json(records: Sequence[EfficiencyRecord]) -> str:
         if r.flops_per_image is not None:
             item += (f'    "flops_per_image": {num(r.flops_per_image)},\n'
                      f'    "epochs": {num(r.epochs)},\n'
-                     f'    "images_per_epoch": {num(r.effective_images_per_epoch)},\n')
+                     f'    "images_per_epoch": {num(r.images_per_epoch)},\n')
         item += f'    "backward_multiplier": {num(r.backward_multiplier)}'
         if r.notes:
             item += f',\n    "notes": {_json_str(r.notes)}'
@@ -388,7 +394,7 @@ def decompose(baseline: EfficiencyRecord, improved: EfficiencyRecord) -> Decompo
             raise TrendError(
                 f"{r.name}: decomposition needs flops_per_image and epochs on both records"
             )
-    if baseline.effective_images_per_epoch != improved.effective_images_per_epoch:
+    if baseline.images_per_epoch != improved.images_per_epoch:
         raise TrendError(
             f"{baseline.name} and {improved.name} use different images_per_epoch; "
             "their epoch counts are not comparable"

@@ -196,7 +196,7 @@ class TestParseCurve:
         assert c.accuracies[1] == pytest.approx(0.791)
 
     def test_percent_out_of_range(self):
-        with pytest.raises(CurveError, match=r"outside \[0, 100\]"):
+        with pytest.raises(CurveError, match=r"^curve line 2: accuracy 1\.01 outside \[0, 1\]$"):
             parse_curve("epoch,top5_accuracy\n1,101.0\n", percent=True)
 
     def test_fraction_out_of_range_names_line(self):
@@ -240,7 +240,7 @@ class TestParseCurve:
             parse_curve("epoch,top5_accuracy\n0,0.5\n")
 
     def test_bad_flops_value(self):
-        with pytest.raises(CurveError, match="cumulative_flops.*not a number"):
+        with pytest.raises(CurveError, match="^curve line 2: compute must be finite, positive"):
             parse_curve("epoch,top5_accuracy,cumulative_flops\n1,0.5,fast\n")
 
     def test_non_increasing_flops(self):
@@ -264,6 +264,9 @@ class TestParseCurve:
         ("", "2,0.5\n2,1.5\n", "^c line 3: accuracy"),  # same line: accuracy first
         (",cumulative_flops", "1,0.5,nan\n0,1.5,1\n", "^c line 2: compute"),
         (",cumulative_flops", "1,0.5,1\n2,0.6,2\n1,1.5,0\n", "^c line 4: accuracy"),
+        ("", "1,1.5\n2,x\n", r"^c line 2: accuracy 1\.5 outside \[0, 1\]$"),
+        ("", "2,0.5\n1,0.6\n3.5,0.7\n", "^c line 3: epoch 1 not greater than 2$"),
+        (",cumulative_flops", "1,0.5,-1\n2,0.6,abc\n", "^c line 2: compute"),
     ])
     def test_first_bad_line_in_file_order(self, header, rows, message):
         with pytest.raises(CurveError, match=message):

@@ -294,7 +294,8 @@ class TestValidation:
     def test_non_string_name_or_output_rejected(self, field, value):
         obj = json.loads(arch_to_json(tiny_arch()))
         obj[field] = value
-        expected = rf"^{field} must be a string, got {re.escape(repr(value))}$"
+        expected = (rf"^name must be a string, got {re.escape(repr(value))}$" if field == "name"
+                    else rf"^tiny: output {re.escape(repr(value))} does not name a node$")
         with pytest.raises(GraphError, match=expected):
             arch_from_json(json.dumps(obj))
 
@@ -421,8 +422,20 @@ class TestJsonFormat:
     def test_rejects_node_bad_inputs(self):
         obj = json.loads(arch_to_json(tiny_arch()))
         obj["nodes"][0]["inputs"] = [1]
-        with pytest.raises(GraphError, match="inputs must be an array"):
+        with pytest.raises(GraphError, match=r"^tiny: node 'c1': input 1 is not a node id string$"):
             arch_from_json(json.dumps(obj))
+
+    def test_every_node_problem_listed_with_the_output(self):
+        obj = json.loads(arch_to_json(tiny_arch()))
+        obj["nodes"][0]["params"]["stide"] = 2
+        obj["nodes"][1]["inputs"] = [5]
+        obj["output"] = 7
+        with pytest.raises(GraphError) as raised:
+            arch_from_json(json.dumps(obj))
+        assert str(raised.value) == (
+            "tiny: node 'c1': unknown parameter(s) ['stide']; conv2d takes ['dilation', 'groups', "
+            "'has_bias', 'kernel_h', 'kernel_w', 'out_channels', 'padding', 'stride']; "
+            "node 'relu': input 5 is not a node id string; output 7 does not name a node")
 
     def test_from_json_validates_graph(self):
         obj = json.loads(arch_to_json(tiny_arch()))

@@ -211,6 +211,23 @@ class TestDoublingTable:
         assert t.rows[0][5] == "4"
         assert t.warnings == ("a -> b: computed factor 9.0 does not round to the quoted 4",)
 
+    @pytest.mark.parametrize("period,quoted,warned", [
+        ((90.0, "days"), (2, "months"), True),    # 2.96 months
+        ((60.0, "days"), (2, "months"), False),   # 1.97 months
+        ((2.0, "months"), (70, "days"), True),    # 60.9 days
+        ((2.0, "months"), (61, "days"), False),
+    ])
+    def test_quote_in_another_unit_is_checked_in_its_unit(self, period, quoted, warned):
+        from algoeff.datasets import CrossDomainComparison
+        c = CrossDomainComparison(task="t", kind="training", baseline="a", improved="b",
+                                  reported_factor=4.0, period_value=period[0],
+                                  period_unit=period[1], reported_period_value=quoted[0],
+                                  reported_period_unit=quoted[1])
+        shown = f"{period[0]:.0f} {period[1]}" if period[1] == "days" else "2.0 months"
+        expected = (f"a -> b: elapsed period {shown} does not round to the quoted "
+                    f"{fmt_factor(quoted[0])} {quoted[1]}",)
+        assert doubling_table([c]).warnings == (expected if warned else ())
+
 
 class TestComputeTable:
     def test_bundled_order_and_frontier_flags(self, dataset):
@@ -257,6 +274,14 @@ class TestComputeTable:
         t = compute_table([r], reported={"big": 100.0})
         assert t.rows[0][4:7] == ("200.0", "100.0", "+100.00%")
         assert t.warnings == ("big: computed total 200.0 deviates +100.00% from the quoted 100.0",)
+
+    @pytest.mark.parametrize("quoted", [0.0, -1.0, math.inf, math.nan, 1e300, "100", True, None])
+    def test_bad_quoted_total_names_its_record(self, quoted):
+        r = simple_record("big", datetime.date(2015, 1, 1), 2e17)
+        with pytest.raises(TrendError) as raised:
+            compute_table([r], reported={"big": quoted})
+        assert str(raised.value) == (
+            f"big: quoted total must be positive and finite in raw flops, got {quoted!r}")
 
     def test_unquoted_records_have_blank_cells(self):
         r = simple_record("solo", datetime.date(2015, 1, 1), 2e17)

@@ -99,7 +99,7 @@ class TestEfficiencyRecord:
         assert r.threshold == Threshold("top5", 0.791)
 
     def test_effective_images_per_epoch_default(self):
-        assert rec(flops_per_image=1.0, epochs=1).effective_images_per_epoch == 1.28e6
+        assert rec(flops_per_image=1.0, epochs=1).images_per_epoch == 1.28e6
 
     def test_rejects_empty_name(self):
         with pytest.raises(TrendError, match="name"):
@@ -391,7 +391,9 @@ class TestRecordsFileText:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(any_record(), max_size=4))
     def test_matches_json_dumps(self, records):
-        assert records_to_json(records) == records_json_oracle(records)
+        text = records_to_json(records)
+        assert text == records_json_oracle(records)
+        assert records_from_json(text) == tuple(records)
 
     def test_empty(self):
         assert records_to_json([]) == records_json_oracle([]) == "[]\n"
@@ -399,6 +401,10 @@ class TestRecordsFileText:
     def test_bundled_records(self):
         records = load_imagenet_records()
         assert records_to_json(records) == records_json_oracle(records)
+
+    def test_bundled_records_load_back_equal(self):
+        records = load_imagenet_records()
+        assert records_from_json(records_to_json(records)) == records
 
     @pytest.mark.parametrize("n", [2_000, 20_000])
     def test_generated_files(self, n):
