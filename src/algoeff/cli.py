@@ -381,12 +381,12 @@ def _cmd_report(args) -> list[Table]:
     reported = REPORTED_TERAFLOP_S_DAYS if args.records is None else None
     front = frontier(records)
     tables = [
-        efficiency_table(records, front),
+        efficiency_table(front),
         doubling_table(comparisons),
-        compute_table(records, unit=args.unit, reported=reported, front=front),
+        compute_table(records, front, unit=args.unit, reported=reported),
     ]
     if args.figures:
-        tables.append(frontier_points(records, unit=args.unit, front=front))
+        tables.append(frontier_points(records, front, unit=args.unit))
         bundled = records if args.records is None else load_imagenet_records()
         curves = []
         for cname in curve_names():

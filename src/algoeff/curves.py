@@ -82,7 +82,7 @@ def finite_product(factors, error: type[Exception] = CurveError, where: str = ""
 
 def _checked_product(total: float, error: type[Exception], where: str) -> float:
     """total, a product of positive factors; raises error, led by where, if it is not finite."""
-    if not positive_finite(total):
+    if not 0 < total <= _FLOAT_MAX:  # total is an int or a float; NaN fails too
         bound = "finite" if total else "positive"  # overflow, or underflow to 0
         raise error(f"{where}the product of the factors is not a {bound} number")
     return total
@@ -149,13 +149,13 @@ def _check_series(name: str, metric, epochs, accuracies, compute, lines=None):
 def _numbers(values, kind=float) -> tuple:
     """Each value converted by kind, or kept as given when kind rejects it.
 
-    _check_series runs next and rejects a kept value with the point it is
-    at, so the first bad point is the one reported.
+    A float is kept as it is, so no value is converted twice. _check_series
+    runs next and rejects a kept value with the point it is at.
     """
     out = []
     for v in values:
         try:
-            out.append(kind(v))
+            out.append(v if type(v) is float else kind(v))
         except (TypeError, ValueError, OverflowError):  # also an int too large for a float
             out.append(v)
     return tuple(out)
@@ -198,10 +198,10 @@ def parse_curve(text: str, name: str = "curve", percent: bool = False) -> Learni
 
     Lines starting with # and blank lines are skipped. Accuracies are
     fractions unless percent=True, in which case every numeric accuracy
-    is divided by 100 and then checked as a fraction. Errors carry
-    1-based line numbers: a row with the wrong number of fields stops
-    the parse there, and otherwise the first bad value in the file is
-    reported.
+    is divided by 100 here; LearningCurve converts the other text
+    columns, so each value is converted once. Errors carry 1-based line
+    numbers: a row with the wrong number of fields stops the parse there,
+    and otherwise the first bad value in the file is reported.
     """
     header: list[str] | None = None
     metric = ""
@@ -246,14 +246,15 @@ def parse_curve(text: str, name: str = "curve", percent: bool = False) -> Learni
         raise CurveError(f"{name}: no header line found")
     columns = list(zip(*rows)) or [()] * len(header)
     epochs = _numbers(columns[0], int)
-    accuracies = _numbers(columns[1], (lambda t: float(t) / 100.0) if percent else float)
-    compute = _numbers(columns[2]) if has_flops else None
+    accuracies = _numbers(columns[1], lambda t: float(t) / 100.0) if percent else columns[1]
+    compute = columns[2] if has_flops else None
     try:
         return LearningCurve(name=name, metric=metric, epochs=epochs,
                              accuracies=accuracies, cumulative_flops=compute)
     except CurveError:
-        # only a curve that fails is checked again, to name the offending line
-        _check_series(name, metric, epochs, accuracies, compute, lines)
+        # only a curve that fails is converted and checked again, to name the offending line
+        _check_series(name, metric, epochs, _numbers(accuracies),
+                      None if compute is None else _numbers(compute), lines)
         raise
 
 
@@ -301,7 +302,8 @@ def _priced(curve: LearningCurve, rows: slice, flops_per_image, images_per_epoch
     """Cumulative compute of the curve's rows in the slice.
 
     A cumulative_flops column wins outright. Otherwise flops_per_image
-    is required and the compute is analytic, from each row's epoch.
+    is required and each row is priced from its epoch as training_compute
+    prices it, after one training_compute call has checked the constants.
     """
     if curve.cumulative_flops is not None:
         return curve.cumulative_flops[rows]
@@ -309,8 +311,11 @@ def _priced(curve: LearningCurve, rows: slice, flops_per_image, images_per_epoch
         raise CurveError(
             f"{curve.name}: curve has no cumulative_flops column; flops_per_image is required"
         )
-    return tuple(training_compute(flops_per_image, e, images_per_epoch, backward_multiplier)
-                 for e in curve.epochs[rows])
+    epochs = curve.epochs[rows]
+    training_compute(flops_per_image, epochs[0], images_per_epoch, backward_multiplier)
+    b = 1.0 * backward_multiplier  # a float, so no int product can be too large for a float
+    return tuple(_checked_product(b * e * flops_per_image * images_per_epoch, CurveError,
+                                  "training_compute: ") for e in epochs)
 
 
 @dataclass(frozen=True)

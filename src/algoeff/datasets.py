@@ -108,6 +108,10 @@ class CrossDomainComparison:
                 raise DatasetError(f"comparison {key} must be a non-empty string, got {v!r}")
         if self.kind not in ("training", "inference"):
             raise DatasetError(f"{self.label}: kind must be training or inference")
+        for key, kind, want in (("compute_unit", str, "a string"), ("notes", str, "a string"),
+                                ("estimated", bool, "true or false")):
+            if not isinstance(v := getattr(self, key), kind):
+                raise DatasetError(f"{self.label}: {key} must be {want}, got {v!r}")
         if (self.baseline_compute is None) != (self.improved_compute is None):
             raise DatasetError(f"{self.label}: compute totals must come in pairs")
         if self.baseline_compute is None and self.reported_factor is None:
@@ -182,8 +186,6 @@ def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainCom
             kwargs[key] = parse_date(kwargs[key], f"{where}: {key}", DatasetError)
     try:
         return CrossDomainComparison(**kwargs)
-    except TypeError as e:
-        raise DatasetError(f"{where}: {e}") from None
     except DatasetError as e:  # only the name checks' messages do not lead with the label
         if not str(e).startswith("comparison "):
             raise

@@ -33,7 +33,6 @@ from .trends import (
     doubling_time,
     effective_compute,
     efficiency_factor,
-    frontier,
     moore_factor,
     to_report_units,
 )
@@ -252,19 +251,14 @@ def effective_table(factors: Sequence[float]) -> Table:
     )
 
 
-def efficiency_table(
-    records: Sequence[EfficiencyRecord], front: Frontier | None = None
-) -> Table:
-    """Frontier runs against the earliest one: factor and its two terms.
+def efficiency_table(front: Frontier) -> Table:
+    """The frontier's runs against its earliest one: factor and its two terms.
 
     epoch_reduction is baseline epochs over improved epochs;
     per_image_reduction is baseline per-image cost over improved. Their
     product is the efficiency factor. Records without per-image detail
-    show only the factor. front, when given, must be frontier(records):
-    a caller that builds several tables (compute_table and
-    frontier_points take it too) computes the frontier once.
+    show only the factor.
     """
-    front = front or frontier(records)
     base = front.records[0]
     rows = []
     for r in front:
@@ -332,17 +326,17 @@ def doubling_table(comparisons: Sequence[CrossDomainComparison]) -> Table:
 
 def compute_table(
     records: Sequence[EfficiencyRecord],
+    front: Frontier,
     unit: str = "table",
     reported: dict[str, float] | None = None,
-    front: Frontier | None = None,
 ) -> Table:
     """Every record's training total, largest first, with quoted values.
 
-    reported maps record names to quoted totals in table units (raw
-    flops / 1e15), positive and finite in raw flops or TrendError names
-    the record; deviations beyond two percent become warnings.
+    front is frontier(records). reported maps record names to quoted totals
+    in table units (raw flops / 1e15), positive and finite in raw flops or
+    TrendError names the record; deviations beyond two percent become warnings.
     """
-    front_names = set((front or frontier(records)).names) if records else set()
+    front_names = set(front.names)
     ordered = sorted(records, key=lambda r: (-r.total, r.name))
     rows = []
     warnings = []
@@ -384,17 +378,14 @@ def compute_table(
 # plot-point series
 # ---------------------------------------------------------------------------
 
-def frontier_points(
-    records: Sequence[EfficiencyRecord], unit: str = "raw", front: Frontier | None = None
-) -> Table:
+def frontier_points(records: Sequence[EfficiencyRecord], front: Frontier,
+                    unit: str = "raw") -> Table:
     """Scatter points for compute-to-threshold over time.
 
-    months counts from the earliest record. log2_total is of the raw
-    value regardless of unit, since slopes live there.
+    front is frontier(records). months counts from the earliest record.
+    log2_total is of the raw value regardless of unit, since slopes live there.
     """
-    if not records:
-        raise TrendError("no records to plot")
-    front_names = set((front or frontier(records)).names)
+    front_names = set(front.names)
     ordered = sorted(records, key=lambda r: (r.date, r.name))
     origin = date_to_months(ordered[0].date)
     rows = []

@@ -35,3 +35,14 @@ def test_counted_record_total_is_a_property():
     from algoeff.trends import EfficiencyRecord
 
     assert isinstance(EfficiencyRecord.__dict__["total"], property)
+
+
+def test_tracer_sees_each_report_table_and_one_frontier(capsys):
+    from algoeff import cli
+
+    tracer = TRACING.Tracer()
+    assert tracer.run(cli.main, ["report", "--figures"]) == 0
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("reports.tables") == 6
+    assert names.count("trends.frontier") == 1

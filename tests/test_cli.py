@@ -13,7 +13,6 @@ import pytest
 import algoeff
 from algoeff.archflops import arch_to_json, builtin_arch
 import algoeff.cli as cli_mod
-import algoeff.reports as reports_mod
 import algoeff.trends as trends_mod
 from algoeff.cli import _build_parser, main
 from algoeff.datasets import load_imagenet_records
@@ -668,7 +667,7 @@ class TestReport:
             calls.append(len(records))
             return frontier(records)
 
-        for mod in (cli_mod, reports_mod, trends_mod):
+        for mod in (cli_mod, trends_mod):
             monkeypatch.setattr(mod, "frontier", counting)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "EfficientNet-b0" in out

@@ -199,6 +199,17 @@ class TestParseCurve:
         with pytest.raises(CurveError, match=r"^curve line 2: accuracy 1\.01 outside \[0, 1\]$"):
             parse_curve("epoch,top5_accuracy\n1,101.0\n", percent=True)
 
+    @pytest.mark.parametrize("row,message", [
+        ("3,x", "accuracy 'x' is not a number"),
+        ("3,150", "accuracy 1.5 outside [0, 1]"),
+        ("2,80", "epoch 2 not greater than 2"),
+    ])
+    def test_percent_bad_row_names_its_line(self, row, message):
+        text = f"epoch,top5_accuracy\n# comment\n1,25\n2,50\n{row}\n4,90\n"
+        with pytest.raises(CurveError) as raised:
+            parse_curve(text, percent=True)
+        assert str(raised.value) == f"curve line 5: {message}"
+
     def test_fraction_out_of_range_names_line(self):
         with pytest.raises(CurveError, match="line 2"):
             parse_curve("epoch,top5_accuracy\n1,1.5\n")
@@ -646,3 +657,53 @@ class TestOneCrossing:
         row = curve.epochs.index(epoch)
         assert (compute_to_threshold(curve, threshold, flops_per_image=fpi)
                 == to_compute_curve(curve, flops_per_image=fpi).compute[row])
+
+
+class TestPricedOnce:
+    """An analytic curve checks its constants once and prices each row as training_compute."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(good_curve(), st.sampled_from([1, 7.5e8, 3.1e9, 1e-300, 1e300]),
+           st.sampled_from([1, 1.28e6, 1e-10]), st.sampled_from([1, 3, 3.0, 0.5]))
+    def test_rows_match_training_compute(self, curve, fpi, n, bm):
+        curve = mk_curve(curve.epochs, curve.accuracies)  # analytic: no cumulative_flops
+        try:
+            expected = tuple(training_compute(fpi, e, n, bm) for e in curve.epochs)
+        except CurveError as e:
+            with pytest.raises(CurveError) as raised:
+                to_compute_curve(curve, flops_per_image=fpi, images_per_epoch=n,
+                                 backward_multiplier=bm)
+            assert str(raised.value) == str(e)
+            return
+        got = to_compute_curve(curve, flops_per_image=fpi, images_per_epoch=n,
+                               backward_multiplier=bm).compute
+        assert got == expected
+
+    def test_constants_checked_once(self, monkeypatch):
+        import algoeff.curves as curves_mod
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return training_compute(*args)
+
+        monkeypatch.setattr(curves_mod, "training_compute", counting)
+        to_compute_curve(mk_curve(range(1, 9), [0.1] * 8), flops_per_image=1e9)
+        assert len(calls) == 1
+
+    def test_int_multiplier_overflow_is_a_curve_error(self):
+        curve = LearningCurve("c", "top5", (1, 10**308), (0.5, 0.8))
+        with pytest.raises(CurveError) as raised:
+            to_compute_curve(curve, flops_per_image=1, backward_multiplier=3)
+        assert str(raised.value) == (
+            "training_compute: the product of the factors is not a finite number")
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"flops_per_image": -1}, "flops_per_image must be positive, got -1"),
+        ({"flops_per_image": 1, "images_per_epoch": 0},
+         "images_per_epoch must be positive, got 0"),
+    ])
+    def test_bad_constant_messages(self, kwargs, message):
+        with pytest.raises(CurveError) as raised:
+            to_compute_curve(mk_curve([1, 2], [0.5, 0.8]), **kwargs)
+        assert str(raised.value) == f"training_compute: {message}"

@@ -245,6 +245,19 @@ class TestCrossDomainValidation:
         with pytest.raises(DatasetError, match=f"^a -> b: {field} must be positive and finite"):
             CrossDomainComparison(**self.base(**{field: value}))
 
+    @pytest.mark.parametrize("field,value,expected", [
+        ("estimated", "no", "estimated must be true or false, got 'no'"),
+        ("estimated", 1, "estimated must be true or false, got 1"),
+        ("estimated", None, "estimated must be true or false, got None"),
+        ("notes", 5, "notes must be a string, got 5"),
+        ("compute_unit", 5, "compute_unit must be a string, got 5"),
+        ("compute_unit", None, "compute_unit must be a string, got None"),
+    ])
+    def test_flag_and_text_fields_typed(self, field, value, expected):
+        with pytest.raises(DatasetError) as raised:
+            comparisons_from_json(json.dumps([self.base(**{field: value})]))
+        assert str(raised.value) == f"a -> b: {expected}"
+
     def test_factor_outside_float_range(self):
         c = CrossDomainComparison(**self.base(baseline_compute=1e308, improved_compute=1e-10))
         with pytest.raises(DatasetError, match="^a -> b: factor .* is not a finite number$"):

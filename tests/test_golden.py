@@ -29,6 +29,11 @@ GOLDEN = [
     ("decompose AlexNet EfficientNet-b0", 0, "77bef933703eb47146fdc8cb28b06e157407267625b3fef7bc7004fbf18f1bf5", EMPTY),
     ("effective", 0, "c979a0051fc0377691bfe00ce51b38fe877bacf7db287115a5c9334255b083e2", EMPTY),
     ("flops AlexNet --per-layer", 0, "27f7ec72250414fbbfeb3c54c83d16f084d753285c901688c5fbddaf78c66e89", EMPTY),
+    ("analyze AlexNet alexnet", 0, "23fd8acfe25bbfc5e8ecec9745696b41bd805e269fa71cb754732b10a32cbf44", EMPTY),
+    ("analyze Resnet-50 resnet50 --unit raw --format csv", 0, "94e6c222e8f8334647a27a1ef50dd43fc0bd4bfc225b80f9837bdc18adfd067e", EMPTY),
+    ("analyze GoogLeNet googlenet --threshold 0.75 --format json", 0, "591906ca975abddea8cea5c9dae54fe3db7f67875d44093b7070dce05ad74e71", EMPTY),
+    ("report --figures --format csv", 0, "029eb9161323ae5c90ade79fa62cea7d6748027a997de52bd311a6a9ae5f4c73", "0d0b40c6bd0ed3473882320fb2761d8a7ac0174d9ee0451cc42b20a4bd06421d"),
+    ("shapes AlexNet", 0, "766deab0d7a6951fe4ff89a29f2dd33b6af6a50b43e52a237c6e3648494e2008", EMPTY),
 ]
 
 

@@ -24,7 +24,7 @@ from algoeff.reports import (
     render_markdown,
     table_warnings,
 )
-from algoeff.trends import EffectiveComputeModel, EfficiencyRecord, TrendError
+from algoeff.trends import EffectiveComputeModel, EfficiencyRecord, TrendError, frontier
 
 
 FRONTIER_NAMES = ("AlexNet", "GoogLeNet", "MobileNet_v1", "ShuffleNet_v1_1x",
@@ -34,6 +34,11 @@ FRONTIER_NAMES = ("AlexNet", "GoogLeNet", "MobileNet_v1", "ShuffleNet_v1_1x",
 @pytest.fixture(scope="module")
 def dataset():
     return load_default_dataset()
+
+
+@pytest.fixture(scope="module")
+def front(dataset):
+    return frontier(dataset.records)
 
 
 def simple_record(name, date, total):
@@ -108,8 +113,8 @@ class TestTable:
 
 
 class TestEfficiencyTable:
-    def test_bundled_rows(self, dataset):
-        t = efficiency_table(dataset.records)
+    def test_bundled_rows(self, front):
+        t = efficiency_table(front)
         assert t.key == "efficiency_factors"
         assert t.title == "Training efficiency factors relative to AlexNet"
         assert t.columns == ("model", "date", "epoch_reduction",
@@ -128,7 +133,7 @@ class TestEfficiencyTable:
     def test_records_without_triples_leave_blank_terms(self):
         a = simple_record("a", datetime.date(2012, 1, 1), 4e17)
         b = simple_record("b", datetime.date(2013, 1, 1), 1e17)
-        t = efficiency_table([a, b])
+        t = efficiency_table(frontier([a, b]))
         assert t.rows[1] == ("b", "2013-01-01", "", "", "4.0")
 
 
@@ -230,8 +235,8 @@ class TestDoublingTable:
 
 
 class TestComputeTable:
-    def test_bundled_order_and_frontier_flags(self, dataset):
-        t = compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS)
+    def test_bundled_order_and_frontier_flags(self, dataset, front):
+        t = compute_table(dataset.records, front, reported=REPORTED_TERAFLOP_S_DAYS)
         assert t.columns == ("model", "date", "epochs", "gigaflops_per_image",
                              "total", "quoted_total", "deviation", "on_frontier")
         names = [r[0] for r in t.rows]
@@ -241,15 +246,15 @@ class TestComputeTable:
         flagged = {r[0] for r in t.rows if r[7] == "yes"}
         assert flagged == set(FRONTIER_NAMES)
 
-    def test_bundled_deviations_small_and_warningless(self, dataset):
-        t = compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS)
+    def test_bundled_deviations_small_and_warningless(self, dataset, front):
+        t = compute_table(dataset.records, front, reported=REPORTED_TERAFLOP_S_DAYS)
         assert t.warnings == ()
         for row in t.rows:
             assert row[6].endswith("%")
             assert abs(float(row[6].rstrip("%"))) <= 2.0
 
-    def test_alexnet_cells(self, dataset):
-        t = compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS)
+    def test_alexnet_cells(self, dataset, front):
+        t = compute_table(dataset.records, front, reported=REPORTED_TERAFLOP_S_DAYS)
         row = next(r for r in t.rows if r[0] == "AlexNet")
         assert row[2] == "90"
         assert row[3] == "0.77"
@@ -260,18 +265,18 @@ class TestComputeTable:
         d = datetime.date(2015, 1, 1)
         records = [simple_record("bbb", d, 1e17),
                    simple_record("aaa", datetime.date(2015, 6, 1), 1e17)]
-        t = compute_table(records)
+        t = compute_table(records, frontier(records))
         assert [r[0] for r in t.rows] == ["aaa", "bbb"]
 
     def test_large_deviation_warns(self):
         r = simple_record("big", datetime.date(2015, 1, 1), 2e17)
-        t = compute_table([r], reported={"big": 100.0})  # quoted 1e17
+        t = compute_table([r], frontier([r]), reported={"big": 100.0})  # quoted 1e17
         assert len(t.warnings) == 1
         assert "deviates +100.00%" in t.warnings[0]
 
     def test_large_deviation_note_in_full(self):
         r = simple_record("big", datetime.date(2015, 1, 1), 2e17)
-        t = compute_table([r], reported={"big": 100.0})
+        t = compute_table([r], frontier([r]), reported={"big": 100.0})
         assert t.rows[0][4:7] == ("200.0", "100.0", "+100.00%")
         assert t.warnings == ("big: computed total 200.0 deviates +100.00% from the quoted 100.0",)
 
@@ -279,19 +284,19 @@ class TestComputeTable:
     def test_bad_quoted_total_names_its_record(self, quoted):
         r = simple_record("big", datetime.date(2015, 1, 1), 2e17)
         with pytest.raises(TrendError) as raised:
-            compute_table([r], reported={"big": quoted})
+            compute_table([r], frontier([r]), reported={"big": quoted})
         assert str(raised.value) == (
             f"big: quoted total must be positive and finite in raw flops, got {quoted!r}")
 
     def test_unquoted_records_have_blank_cells(self):
         r = simple_record("solo", datetime.date(2015, 1, 1), 2e17)
-        t = compute_table([r], reported={"other": 1.0})
+        t = compute_table([r], frontier([r]), reported={"other": 1.0})
         assert t.rows[0][5] == "" and t.rows[0][6] == ""
 
 
 class TestFrontierPoints:
-    def test_bundled(self, dataset):
-        t = frontier_points(dataset.records)
+    def test_bundled(self, dataset, front):
+        t = frontier_points(dataset.records, front)
         assert len(t.rows) == 16
         assert t.rows[0][0] == "AlexNet"
         assert t.rows[0][2] == "0.000"
@@ -303,20 +308,16 @@ class TestFrontierPoints:
         flagged = {r[0] for r in t.rows if r[5] == "yes"}
         assert flagged == set(FRONTIER_NAMES)
 
-    def test_log2_column(self, dataset):
-        t = frontier_points(dataset.records)
+    def test_log2_column(self, dataset, front):
+        t = frontier_points(dataset.records, front)
         alexnet = next(r for r in t.rows if r[0] == "AlexNet")
         assert alexnet[4] == f"{math.log2(2.66112e17):.4f}"
 
-    def test_unit_applies_to_total_not_log(self, dataset):
-        t = frontier_points(dataset.records, unit="table")
+    def test_unit_applies_to_total_not_log(self, dataset, front):
+        t = frontier_points(dataset.records, front, unit="table")
         alexnet = next(r for r in t.rows if r[0] == "AlexNet")
         assert float(alexnet[3]) == pytest.approx(266.112)
         assert alexnet[4] == f"{math.log2(2.66112e17):.4f}"
-
-    def test_empty_rejected(self):
-        with pytest.raises(TrendError, match="no records"):
-            frontier_points([])
 
 
 class TestCurvePoints:
@@ -412,16 +413,17 @@ class TestRenderers:
         with pytest.raises(ValueError, match="unknown format"):
             render([SMALL], "xml")
 
-    def test_byte_determinism(self, dataset):
+    def test_byte_determinism(self, dataset, front):
         tables = [
-            efficiency_table(dataset.records),
+            efficiency_table(front),
             doubling_table(dataset.comparisons),
-            compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS),
+            compute_table(dataset.records, front, reported=REPORTED_TERAFLOP_S_DAYS),
         ]
         again = [
-            efficiency_table(dataset.records),
+            efficiency_table(frontier(dataset.records)),
             doubling_table(dataset.comparisons),
-            compute_table(dataset.records, reported=REPORTED_TERAFLOP_S_DAYS),
+            compute_table(dataset.records, frontier(dataset.records),
+                          reported=REPORTED_TERAFLOP_S_DAYS),
         ]
         for fmt in FORMATS:
             assert render(tables, fmt) == render(again, fmt)

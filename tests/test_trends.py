@@ -598,6 +598,12 @@ class TestFrontier:
         with pytest.raises(TrendError, match="at least one"):
             frontier([])
 
+    def test_empty_rejected_before_building_a_frontier(self):
+        # the report builders take a Frontier, so this is their one guard against no records
+        with pytest.raises(TrendError) as raised:
+            frontier([])
+        assert str(raised.value) == "frontier needs at least one record"
+
     def test_threshold_mismatch_rejected(self):
         a = rec("a", total_compute=1.0)
         b = EfficiencyRecord(name="b", date=datetime.date(2016, 1, 1),
