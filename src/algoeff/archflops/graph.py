@@ -17,6 +17,13 @@ threads is safe. The walk relies on this: a successful walk is memoized
 on the spec instance by input shape, so a memo entry means "valid, with
 these shapes, for this input". A failed walk runs again on every call; a
 spec changed in place after a walk keeps reporting its earlier state.
+
+Memory: a graph is held once. ``arch_from_json`` drops each parsed node
+as soon as its ``LayerNode`` exists, so the JSON tree and the spec are
+never both whole, and a known kind string becomes the kind table's own
+key, one str per kind. ``LayerNode`` and ``TensorShape`` are slotted and
+carry no ``__dict__``; ``ArchitectureSpec`` keeps its ``__dict__``,
+which holds the walk memo.
 """
 from __future__ import annotations
 
@@ -34,7 +41,7 @@ class GraphError(ValueError):
 INPUT_ID = "input"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorShape:
     """Channels-first feature map shape, batch dimension omitted."""
 
@@ -71,7 +78,7 @@ class TensorShape:
             raise GraphError("a shape has a dimension with too many digits to print") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerNode:
     """One layer in the graph.
 
@@ -90,8 +97,18 @@ class LayerNode:
     def __post_init__(self) -> None:
         # a bare string stays whole for the walk to report
         if type(self.inputs) is not tuple and not isinstance(self.inputs, str):
-            object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "params", dict(self.params))
+            try:
+                object.__setattr__(self, "inputs", tuple(self.inputs))
+            except TypeError:
+                raise GraphError(
+                    f"node {self.id!r}: inputs must be a list of node ids, got {self.inputs!r}"
+                ) from None
+        try:
+            object.__setattr__(self, "params", dict(self.params))
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"node {self.id!r}: params must be a mapping, got {self.params!r}"
+            ) from None
 
 
 def window_out_dim(
@@ -309,6 +326,10 @@ _KINDS: dict[str, _Kind] = {
 #: Every layer kind the toolkit understands.
 LAYER_KINDS = frozenset(_KINDS)
 
+# Each kind name mapped to itself: a graph file's kind string becomes the
+# table's own key, so a loaded graph holds one str per kind, not per node.
+_KIND_NAMES = {name: name for name in _KINDS}
+
 
 def _resolve(node: LayerNode, kind: _Kind) -> dict[str, Any]:
     """The node's parameters over its kind's defaults; the walk checks them first."""
@@ -349,8 +370,19 @@ class ArchitectureSpec:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        try:
+            object.__setattr__(self, "nodes", tuple(self.nodes))
+        except TypeError:
+            raise GraphError(
+                f"architecture {self.name!r}: nodes must be a sequence of LayerNode, "
+                f"got {self.nodes!r}"
+            ) from None
+        try:
+            object.__setattr__(self, "metadata", dict(self.metadata))
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"architecture {self.name!r}: metadata must be a mapping, got {self.metadata!r}"
+            ) from None
 
 
 # Instance attribute of an ArchitectureSpec holding its successful walks by input
@@ -500,10 +532,11 @@ def arch_from_json(text: str) -> ArchitectureSpec:
         raise GraphError('default_input must be an object with exactly the fields "c", "h", "w"')
     shape = TensorShape(di["c"], di["h"], di["w"])
 
-    if not isinstance(obj["nodes"], list):
+    raws = obj["nodes"]
+    if not isinstance(raws, list):
         raise GraphError("nodes must be an array")
     nodes = []
-    for i, raw in enumerate(obj["nodes"]):
+    for i, raw in enumerate(raws):
         if not isinstance(raw, dict):
             raise GraphError(f"nodes[{i}] must be an object")
         unknown = set(raw) - _NODE_FIELDS
@@ -518,7 +551,13 @@ def arch_from_json(text: str) -> ArchitectureSpec:
             raise GraphError(f"nodes[{i}]: params must be an object")
         if not isinstance(inputs, list):
             raise GraphError(f"nodes[{i}]: inputs must be an array of node ids")
-        nodes.append(LayerNode(id=raw["id"], kind=raw["kind"], params=params, inputs=tuple(inputs)))
+        kind = raw["kind"]
+        if type(kind) is str:
+            kind = _KIND_NAMES.get(kind, kind)
+        nodes.append(LayerNode(id=raw["id"], kind=kind, params=params, inputs=tuple(inputs)))
+        # the parse tree and the spec are never both whole: each parsed node
+        # is dropped once its LayerNode holds copies of what it needs
+        raws[i] = None
 
     arch = ArchitectureSpec(
         name=obj["name"],

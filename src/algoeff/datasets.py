@@ -126,6 +126,12 @@ class CrossDomainComparison:
         for unit in (self.period_unit, self.reported_period_unit, self.reported_doubling_unit):
             if unit not in _PERIOD_UNITS:
                 raise DatasetError(f"{self.label}: period units must be months or days")
+        for key in ("baseline_date", "improved_date"):
+            v = getattr(self, key)
+            if v is not None and (not isinstance(v, datetime.date)
+                                  or isinstance(v, datetime.datetime)):
+                raise DatasetError(
+                    f"{self.label}: {key} must be a datetime.date or None, got {v!r}")
         if (self.baseline_date is None) != (self.improved_date is None):
             raise DatasetError(f"{self.label}: dates must come in pairs")
         if self.period_value is None and self.baseline_date is None:

@@ -211,6 +211,19 @@ class TestCrossDomainValidation:
             CrossDomainComparison(**self.base(
                 baseline_date=datetime.date(2012, 1, 1)))
 
+    @pytest.mark.parametrize("baseline,improved,bad", [
+        ("2012-01-01", "2013-01-01", "baseline_date"),
+        (datetime.date(2012, 1, 1), datetime.datetime(2013, 1, 1), "improved_date"),
+        (datetime.datetime(2012, 1, 1), datetime.date(2013, 1, 1), "baseline_date"),
+        (datetime.date(2012, 1, 1), 2013, "improved_date"),
+    ])
+    def test_dates_must_be_dates(self, baseline, improved, bad):
+        value = baseline if bad == "baseline_date" else improved
+        with pytest.raises(DatasetError) as raised:
+            CrossDomainComparison(**self.base(period_value=None, baseline_date=baseline,
+                                              improved_date=improved))
+        assert str(raised.value) == f"a -> b: {bad} must be a datetime.date or None, got {value!r}"
+
     def test_needs_period_or_dates(self):
         with pytest.raises(DatasetError, match="period or a date pair"):
             CrossDomainComparison(**self.base(period_value=None))

@@ -1,8 +1,12 @@
 """Graph model: shapes as values, validation, and the json file format."""
+import copy
 import dataclasses
 import json
+import pickle
+import platform
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +98,125 @@ class TestLayerNode:
         node = LayerNode(id="fc", kind="linear", params={"out_features": 1},
                          inputs=["input"])
         assert node.inputs == ("input",)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: LayerNode(id="a", kind="conv2d", params=5),
+         "node 'a': params must be a mapping, got 5"),
+        (lambda: LayerNode(id="a", kind="conv2d", params="ab"),
+         "node 'a': params must be a mapping, got 'ab'"),
+        (lambda: LayerNode(id="a", kind="conv2d", inputs=5),
+         "node 'a': inputs must be a list of node ids, got 5"),
+        (lambda: ArchitectureSpec(name="t", default_input=TensorShape(3, 8, 8), nodes=5,
+                                  output="a"),
+         "architecture 't': nodes must be a sequence of LayerNode, got 5"),
+        (lambda: tiny_arch(metadata=5), "architecture 'tiny': metadata must be a mapping, got 5"),
+    ])
+    def test_python_built_containers_are_typed(self, build, message):
+        with pytest.raises(GraphError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
+_NODE = LayerNode(id="c", kind="conv2d", params={"out_channels": 4, "kernel_h": 3,
+                                                  "kernel_w": 3}, inputs=("input",))
+
+
+class TestSlottedValues:
+    """LayerNode and TensorShape carry slots, not a __dict__, and stay plain values."""
+
+    @pytest.mark.parametrize("value", [_NODE, TensorShape(3, 8, 8)])
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("value", [_NODE, TensorShape(3, 8, 8)])
+    def test_copies_are_equal_values(self, value):
+        for other in (dataclasses.replace(value), copy.copy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert other == value
+            assert repr(other) == repr(value)
+        assert dataclasses.replace(value) is not value
+
+    def test_repr_and_hash(self):
+        shape = TensorShape(3, 8, 8)
+        assert repr(shape) == "TensorShape(channels=3, height=8, width=8)"
+        assert hash(shape) == hash(TensorShape(3, 8, 8))
+        assert repr(_NODE) == (
+            "LayerNode(id='c', kind='conv2d', params={'out_channels': 4, 'kernel_h': 3, "
+            "'kernel_w': 3}, inputs=('input',))")
+        assert dataclasses.replace(_NODE, id="d").id == "d"
+
+    @pytest.mark.parametrize("value,name", [
+        (_NODE, "kind"), (_NODE, "inputs"), (TensorShape(3, 8, 8), "width"),
+    ])
+    def test_assignment_is_refused(self, value, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1)
+
+    @pytest.mark.parametrize("value", [_NODE, TensorShape(3, 8, 8)])
+    def test_no_new_attribute(self, value):
+        # for a name that is not a field, CPython 3.11's frozen slotted
+        # dataclasses raise TypeError rather than FrozenInstanceError
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+        assert not hasattr(value, "extra")
+
+    def test_loaded_nodes_share_one_kind_string(self):
+        arch = arch_from_json(arch_to_json(builtin_arch("AlexNet")))
+        convs = [n for n in arch.nodes if n.kind == "conv2d"]
+        assert len(convs) == 5
+        assert all(n.kind is convs[0].kind for n in convs)
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_bad_node_after_good_ones_keeps_its_index(self, index):
+        obj = json.loads(arch_to_json(tiny_arch()))
+        obj["nodes"][index] = "conv"
+        with pytest.raises(GraphError, match=rf"^nodes\[{index}\] must be an object$"):
+            arch_from_json(json.dumps(obj))
+        obj["nodes"][index] = {"id": "x", "kind": "conv2d", "weights": []}
+        with pytest.raises(GraphError, match=rf"^nodes\[{index}\]: unknown field"):
+            arch_from_json(json.dumps(obj))
+
+
+def _chain_json(blocks: int) -> str:
+    """A residual chain of conv, batchnorm, activation and add, four nodes a block."""
+    nodes, prev = [], INPUT_ID
+    for b in range(blocks):
+        nodes += [
+            {"id": f"c{b}", "kind": "conv2d", "inputs": [prev],
+             "params": {"out_channels": 8, "kernel_h": 3, "kernel_w": 3, "padding": 1}},
+            {"id": f"b{b}", "kind": "batchnorm", "inputs": [f"c{b}"]},
+            {"id": f"a{b}", "kind": "activation", "inputs": [f"b{b}"]},
+            {"id": f"s{b}", "kind": "elementwise_add", "inputs": [f"a{b}", prev]} if b
+            else {"id": f"s{b}", "kind": "activation", "inputs": [f"a{b}"]},
+        ]
+        prev = f"s{b}"
+    return json.dumps({"name": "chain", "default_input": {"c": 8, "h": 8, "w": 8},
+                       "nodes": nodes, "output": prev})
+
+
+def _traced(call):
+    """(result, bytes still held after call, peak bytes during call) by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - before, peak - before
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="sizes are CPython's allocations")
+def test_loading_holds_one_copy_of_the_graph():
+    text = _chain_json(500)
+    tree, tree_bytes, _ = _traced(lambda: json.loads(text))
+    assert len(tree["nodes"]) == 2000
+    arch, _, peak = _traced(lambda: arch_from_json(text))
+    assert len(arch.nodes) == 2000
+    # the parse tree and the spec would be both whole at 1.7x
+    assert peak <= 1.1 * tree_bytes, (peak, tree_bytes)
 
 
 class TestNodeParam:
