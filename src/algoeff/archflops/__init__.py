@@ -26,8 +26,9 @@ from .graph import (
     node_param,
     require_valid,
     validate_arch,
+    window_out_dim,
 )
-from .shapes import ShapeError, infer_shapes, window_out_dim
+from .shapes import ShapeError, infer_shapes
 from .zoo import builtin_arch, builtin_names
 
 __all__ = [

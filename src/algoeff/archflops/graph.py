@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Mapping
 
 
@@ -377,6 +378,10 @@ class ArchitectureSpec:
                 f"architecture {self.name!r}: nodes must be a sequence of LayerNode, "
                 f"got {self.nodes!r}"
             ) from None
+        if not all(map(isinstance, self.nodes, repeat(LayerNode))):  # one type test per node
+            i = next(i for i, n in enumerate(self.nodes) if not isinstance(n, LayerNode))
+            raise GraphError(f"architecture {self.name!r}: nodes[{i}] must be a LayerNode, "
+                             f"got {self.nodes[i]!r}")
         try:
             object.__setattr__(self, "metadata", dict(self.metadata))
         except (TypeError, ValueError):

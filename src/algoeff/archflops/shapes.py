@@ -6,14 +6,7 @@ their shapes. Every error names the offending node.
 """
 from __future__ import annotations
 
-from .graph import (  # node_param and window_out_dim are re-exported
-    ArchitectureSpec,
-    GraphError,
-    TensorShape,
-    _walk,
-    node_param,
-    window_out_dim,
-)
+from .graph import ArchitectureSpec, GraphError, TensorShape, _walk
 
 
 class ShapeError(GraphError):

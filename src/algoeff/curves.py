@@ -185,10 +185,6 @@ class LearningCurve:
                       self.cumulative_flops)
 
     @property
-    def final_accuracy(self) -> float:
-        return self.accuracies[-1]
-
-    @property
     def best_accuracy(self) -> float:
         return max(self.accuracies)
 

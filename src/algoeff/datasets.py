@@ -34,7 +34,6 @@ from .trends import (
     _check_json_object,
     _json_array,
     doubling_time,
-    find_record,
     parse_date,
     partial_run_factor,
     records_from_json,
@@ -141,10 +140,6 @@ class CrossDomainComparison:
     def label(self) -> str:
         return f"{self.baseline} -> {self.improved}"
 
-    @property
-    def factor_is_computed(self) -> bool:
-        return self.baseline_compute is not None
-
     def factor(self) -> float:
         """Efficiency factor, computed from totals when available.
 
@@ -240,18 +235,3 @@ def load_curve(name: str) -> LearningCurve:
         names = ", ".join(curve_names())
         raise DatasetError(f"unknown bundled curve {name!r}; available: {names}")
     return parse_curve(path.read_text(encoding="utf-8"), name=name)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Everything bundled, loaded together."""
-
-    records: tuple[EfficiencyRecord, ...]
-    comparisons: tuple[CrossDomainComparison, ...]
-
-    def record(self, name: str) -> EfficiencyRecord:
-        return find_record(self.records, name, DatasetError)
-
-
-def load_default_dataset() -> Dataset:
-    return Dataset(records=load_imagenet_records(), comparisons=load_cross_domain())

@@ -279,13 +279,13 @@ def record_to_dict(r: EfficiencyRecord) -> dict:
     return obj
 
 
-def find_record(records, name: str, error: type[Exception] = TrendError) -> EfficiencyRecord:
-    """The record called name; raises error, listing the known names, if none is."""
+def find_record(records, name: str) -> EfficiencyRecord:
+    """The record called name; raises TrendError, listing the known names, if none is."""
     for r in records:
         if r.name == name:
             return r
     known = ", ".join(r.name for r in records)
-    raise error(f"no record named {name!r}; known records: {known}")
+    raise TrendError(f"no record named {name!r}; known records: {known}")
 
 
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps's str encoder (ensure_ascii)

@@ -120,7 +120,6 @@ class TestLearningCurve:
 
     def test_final_and_best_accuracy(self):
         c = mk_curve([1, 2, 3], [0.1, 0.5, 0.4])
-        assert c.final_accuracy == 0.4
         assert c.best_accuracy == 0.5
 
     def test_rejects_empty(self):

@@ -9,14 +9,12 @@ from algoeff.curves import LearningCurve, Threshold, epochs_to_threshold
 from algoeff.datasets import (
     REPORTED_TERAFLOP_S_DAYS,
     CrossDomainComparison,
-    Dataset,
     DatasetError,
     comparison_from_dict,
     comparisons_from_json,
     curve_names,
     load_cross_domain,
     load_curve,
-    load_default_dataset,
     load_imagenet_records,
 )
 from algoeff.trends import to_report_units
@@ -80,7 +78,7 @@ class TestCrossDomainBundle:
                              "OpenAI Five -> OpenAI Five Rerun"}
 
     def test_who_has_computed_factors(self, comparisons):
-        computed = {c.label for c in comparisons if c.factor_is_computed}
+        computed = {c.label for c in comparisons if c.baseline_compute is not None}
         assert computed == {
             "AlexNet -> EfficientNet-b0",
             "Seq2Seq ensemble -> Transformer big",
@@ -100,7 +98,7 @@ class TestCrossDomainBundle:
     def test_reported_only_rows_quote_verbatim(self, comparisons):
         by_label = {c.label: c for c in comparisons}
         resnet = by_label["Resnet-50 -> EfficientNet-b0"]
-        assert not resnet.factor_is_computed
+        assert resnet.baseline_compute is None
         assert resnet.factor() == 10.0
 
     @pytest.mark.parametrize("label,expected,unit", [
@@ -120,7 +118,7 @@ class TestCrossDomainBundle:
 
     def test_doublings_near_quoted_when_periods_match(self, comparisons):
         for c in comparisons:
-            if not c.factor_is_computed or c.baseline_date is not None:
+            if c.baseline_compute is None or c.baseline_date is not None:
                 continue
             value, unit = c.doubling()
             if unit == c.reported_doubling_unit:
@@ -174,7 +172,7 @@ class TestCrossDomainValidation:
         c = CrossDomainComparison(**self.base(baseline_compute=None,
                                               improved_compute=None,
                                               reported_factor=7.0))
-        assert not c.factor_is_computed
+        assert c.baseline_compute is None
         assert c.factor() == 7.0
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
@@ -378,21 +376,3 @@ class TestBundledCurves:
         record = next(r for r in records if r.name == record_name)
         curve = load_curve(name)
         assert epochs_to_threshold(curve, record.threshold) == record.epochs
-
-
-class TestDataset:
-    def test_load_default(self, records, comparisons):
-        ds = load_default_dataset()
-        assert isinstance(ds, Dataset)
-        assert ds.records == records
-        assert ds.comparisons == comparisons
-        assert not hasattr(ds, "reported_totals")  # REPORTED_TERAFLOP_S_DAYS is the one owner
-
-    def test_record_lookup(self):
-        ds = load_default_dataset()
-        assert ds.record("AlexNet").epochs == 90.0
-
-    def test_record_lookup_unknown(self):
-        ds = load_default_dataset()
-        with pytest.raises(DatasetError, match="no record named"):
-            ds.record("LeNet")

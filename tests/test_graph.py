@@ -109,6 +109,13 @@ class TestLayerNode:
         (lambda: ArchitectureSpec(name="t", default_input=TensorShape(3, 8, 8), nodes=5,
                                   output="a"),
          "architecture 't': nodes must be a sequence of LayerNode, got 5"),
+        (lambda: ArchitectureSpec(name="t", default_input=TensorShape(3, 8, 8),
+                                  nodes=({"id": "a"},), output="a"),
+         "architecture 't': nodes[0] must be a LayerNode, got {'id': 'a'}"),
+        (lambda: ArchitectureSpec(name="t", default_input=TensorShape(3, 8, 8),
+                                  nodes=[LayerNode(id="a", kind="relu", inputs=("input",)), None],
+                                  output="a"),
+         "architecture 't': nodes[1] must be a LayerNode, got None"),
         (lambda: tiny_arch(metadata=5), "architecture 'tiny': metadata must be a mapping, got 5"),
     ])
     def test_python_built_containers_are_typed(self, build, message):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from algoeff.curves import ComputeCurve
-from algoeff.datasets import REPORTED_TERAFLOP_S_DAYS, load_cross_domain, load_default_dataset
+from algoeff.datasets import REPORTED_TERAFLOP_S_DAYS, load_cross_domain, load_imagenet_records
 from algoeff.reports import (
     FORMATS,
     Table,
@@ -32,13 +32,18 @@ FRONTIER_NAMES = ("AlexNet", "GoogLeNet", "MobileNet_v1", "ShuffleNet_v1_1x",
 
 
 @pytest.fixture(scope="module")
-def dataset():
-    return load_default_dataset()
+def records():
+    return load_imagenet_records()
 
 
 @pytest.fixture(scope="module")
-def front(dataset):
-    return frontier(dataset.records)
+def comparisons():
+    return load_cross_domain()
+
+
+@pytest.fixture(scope="module")
+def front(records):
+    return frontier(records)
 
 
 def simple_record(name, date, total):
@@ -138,14 +143,14 @@ class TestEfficiencyTable:
 
 
 class TestDoublingTable:
-    def test_shape(self, dataset):
-        t = doubling_table(dataset.comparisons)
+    def test_shape(self, comparisons):
+        t = doubling_table(comparisons)
         assert t.key == "doubling_times"
         assert len(t.columns) == 11
         assert len(t.rows) == 8
 
-    def test_alexnet_row_cells(self, dataset):
-        t = doubling_table(dataset.comparisons)
+    def test_alexnet_row_cells(self, comparisons):
+        t = doubling_table(comparisons)
         row = next(r for r in t.rows if r[2] == "AlexNet" and r[1] == "training")
         assert row[4] == "44"            # computed factor
         assert row[5] == "44"            # quoted factor
@@ -155,23 +160,23 @@ class TestDoublingTable:
         assert row[9] == "16 months"     # quoted doubling
         assert row[10] == ""             # not estimated
 
-    def test_dota_row_uses_days(self, dataset):
-        t = doubling_table(dataset.comparisons)
+    def test_dota_row_uses_days(self, comparisons):
+        t = doubling_table(comparisons)
         row = next(r for r in t.rows if "Rerun" in r[3])
         assert row[6] == "60 days"
         assert row[8] == "25 days"
         assert row[9] == "25 days"
         assert row[10] == "yes"
 
-    def test_reported_only_rows_echo_quotes(self, dataset):
-        t = doubling_table(dataset.comparisons)
+    def test_reported_only_rows_echo_quotes(self, comparisons):
+        t = doubling_table(comparisons)
         row = next(r for r in t.rows
                    if r[2] == "Resnet-50" and r[1] == "training")
         assert row[4] == "10"
         assert row[5] == "10"
 
-    def test_expected_warnings(self, dataset):
-        t = doubling_table(dataset.comparisons)
+    def test_expected_warnings(self, comparisons):
+        t = doubling_table(comparisons)
         assert len(t.warnings) == 4
         joined = "\n".join(t.warnings)
         assert "AlexNet -> EfficientNet-b0: elapsed period 84 months" in joined
@@ -179,8 +184,8 @@ class TestDoublingTable:
         assert "Resnet-50 -> EfficientNet-b0: computed doubling 14 months" in joined
         assert "AlexNet -> ShuffleNet_v2_1x: computed doubling 14 months" in joined
 
-    def test_expected_warnings_in_full(self, dataset):
-        assert doubling_table(dataset.comparisons).warnings == (
+    def test_expected_warnings_in_full(self, comparisons):
+        assert doubling_table(comparisons).warnings == (
             "AlexNet -> EfficientNet-b0: elapsed period 84 months does not round to "
             "the quoted 72 months",
             "AlexNet -> EfficientNet-b0: computed doubling 15 months does not round to "
@@ -235,8 +240,8 @@ class TestDoublingTable:
 
 
 class TestComputeTable:
-    def test_bundled_order_and_frontier_flags(self, dataset, front):
-        t = compute_table(dataset.records, front, reported=REPORTED_TERAFLOP_S_DAYS)
+    def test_bundled_order_and_frontier_flags(self, records, front):
+        t = compute_table(records, front, reported=REPORTED_TERAFLOP_S_DAYS)
         assert t.columns == ("model", "date", "epochs", "gigaflops_per_image",
                              "total", "quoted_total", "deviation", "on_frontier")
         names = [r[0] for r in t.rows]
@@ -246,15 +251,15 @@ class TestComputeTable:
         flagged = {r[0] for r in t.rows if r[7] == "yes"}
         assert flagged == set(FRONTIER_NAMES)
 
-    def test_bundled_deviations_small_and_warningless(self, dataset, front):
-        t = compute_table(dataset.records, front, reported=REPORTED_TERAFLOP_S_DAYS)
+    def test_bundled_deviations_small_and_warningless(self, records, front):
+        t = compute_table(records, front, reported=REPORTED_TERAFLOP_S_DAYS)
         assert t.warnings == ()
         for row in t.rows:
             assert row[6].endswith("%")
             assert abs(float(row[6].rstrip("%"))) <= 2.0
 
-    def test_alexnet_cells(self, dataset, front):
-        t = compute_table(dataset.records, front, reported=REPORTED_TERAFLOP_S_DAYS)
+    def test_alexnet_cells(self, records, front):
+        t = compute_table(records, front, reported=REPORTED_TERAFLOP_S_DAYS)
         row = next(r for r in t.rows if r[0] == "AlexNet")
         assert row[2] == "90"
         assert row[3] == "0.77"
@@ -295,8 +300,8 @@ class TestComputeTable:
 
 
 class TestFrontierPoints:
-    def test_bundled(self, dataset, front):
-        t = frontier_points(dataset.records, front)
+    def test_bundled(self, records, front):
+        t = frontier_points(records, front)
         assert len(t.rows) == 16
         assert t.rows[0][0] == "AlexNet"
         assert t.rows[0][2] == "0.000"
@@ -308,13 +313,13 @@ class TestFrontierPoints:
         flagged = {r[0] for r in t.rows if r[5] == "yes"}
         assert flagged == set(FRONTIER_NAMES)
 
-    def test_log2_column(self, dataset, front):
-        t = frontier_points(dataset.records, front)
+    def test_log2_column(self, records, front):
+        t = frontier_points(records, front)
         alexnet = next(r for r in t.rows if r[0] == "AlexNet")
         assert alexnet[4] == f"{math.log2(2.66112e17):.4f}"
 
-    def test_unit_applies_to_total_not_log(self, dataset, front):
-        t = frontier_points(dataset.records, front, unit="table")
+    def test_unit_applies_to_total_not_log(self, records, front):
+        t = frontier_points(records, front, unit="table")
         alexnet = next(r for r in t.rows if r[0] == "AlexNet")
         assert float(alexnet[3]) == pytest.approx(266.112)
         assert alexnet[4] == f"{math.log2(2.66112e17):.4f}"
@@ -413,16 +418,16 @@ class TestRenderers:
         with pytest.raises(ValueError, match="unknown format"):
             render([SMALL], "xml")
 
-    def test_byte_determinism(self, dataset, front):
+    def test_byte_determinism(self, records, comparisons, front):
         tables = [
             efficiency_table(front),
-            doubling_table(dataset.comparisons),
-            compute_table(dataset.records, front, reported=REPORTED_TERAFLOP_S_DAYS),
+            doubling_table(comparisons),
+            compute_table(records, front, reported=REPORTED_TERAFLOP_S_DAYS),
         ]
         again = [
-            efficiency_table(frontier(dataset.records)),
-            doubling_table(dataset.comparisons),
-            compute_table(dataset.records, frontier(dataset.records),
+            efficiency_table(frontier(records)),
+            doubling_table(comparisons),
+            compute_table(records, frontier(records),
                           reported=REPORTED_TERAFLOP_S_DAYS),
         ]
         for fmt in FORMATS:

@@ -808,10 +808,6 @@ class TestFindRecord:
         with pytest.raises(TrendError, match="^no record named 'c'; known records: a, b$"):
             find_record([rec("a"), rec("b")], "c")
 
-    def test_error_type_is_the_callers(self):
-        with pytest.raises(KeyError):
-            find_record([], "c", KeyError)
-
 
 class TestUnitInvariance:
     @pytest.mark.parametrize("scale", [1e-6, 3.7, 1e9])
