@@ -23,7 +23,6 @@ from .graph import (
     TensorShape,
     arch_from_json,
     arch_to_json,
-    node_param,
     require_valid,
     validate_arch,
     window_out_dim,
@@ -48,7 +47,6 @@ __all__ = [
     "builtin_names",
     "count_flops",
     "infer_shapes",
-    "node_param",
     "require_valid",
     "validate_arch",
     "window_out_dim",

@@ -96,9 +96,10 @@ class LayerNode:
     inputs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # a bare string stays whole for the walk to report
-        if type(self.inputs) is not tuple and not isinstance(self.inputs, str):
+        if type(self.inputs) is not tuple:
             try:
+                if isinstance(self.inputs, str):  # one id, which tuple() would split
+                    raise TypeError
                 object.__setattr__(self, "inputs", tuple(self.inputs))
             except TypeError:
                 raise GraphError(
@@ -340,21 +341,6 @@ def _resolve(node: LayerNode, kind: _Kind) -> dict[str, Any]:
     return params
 
 
-def node_param(node: LayerNode, name: str) -> Any:
-    """Parameter lookup with per-kind defaults. Raises on missing required."""
-    if not isinstance(name, str):
-        raise GraphError(f"node {node.id!r}: parameter name {name!r} is not a string")
-    if name in node.params:
-        return node.params[name]
-    kind = _KINDS.get(node.kind) if isinstance(node.kind, str) else None
-    if kind is None:
-        raise GraphError(f"node {node.id!r}: unknown kind {node.kind!r}")
-    if name not in kind.defaults:
-        raise GraphError(f"node {node.id!r}: missing required parameter {name!r}")
-    default = kind.defaults[name]
-    return node_param(node, "kernel") if default is None else default  # pools: stride = kernel
-
-
 @dataclass(frozen=True)
 class ArchitectureSpec:
     """A named layer graph plus its default input shape.
@@ -423,10 +409,7 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
         else:
             lo, hi = kind.arity
             refs = node.inputs
-            if isinstance(refs, str):
-                problems.append(f"inputs {refs!r} is a string, not a list of node ids")
-                refs = ()
-            elif len(refs) < lo or (hi is not None and len(refs) > hi):
+            if len(refs) < lo or (hi is not None and len(refs) > hi):
                 expected = f"at least {lo}" if hi is None else str(lo)
                 problems.append(f"takes {expected} input(s), got {len(refs)}")
             for ref in refs:
@@ -573,12 +556,11 @@ def arch_from_json(text: str) -> ArchitectureSpec:
     return require_valid(arch)
 
 
-def arch_to_json(arch: ArchitectureSpec, indent: int | None = 2) -> str:
+def arch_to_json(arch: ArchitectureSpec) -> str:
     """Serialize to the architecture file format.
 
     metadata is documentation carried by bundled specs only; the file
-    format has no field for it, so it is dropped here. A bare-string
-    inputs is written as the string, which arch_from_json rejects.
+    format has no field for it, so it is dropped here.
     """
     obj = {
         "name": arch.name,
@@ -588,10 +570,9 @@ def arch_to_json(arch: ArchitectureSpec, indent: int | None = 2) -> str:
             "w": arch.default_input.width,
         },
         "nodes": [
-            {"id": n.id, "kind": n.kind, "params": dict(n.params),
-             "inputs": n.inputs if isinstance(n.inputs, str) else list(n.inputs)}
+            {"id": n.id, "kind": n.kind, "params": dict(n.params), "inputs": list(n.inputs)}
             for n in arch.nodes
         ],
         "output": arch.output,
     }
-    return json.dumps(obj, indent=indent)
+    return json.dumps(obj, indent=2)

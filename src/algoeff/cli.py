@@ -29,6 +29,7 @@ from .archflops import (
     builtin_arch,
     count_flops,
 )
+from .archflops.counting import UNITS as COUNT_UNITS
 from .archflops.zoo import _normalize
 from .curves import (
     BACKWARD_MULTIPLIER,
@@ -122,7 +123,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("flops", help="per-image operation count of an architecture")
     graph(p)
-    p.add_argument("--count-unit", choices=("mac", "flop2"), default="mac",
+    p.add_argument("--count-unit", choices=COUNT_UNITS, default="mac",
                    help="mac counts multiply-accumulates; flop2 doubles them")
     p.add_argument("--include-bias", action="store_true",
                    help="charge one extra operation per output element of biased layers")

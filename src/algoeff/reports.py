@@ -23,6 +23,7 @@ from .curves import ComputeCurve, LearningCurve, Threshold, positive_finite
 from .datasets import CrossDomainComparison
 from .trends import (
     MONTH_DAYS,
+    UNIT_DIVISORS,
     EffectiveComputeModel,
     EfficiencyRecord,
     Frontier,
@@ -345,7 +346,8 @@ def compute_table(
         deviation_cell = ""
         if reported and r.name in reported:
             q = reported[r.name]
-            if not (positive_finite(q) and positive_finite(quoted_raw := q * 1e15)):
+            if not (positive_finite(q)
+                    and positive_finite(quoted_raw := q * UNIT_DIVISORS["table"])):
                 raise TrendError(f"{r.name}: quoted total must be positive and finite "
                                  f"in raw flops, got {q!r}")
             quoted_cell = fmt_compute(quoted_raw, unit)
@@ -425,22 +427,16 @@ def curve_points(curves: Sequence[ComputeCurve], unit: str = "raw") -> Table:
     )
 
 
-def effective_compute_points(
-    model: EffectiveComputeModel | None = None, step_months: float = 6.0
-) -> Table:
-    """The stacked growth factors of an effective-compute model over time.
+def effective_compute_points() -> Table:
+    """The default effective-compute model's stacked growth factors, every six months.
 
     Spending and efficiency grow exponentially to hit their period-end
     factors; hardware doubles on its own clock. The product is the
-    effective multiple relative to month zero. A factor that overflows
-    a float raises TrendError.
+    effective multiple relative to month zero.
     """
-    model = model or EffectiveComputeModel()
-    if not step_months > 0:
-        raise TrendError("step_months must be positive")
+    model = EffectiveComputeModel()
     rows = []
-    t = 0.0
-    while True:
+    for t in range(0, int(model.period_months) + 1, 6):  # 0, 6, ..., 72
         share = t / model.period_months
         hardware = moore_factor(t, model.hardware_doubling_months)
         spending = model.spending_factor ** share
@@ -452,9 +448,6 @@ def effective_compute_points(
             f"{efficiency:.4g}",
             f"{effective_compute((hardware, spending, efficiency)):.4g}",
         ))
-        if t >= model.period_months:
-            break
-        t = min(t + step_months, model.period_months)
     return Table(
         key="effective_compute_points",
         title="Effective compute growth factors",

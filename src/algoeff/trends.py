@@ -141,7 +141,7 @@ class EfficiencyRecord:
             object.__setattr__(self, "images_per_epoch", IMAGES_PER_EPOCH)
         derived = _checked_product(
             self.backward_multiplier * self.epochs * self.flops_per_image * self.images_per_epoch,
-            CurveError, f"{self.name}: training_compute: ")
+            TrendError, f"{self.name}: training_compute: ")
         total = self.total_compute
         if total is None:
             object.__setattr__(self, "total_compute", derived)
@@ -215,34 +215,30 @@ def _threshold_from_json(value, shared: dict) -> Threshold:
     raise TrendError("threshold must be a number or a metric/value object")
 
 
-def record_from_dict(obj: dict, where: str = "record") -> EfficiencyRecord:
-    """One record from its json object, which is left as it was."""
-    return _record_from_dict(dict(obj) if isinstance(obj, dict) else obj, where, {})
+def _record_from_object(obj, shared: dict) -> EfficiencyRecord:
+    """One record from its json object, whose date and threshold are replaced.
 
-
-def _record_from_dict(obj, where: str, shared: dict) -> EfficiencyRecord:
-    """record_from_dict on an object the caller owns: its date and threshold are replaced.
-
-    Every message starts with where. shared holds what earlier records of
+    Every message starts with ": " or " (name): ", for the caller to put
+    the record's position in front. shared holds what earlier records of
     the same file built: the date of each date string (keyed by the str)
     and the Threshold of each metric/value object (keyed by a tuple), so
     equal ones are built once.
     """
-    _check_json_object(obj, where, _RECORD_FIELDS, ("name", "date"), TrendError)
+    _check_json_object(obj, "", _RECORD_FIELDS, ("name", "date"), TrendError)
     name = obj["name"]
     if not isinstance(name, str) or not name:
-        raise TrendError(f"{where}: name must be a non-empty string")
+        raise TrendError(": name must be a non-empty string")
     text = obj["date"]
     date = shared.get(text) if type(text) is str else None
     if date is None:  # parse_date raises for a text that is not a str
-        date = shared[text] = parse_date(text, f"{where} ({name}): date", TrendError)
+        date = shared[text] = parse_date(text, f" ({name}): date", TrendError)
     obj["date"] = date
     try:
         if "threshold" in obj:
             obj["threshold"] = _threshold_from_json(obj["threshold"], shared)
         return EfficiencyRecord(**obj)
     except (TrendError, CurveError) as e:  # record messages start with the name alone
-        raise type(e)(f"{where} ({name}): {str(e).removeprefix(f'{name}: ')}") from None
+        raise type(e)(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
 
 
 def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
@@ -255,28 +251,10 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     records = []
     for i, obj in enumerate(_json_array(text, "records", TrendError)):
         try:
-            records.append(_record_from_dict(obj, "", shared))
+            records.append(_record_from_object(obj, shared))
         except (TrendError, CurveError) as e:  # the position is written only into a message
             raise type(e)(f"record {i}{e}") from None
     return tuple(records)
-
-
-def record_to_dict(r: EfficiencyRecord) -> dict:
-    """The json object records_to_json writes for r, with its keys in the same order."""
-    obj: dict = {
-        "name": r.name,
-        "date": r.date.isoformat(),
-        "threshold": {"metric": r.threshold.metric, "value": r.threshold.value},
-        "total_compute": r.total,
-    }
-    if r.flops_per_image is not None:
-        obj["flops_per_image"] = r.flops_per_image
-        obj["epochs"] = r.epochs
-        obj["images_per_epoch"] = r.images_per_epoch
-    obj["backward_multiplier"] = r.backward_multiplier
-    if r.notes:
-        obj["notes"] = r.notes
-    return obj
 
 
 def find_record(records, name: str) -> EfficiencyRecord:
@@ -295,9 +273,12 @@ def records_to_json(records: Sequence[EfficiencyRecord]) -> str:
     """Serialize records to the json array format records_from_json reads.
 
     The explicit total is always written alongside any triple, so files
-    stay self-checking when edited by hand. The text is exactly
-    json.dumps([record_to_dict(r) for r in records], indent=2) + "\\n",
-    formatted here because json's C encoder is not used with an indent.
+    stay self-checking when edited by hand. The text is what json.dumps
+    with indent=2, plus a newline, writes for one object per record, keys
+    in the order name, date, threshold, total_compute, the triple's
+    flops_per_image, epochs and images_per_epoch, backward_multiplier and
+    a non-empty notes. It is formatted here because json's C encoder is
+    not used with an indent.
     """
     num = float.__repr__  # as json.dumps writes a float; every number here is finite
     items = []

@@ -6,7 +6,9 @@ closed-form division, operation counts by looping over output
 positions, dominance by dense grid evaluation with numpy, frontier by
 a quadratic scan of the exclusion rule, a curve's first bad point by
 one search per rule, a records file by json.dumps. Slow and simple on
-purpose.
+purpose. The rules the oracles rely on are written out here, not taken
+from the package: the layer parameter defaults, from README's table of
+parameters, and the key order of a records file's objects.
 """
 from __future__ import annotations
 
@@ -17,8 +19,26 @@ from bisect import bisect_right
 
 import numpy as np
 
-from algoeff.archflops import INPUT_ID, node_param
-from algoeff.trends import record_to_dict
+from algoeff.archflops import INPUT_ID
+
+# README's parameter defaults for the kinds whose parameters the oracles
+# read; a pool's stride defaults to its kernel.
+_POOL_DEFAULTS = {"padding": 0, "ceil": False}
+_DEFAULTS = {
+    "conv2d": {"stride": 1, "padding": 0, "dilation": 1, "groups": 1, "has_bias": False},
+    "linear": {"has_bias": True},
+    "maxpool": _POOL_DEFAULTS,
+    "avgpool": _POOL_DEFAULTS,
+    "global_avgpool": {"target": 1},
+}
+
+
+def _params(node) -> dict:
+    """The node's parameters over README's defaults."""
+    p = {**_DEFAULTS.get(node.kind, {}), **node.params}
+    if node.kind in ("maxpool", "avgpool"):
+        p.setdefault("stride", p["kernel"])
+    return p
 
 
 def window_positions_floor(in_dim: int, kernel: int, stride: int, padding: int,
@@ -73,27 +93,20 @@ def shapes_oracle(arch, input_shape) -> dict[str, tuple[int, int, int]]:
     for node in arch.nodes:
         ins = [shapes[i] for i in node.inputs]
         c, h, w = ins[0]
-        k = node.kind
+        k, p = node.kind, _params(node)
         if k == "conv2d":
-            oc = node_param(node, "out_channels")
-            oh = out_dim_floor(h, node_param(node, "kernel_h"), node_param(node, "stride"),
-                               node_param(node, "padding"), node_param(node, "dilation"))
-            ow = out_dim_floor(w, node_param(node, "kernel_w"), node_param(node, "stride"),
-                               node_param(node, "padding"), node_param(node, "dilation"))
-            shapes[node.id] = (oc, oh, ow)
+            window = p["stride"], p["padding"], p["dilation"]
+            shapes[node.id] = (p["out_channels"], out_dim_floor(h, p["kernel_h"], *window),
+                               out_dim_floor(w, p["kernel_w"], *window))
         elif k == "linear":
-            shapes[node.id] = (node_param(node, "out_features"), 1, 1)
+            shapes[node.id] = (p["out_features"], 1, 1)
         elif k in ("maxpool", "avgpool"):
-            kk = node_param(node, "kernel")
-            s = node_param(node, "stride")
-            s = kk if s is None else s
-            p = node_param(node, "padding")
             # bundled graphs and the random generator stay in floor mode
-            assert not node_param(node, "ceil")
-            shapes[node.id] = (c, out_dim_floor(h, kk, s, p), out_dim_floor(w, kk, s, p))
+            assert not p["ceil"]
+            window = p["kernel"], p["stride"], p["padding"]
+            shapes[node.id] = (c, out_dim_floor(h, *window), out_dim_floor(w, *window))
         elif k == "global_avgpool":
-            t = node_param(node, "target")
-            shapes[node.id] = (c, t, t)
+            shapes[node.id] = (c, p["target"], p["target"])
         elif k == "flatten":
             shapes[node.id] = (c * h * w, 1, 1)
         elif k == "concat":
@@ -114,7 +127,7 @@ def macs_oracle(arch, input_shape, counted_kinds=("conv2d", "linear"),
     counted = set(counted_kinds)
     out = {}
     for node in arch.nodes:
-        k = node.kind
+        k, p = node.kind, _params(node)
         macs = 0
         if k not in counted:
             out[node.id] = 0
@@ -123,34 +136,28 @@ def macs_oracle(arch, input_shape, counted_kinds=("conv2d", "linear"),
         c, h, w = ins[0]
         oc, oh, ow = shapes[node.id]
         if k == "conv2d":
-            groups = node_param(node, "groups")
-            kh = node_param(node, "kernel_h")
-            kw = node_param(node, "kernel_w")
-            ys = window_positions_floor(h, kh, node_param(node, "stride"),
-                                        node_param(node, "padding"),
-                                        node_param(node, "dilation"))
-            xs = window_positions_floor(w, kw, node_param(node, "stride"),
-                                        node_param(node, "padding"),
-                                        node_param(node, "dilation"))
+            kh, kw = p["kernel_h"], p["kernel_w"]
+            window = p["stride"], p["padding"], p["dilation"]
+            ys = window_positions_floor(h, kh, *window)
+            xs = window_positions_floor(w, kw, *window)
             for _ in ys:
                 for _ in xs:
-                    macs += oc * (c // groups) * kh * kw
-            if include_bias and node_param(node, "has_bias"):
+                    macs += oc * (c // p["groups"]) * kh * kw
+            if include_bias and p["has_bias"]:
                 macs += oc * len(ys) * len(xs)
         elif k == "linear":
             in_elems = c * h * w
-            for _ in range(node_param(node, "out_features")):
+            for _ in range(p["out_features"]):
                 macs += in_elems
-            if include_bias and node_param(node, "has_bias"):
-                macs += node_param(node, "out_features")
+            if include_bias and p["has_bias"]:
+                macs += p["out_features"]
         elif k == "squeeze_excite":
-            squeezed = max(1, c // node_param(node, "reduction"))
+            squeezed = max(1, c // p["reduction"])
             macs = c * squeezed + squeezed * c
             if include_bias:
                 macs += squeezed + c
         elif k in ("maxpool", "avgpool"):
-            kk = node_param(node, "kernel")
-            macs = oc * oh * ow * kk * kk
+            macs = oc * oh * ow * p["kernel"] * p["kernel"]
         elif k == "global_avgpool":
             macs = c * h * w
         elif k in ("batchnorm", "activation", "elementwise_add", "elementwise_mul",
@@ -269,6 +276,20 @@ def first_bad_point_oracle(name, epochs, accuracies, compute, lines=None) -> str
     return f"{name} {at}: {problem(i)}"
 
 
+def _record_object(r) -> dict:
+    """A record's json object, keys in the order records_to_json documents."""
+    obj = {"name": r.name, "date": r.date.isoformat(),
+           "threshold": {"metric": r.threshold.metric, "value": r.threshold.value},
+           "total_compute": r.total}
+    if r.flops_per_image is not None:
+        obj.update(flops_per_image=r.flops_per_image, epochs=r.epochs,
+                   images_per_epoch=r.images_per_epoch)
+    obj["backward_multiplier"] = r.backward_multiplier
+    if r.notes:
+        obj["notes"] = r.notes
+    return obj
+
+
 def records_json_oracle(records) -> str:
     """The records file text, by json's own indent=2 encoder."""
-    return json.dumps([record_to_dict(r) for r in records], indent=2) + "\n"
+    return json.dumps([_record_object(r) for r in records], indent=2) + "\n"

@@ -26,7 +26,6 @@ from algoeff.archflops import (
     builtin_arch,
     count_flops,
     infer_shapes,
-    node_param,
     require_valid,
     validate_arch,
 )
@@ -106,6 +105,8 @@ class TestLayerNode:
          "node 'a': params must be a mapping, got 'ab'"),
         (lambda: LayerNode(id="a", kind="conv2d", inputs=5),
          "node 'a': inputs must be a list of node ids, got 5"),
+        (lambda: LayerNode(id="r", kind="activation", inputs="input"),
+         "node 'r': inputs must be a list of node ids, got 'input'"),
         (lambda: ArchitectureSpec(name="t", default_input=TensorShape(3, 8, 8), nodes=5,
                                   output="a"),
          "architecture 't': nodes must be a sequence of LayerNode, got 5"),
@@ -227,54 +228,43 @@ def test_loading_holds_one_copy_of_the_graph():
 
 
 class TestNodeParam:
+    """A node's parameters over its kind's defaults, seen in the shapes and counts they give."""
+
+    @staticmethod
+    def one_node(kind, **params) -> ArchitectureSpec:
+        return tiny_arch(nodes=(LayerNode(id="n", kind=kind, params=params, inputs=("input",)),),
+                         output="n")
+
     def test_explicit_value_wins(self):
-        node = LayerNode(id="c", kind="conv2d",
-                         params={"out_channels": 8, "kernel_h": 3, "kernel_w": 3, "stride": 2},
-                         inputs=("input",))
-        assert node_param(node, "stride") == 2
+        arch = self.one_node("conv2d", out_channels=8, kernel_h=3, kernel_w=3, stride=2)
+        assert infer_shapes(arch)["n"] == TensorShape(8, 3, 3)
 
     def test_conv_defaults(self):
-        node = LayerNode(id="c", kind="conv2d",
-                         params={"out_channels": 8, "kernel_h": 3, "kernel_w": 3},
-                         inputs=("input",))
-        assert node_param(node, "stride") == 1
-        assert node_param(node, "padding") == 0
-        assert node_param(node, "dilation") == 1
-        assert node_param(node, "groups") == 1
-        assert node_param(node, "has_bias") is False
+        # stride 1, padding 0 and dilation 1: a 3x3 window fits 6 times across 8;
+        # groups 1: each output reads all 3 input channels; has_bias false: no bias term
+        arch = self.one_node("conv2d", out_channels=8, kernel_h=3, kernel_w=3)
+        assert infer_shapes(arch)["n"] == TensorShape(8, 6, 6)
+        counted = count_flops(arch, convention=CountingConvention(include_bias=True))
+        assert counted.total_per_image == (8 * 6 * 6) * 3 * (3 * 3)
 
     def test_pool_stride_defaults_to_kernel(self):
-        node = LayerNode(id="p", kind="maxpool", params={"kernel": 3}, inputs=("input",))
-        assert node_param(node, "stride") == 3
+        assert infer_shapes(self.one_node("maxpool", kernel=3))["n"] == TensorShape(3, 2, 2)
+        stride_one = self.one_node("maxpool", kernel=3, stride=1)
+        assert infer_shapes(stride_one)["n"] == TensorShape(3, 6, 6)
 
     @pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
     def test_pool_without_kernel(self, kind):
-        node = LayerNode(id="p", kind=kind, params={}, inputs=("input",))
-        assert node_param(node, "padding") == 0
-        assert node_param(node, "ceil") is False
-        with pytest.raises(GraphError) as raised:
-            node_param(node, "stride")
-        assert str(raised.value) == "node 'p': missing required parameter 'kernel'"
+        # padding 0 and floor mode: a 3-window at stride 2 fits 3 times across 8,
+        # where padding 1 or ceil mode would fit 4
+        assert infer_shapes(self.one_node(kind, kernel=3, stride=2))["n"] == TensorShape(3, 3, 3)
+        with pytest.raises(ShapeError) as raised:
+            infer_shapes(self.one_node(kind))
+        assert str(raised.value) == "node 'n': missing required parameter 'kernel'"
 
     def test_linear_bias_defaults_true(self):
-        node = LayerNode(id="fc", kind="linear", params={"out_features": 5}, inputs=("input",))
-        assert node_param(node, "has_bias") is True
-
-    def test_missing_required_raises(self):
-        node = LayerNode(id="c", kind="conv2d", params={}, inputs=("input",))
-        with pytest.raises(GraphError, match="out_channels"):
-            node_param(node, "out_channels")
-
-    @pytest.mark.parametrize("node,name,message", [
-        (LayerNode(id="p", kind=["maxpool"], params={}), "padding",
-         "node 'p': unknown kind ['maxpool']"),
-        (LayerNode(id="p", kind="maxpool", params={"kernel": 3}), ["x"],
-         "node 'p': parameter name ['x'] is not a string"),
-    ])
-    def test_unhashable_kind_or_name_is_a_graph_error(self, node, name, message):
-        with pytest.raises(GraphError) as raised:
-            node_param(node, name)
-        assert str(raised.value) == message
+        arch = self.one_node("linear", out_features=5)
+        counted = count_flops(arch, convention=CountingConvention(include_bias=True))
+        assert counted.total_per_image == 3 * 8 * 8 * 5 + 5
 
 
 class TestValidation:
@@ -478,15 +468,6 @@ class TestJsonFormat:
             (n.id, n.kind, dict(n.params), n.inputs) for n in arch.nodes
         ]
 
-    def test_bare_string_inputs_written_as_a_string(self):
-        relu = LayerNode(id="r", kind="activation", inputs="input")
-        arch = tiny_arch(nodes=(relu,), output="r")
-        text = arch_to_json(arch)
-        assert json.loads(text)["nodes"][0]["inputs"] == "input"
-        with pytest.raises(GraphError) as raised:
-            arch_from_json(text)
-        assert str(raised.value) == "nodes[0]: inputs must be an array of node ids"
-
     def test_metadata_not_serialized(self):
         arch = tiny_arch(metadata={"reported_accuracy": {"top5": 99.0}})
         obj = json.loads(arch_to_json(arch))
@@ -652,8 +633,6 @@ class TestOneCheckedWalk:
         ((0,), "r", TensorShape(3, 8, 8), "node 'r': input 0 is not a node id string"),
         (("input",), ["r"], TensorShape(3, 8, 8), "output ['r'] does not name a node"),
         (("input",), "r", (3, 8, 8), "input shape (3, 8, 8) is not a TensorShape"),
-        ("input", "r", TensorShape(3, 8, 8),
-         "node 'r': inputs 'input' is a string, not a list of node ids"),
     ])
     def test_python_built_references_are_checked(self, inputs, output, default_input, problem):
         relu = LayerNode(id="r", kind="activation", inputs=inputs)

@@ -24,7 +24,7 @@ from algoeff.reports import (
     render_markdown,
     table_warnings,
 )
-from algoeff.trends import EffectiveComputeModel, EfficiencyRecord, TrendError, frontier
+from algoeff.trends import EfficiencyRecord, TrendError, frontier
 
 
 FRONTIER_NAMES = ("AlexNet", "GoogLeNet", "MobileNet_v1", "ShuffleNet_v1_1x",
@@ -355,30 +355,6 @@ class TestEffectiveComputePoints:
         t = effective_compute_points()
         values = [float(r[4]) for r in t.rows]
         assert values == sorted(values)
-
-    def test_step_not_dividing_period_still_ends_on_period(self):
-        t = effective_compute_points(step_months=30.0)
-        assert [r[0] for r in t.rows] == ["0", "30", "60", "72"]
-
-    def test_custom_model(self):
-        model = EffectiveComputeModel(hardware_doubling_months=12.0,
-                                      period_months=12.0, spending_factor=10.0,
-                                      efficiency_factor=5.0)
-        t = effective_compute_points(model, step_months=12.0)
-        assert t.rows[-1] == ("12", "2", "10", "5", "100")
-
-    def test_bad_step(self):
-        with pytest.raises(TrendError, match="step_months"):
-            effective_compute_points(step_months=0.0)
-
-    def test_hardware_overflow_is_a_trend_error(self):
-        with pytest.raises(TrendError, match="growth factor"):
-            effective_compute_points(EffectiveComputeModel(period_months=1e6), step_months=1e5)
-
-    def test_product_overflow_is_a_trend_error(self):
-        model = EffectiveComputeModel(spending_factor=1e300, efficiency_factor=1e300)
-        with pytest.raises(TrendError, match="not a finite number"):
-            effective_compute_points(model)
 
 
 SMALL = Table(key="k", title="Small table", columns=("a", "b"),

@@ -27,8 +27,6 @@ from algoeff.trends import (
     frontier,
     moore_factor,
     partial_run_factor,
-    record_from_dict,
-    record_to_dict,
     records_from_json,
     records_to_json,
     to_report_units,
@@ -170,26 +168,38 @@ class TestEfficiencyRecord:
         with pytest.raises(TrendError, match="backward_multiplier"):
             rec(total_compute=1.0, backward_multiplier=None)
 
+    def test_overflowing_triple_is_a_trend_error(self):
+        with pytest.raises(TrendError) as raised:
+            rec("x", flops_per_image=1e300, epochs=1e10)
+        assert str(raised.value) == (
+            "x: training_compute: the product of the factors is not a finite number")
+
     def test_numbers_stored_as_floats(self):
         r = rec(flops_per_image=2, epochs=3, images_per_epoch=4, backward_multiplier=1)
         assert [type(v) for v in (r.flops_per_image, r.epochs, r.images_per_epoch,
                                   r.backward_multiplier)] == [float] * 4
 
 
+def one_record(obj) -> EfficiencyRecord:
+    """The record a records file of obj alone holds."""
+    (r,) = records_from_json(json.dumps([obj]))
+    return r
+
+
 class TestRecordJson:
     def test_minimal_dict(self):
-        r = record_from_dict({"name": "x", "date": "2015-01-02", "total_compute": 1e15})
+        r = one_record({"name": "x", "date": "2015-01-02", "total_compute": 1e15})
         assert r.name == "x"
         assert r.date == datetime.date(2015, 1, 2)
 
     def test_threshold_as_number_means_top5(self):
-        r = record_from_dict({"name": "x", "date": "2015-01-02",
-                              "total_compute": 1.0, "threshold": 0.9})
+        r = one_record({"name": "x", "date": "2015-01-02",
+                        "total_compute": 1.0, "threshold": 0.9})
         assert r.threshold == Threshold("top5", 0.9)
 
     def test_threshold_as_object(self):
-        r = record_from_dict({"name": "x", "date": "2015-01-02", "total_compute": 1.0,
-                              "threshold": {"metric": "top1", "value": 0.7}})
+        r = one_record({"name": "x", "date": "2015-01-02", "total_compute": 1.0,
+                        "threshold": {"metric": "top1", "value": 0.7}})
         assert r.threshold == Threshold("top1", 0.7)
 
     @pytest.mark.parametrize("threshold", [
@@ -197,40 +207,41 @@ class TestRecordJson:
     ])
     def test_bad_thresholds(self, threshold):
         with pytest.raises(TrendError):
-            record_from_dict({"name": "x", "date": "2015-01-02",
-                              "total_compute": 1.0, "threshold": threshold})
+            one_record({"name": "x", "date": "2015-01-02",
+                        "total_compute": 1.0, "threshold": threshold})
 
     @pytest.mark.parametrize("value", [10**400, math.inf])
     def test_threshold_number_checked_before_conversion(self, value):
         with pytest.raises(CurveError, match="threshold value"):
-            record_from_dict({"name": "x", "date": "2015-01-02", "total_compute": 1.0,
-                              "threshold": value})
+            one_record({"name": "x", "date": "2015-01-02", "total_compute": 1.0,
+                        "threshold": value})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(TrendError, match="unknown fields"):
-            record_from_dict({"name": "x", "date": "2015-01-02",
-                              "total_compute": 1.0, "gpu": "V100"})
+            one_record({"name": "x", "date": "2015-01-02",
+                        "total_compute": 1.0, "gpu": "V100"})
 
     @pytest.mark.parametrize("missing", ["name", "date"])
     def test_missing_required(self, missing):
         obj = {"name": "x", "date": "2015-01-02", "total_compute": 1.0}
         del obj[missing]
         with pytest.raises(TrendError, match="missing required"):
-            record_from_dict(obj)
+            one_record(obj)
 
     def test_bad_date_string(self):
         with pytest.raises(TrendError, match="YYYY-MM-DD"):
-            record_from_dict({"name": "x", "date": "June 2015", "total_compute": 1.0})
+            one_record({"name": "x", "date": "June 2015", "total_compute": 1.0})
 
     @pytest.mark.parametrize("text", ["20120601", "2013-W01-1", "2012-02-30"])
     def test_other_iso_date_forms(self, text):
-        with pytest.raises(TrendError, match=f"^record \\(x\\): date '{text}' is not YYYY-MM-DD$"):
-            record_from_dict({"name": "x", "date": text, "total_compute": 1.0})
+        message = f"^record 0 \\(x\\): date '{text}' is not YYYY-MM-DD$"
+        with pytest.raises(TrendError, match=message):
+            one_record({"name": "x", "date": text, "total_compute": 1.0})
 
     def test_notes_must_be_string(self):
         with pytest.raises(TrendError, match="notes"):
-            record_from_dict({"name": "x", "date": "2015-01-02",
-                              "total_compute": 1.0, "notes": 5})
+            one_record({"name": "x", "date": "2015-01-02",
+                        "total_compute": 1.0, "notes": 5})
 
     @pytest.mark.parametrize("field,value", [
         ("total_compute", "Infinity"), ("total_compute", "NaN"), ("total_compute", "1e400"),
@@ -260,7 +271,7 @@ class TestRecordJson:
          "record 1 (b): total_compute must be positive and finite, got -1"),
         ('"epochs": 2.0', TrendError,
          "record 1 (b): flops_per_image and epochs must be given together"),
-        ('"flops_per_image": 1e300, "epochs": 1e300', CurveError,
+        ('"flops_per_image": 1e300, "epochs": 1e300', TrendError,
          "record 1 (b): training_compute: the product of the factors is not a finite number"),
     ])
     def test_record_error_leads_with_index_and_name(self, fields, error, message):
@@ -290,15 +301,6 @@ class TestRecordJson:
         assert records[1].date is records[3].date
         assert [r.date for r in records[:2]] == [datetime.date(2015, 1, 2),
                                                  datetime.date(2016, 3, 4)]
-
-    def test_record_from_dict_leaves_its_argument_as_it_was(self):
-        obj = {"name": "x", "date": "2015-01-02", "flops_per_image": 2, "epochs": 3,
-               "threshold": {"metric": "top1", "value": 0.7}}
-        before = json.dumps(obj)
-        r = record_from_dict(obj)
-        assert json.dumps(obj) == before
-        assert (r.date, r.threshold, r.epochs) == (datetime.date(2015, 1, 2),
-                                                   Threshold("top1", 0.7), 3.0)
 
     @pytest.mark.parametrize("threshold,error,message", [
         ({"metric": ["top5"], "value": 0.7}, CurveError,
@@ -344,8 +346,8 @@ class TestRecordJson:
         # totals are always written out so hand edits stay self-checking
         assert "total_compute" in obj and "backward_multiplier" in obj
 
-    def test_record_to_dict_omits_empty_notes(self):
-        assert "notes" not in record_to_dict(rec())
+    def test_records_to_json_omits_empty_notes(self):
+        assert "notes" not in json.loads(records_to_json([rec()]))[0]
 
 
 # strings with every kind of character json escapes: quotes, backslashes,
