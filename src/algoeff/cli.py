@@ -9,11 +9,15 @@ scaled units via --unit.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for unreadable or
 invalid inputs, 3 when a curve never reaches the requested threshold.
+
+main pauses the cyclic garbage collector for the command and restores
+it afterwards; the library functions it calls leave the collector alone.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import shutil
 import sys
@@ -109,6 +113,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--input", default=None, metavar="CxHxW",
                        help="override the graph's default input shape")
 
+    scaled = [f"{u} (raw / {d:g})".replace("e+", "e")
+              for u, d in UNIT_DIVISORS.items() if d != 1.0]
+    unit_help = (f"display unit for compute totals: raw flops, {', '.join(scaled[:-1])} "
+                 f"or {scaled[-1]}; default %(default)s")
+
     def common(p, handler, unit=False, records=False):
         p.set_defaults(handler=handler)
         if records:
@@ -118,12 +127,11 @@ def _build_parser() -> _Parser:
                        help="output format (default markdown)")
         if unit:
             p.add_argument("--unit", choices=sorted(UNIT_DIVISORS), default="table",
-                           help="display unit for compute totals: raw flops, stated "
-                                "(raw / 8.64e16) or table (raw / 1e15); default table")
+                           help=unit_help)
 
     p = sub.add_parser("flops", help="per-image operation count of an architecture")
     graph(p)
-    p.add_argument("--count-unit", choices=COUNT_UNITS, default="mac",
+    p.add_argument("--count-unit", choices=COUNT_UNITS, default=CountingConvention.unit,
                    help="mac counts multiply-accumulates; flop2 doubles them")
     p.add_argument("--include-bias", action="store_true",
                    help="charge one extra operation per output element of biased layers")
@@ -402,27 +410,38 @@ def _cmd_report(args) -> list[Table]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    # A command's data holds no reference cycles: parsed nodes, records and
+    # table rows are freed by reference counting, so the cyclic collector
+    # would only rescan them while they are alive. It is paused for the
+    # command; the few cycles argparse's first parser build and json's
+    # indented encoder leave are collected once it is restored.
+    was = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("algoeff: a subcommand is required (see --help)")
-        tables = args.handler(args)
-    except UsageError as e:
-        print(str(e), file=sys.stderr)
-        return 1
-    except ThresholdNotReached as e:
-        print(f"algoeff: {e}", file=sys.stderr)
-        return 3
-    except (GraphError, CurveError, TrendError, DatasetError, OSError) as e:
-        print(f"algoeff: {e}", file=sys.stderr)
-        return 2
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+            if args.command is None:
+                raise UsageError("algoeff: a subcommand is required (see --help)")
+            tables = args.handler(args)
+        except UsageError as e:
+            print(str(e), file=sys.stderr)
+            return 1
+        except ThresholdNotReached as e:
+            print(f"algoeff: {e}", file=sys.stderr)
+            return 3
+        except (GraphError, CurveError, TrendError, DatasetError, OSError) as e:
+            print(f"algoeff: {e}", file=sys.stderr)
+            return 2
 
-    sys.stdout.write(render(tables, args.format))
-    if args.format == "csv":
-        for w in table_warnings(tables):
-            print(f"note: {w}", file=sys.stderr)
-    return 0
+        sys.stdout.write(render(tables, args.format))
+        if args.format == "csv":
+            for w in table_warnings(tables):
+                print(f"note: {w}", file=sys.stderr)
+        return 0
+    finally:
+        if was:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -237,12 +237,16 @@ def _record_from_object(obj, shared: dict) -> EfficiencyRecord:
         if "threshold" in obj:
             obj["threshold"] = _threshold_from_json(obj["threshold"], shared)
         return EfficiencyRecord(**obj)
-    except (TrendError, CurveError) as e:  # record messages start with the name alone
-        raise type(e)(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
+    except (TrendError, CurveError) as e:  # a bad Threshold raises CurveError
+        # record messages start with the name alone
+        raise TrendError(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
 
 
 def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     """Parse a json array of records. Unknown fields are rejected.
+
+    Any bad record, its threshold included, raises TrendError naming its
+    position and, once known, its name.
 
     Records with equal date strings share one date, and records with
     equal metric/value threshold objects share one Threshold.
@@ -252,8 +256,8 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     for i, obj in enumerate(_json_array(text, "records", TrendError)):
         try:
             records.append(_record_from_object(obj, shared))
-        except (TrendError, CurveError) as e:  # the position is written only into a message
-            raise type(e)(f"record {i}{e}") from None
+        except TrendError as e:  # the position is written only into a message
+            raise TrendError(f"record {i}{e}") from None
     return tuple(records)
 
 

@@ -1,4 +1,6 @@
 """End-to-end command line behavior: output, exit codes, file round trips."""
+import datetime
+import gc
 import json
 import os
 import pathlib
@@ -17,7 +19,13 @@ import algoeff.trends as trends_mod
 from algoeff.cli import _build_parser, main
 from algoeff.datasets import load_imagenet_records
 from algoeff.reports import fmt_compute
-from algoeff.trends import fit_trend, frontier, records_from_json
+from algoeff.trends import (
+    EfficiencyRecord,
+    fit_trend,
+    frontier,
+    records_from_json,
+    records_to_json,
+)
 
 from _generators import records_file_records
 from _oracles import records_json_oracle
@@ -789,3 +797,93 @@ class TestTopLevel:
                                 capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "714,188,480" in result.stdout
+
+
+def _residual_graph(blocks: int) -> str:
+    """Graph json of blocks conv/batchnorm/activation/add blocks, four nodes each."""
+    conv = {"out_channels": 4, "kernel_h": 3, "kernel_w": 3, "padding": 1}
+    nodes, x = [], "input"
+    for i in range(blocks):
+        skip = x if i else f"r{i}"  # the input has 3 channels, the blocks 4
+        nodes += [
+            {"id": f"c{i}", "kind": "conv2d", "params": conv, "inputs": [x]},
+            {"id": f"b{i}", "kind": "batchnorm", "params": {}, "inputs": [f"c{i}"]},
+            {"id": f"r{i}", "kind": "activation", "params": {}, "inputs": [f"b{i}"]},
+            {"id": f"a{i}", "kind": "elementwise_add", "params": {},
+             "inputs": [skip, f"r{i}"]},
+        ]
+        x = f"a{i}"
+    return json.dumps({"name": "deep", "default_input": {"c": 3, "h": 8, "w": 8},
+                       "nodes": nodes, "output": x})
+
+
+def _records_text(n: int) -> str:
+    """A records file of n records at the default threshold, a third in triple form."""
+    rng = random.Random(n)
+    base = datetime.date(2012, 1, 1)
+    records = []
+    for i in range(n):
+        work = ({"flops_per_image": float(rng.randint(10**8, 10**10)),
+                 "epochs": float(rng.randint(1, 90))} if i % 3 == 0
+                else {"total_compute": 2.0 ** rng.uniform(50.0, 70.0)})
+        records.append(EfficiencyRecord(
+            name=f"r{i}", date=base + datetime.timedelta(days=rng.randrange(3000)), **work))
+    return records_to_json(records)
+
+
+class TestCollectorPaused:
+    """main runs each command with the cyclic collector paused, then restores it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv,code", [
+        (("effective", "2", "3"), 0),
+        (("flops", "AlexNet", "--bogus"), 1),
+        (("frontier", "--records", "{missing}"), 2),
+        (("analyze", "AlexNet", "alexnet", "--threshold", "0.999"), 3),
+    ])
+    def test_left_as_found(self, capsys, tmp_path, enabled, argv, code):
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, *(a.format(missing=tmp_path / "none.json") for a in argv))[0] == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_left_as_found_when_a_handler_raises(self, capsys, monkeypatch, enabled):
+        during = []
+
+        def failing(factors):
+            during.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_mod, "effective_table", failing)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["effective", "2"])
+        assert during == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("argv,write", [
+        (("flops", "{file}", "--per-layer", "--format", "json"),
+         lambda n: _residual_graph(n // 4)),
+        (("report", "--figures", "--records", "{file}"), _records_text),
+    ])
+    def test_garbage_cycles_do_not_grow_with_input(self, capsys, tmp_path, argv, write):
+        # Pausing the collector is safe because a command's data holds no
+        # cycles: what a command leaves for it is a fixed handful of objects.
+        def cyclic_garbage(n: int) -> int:
+            path = tmp_path / f"{n}.json"
+            path.write_text(write(n))
+            gc.collect()
+            gc.disable()
+            assert main([a.format(file=path) for a in argv]) == 0
+            capsys.readouterr()
+            return gc.collect()
+
+        cyclic_garbage(200)  # the first command builds the parser, which leaves cycles
+        small, large = cyclic_garbage(200), cyclic_garbage(2000)
+        assert small == large < 50

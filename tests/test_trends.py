@@ -212,7 +212,7 @@ class TestRecordJson:
 
     @pytest.mark.parametrize("value", [10**400, math.inf])
     def test_threshold_number_checked_before_conversion(self, value):
-        with pytest.raises(CurveError, match="threshold value"):
+        with pytest.raises(TrendError, match="threshold value"):
             one_record({"name": "x", "date": "2015-01-02", "total_compute": 1.0,
                         "threshold": value})
 
@@ -303,13 +303,13 @@ class TestRecordJson:
                                                  datetime.date(2016, 3, 4)]
 
     @pytest.mark.parametrize("threshold,error,message", [
-        ({"metric": ["top5"], "value": 0.7}, CurveError,
+        ({"metric": ["top5"], "value": 0.7}, TrendError,
          "record 1 (b): threshold metric must be a non-empty string"),
         ({"metric": "top5", "value": 0.7, "extra": 1}, TrendError,
          "record 1 (b): threshold object must have exactly the keys metric and value"),
-        ({"metric": "top5", "value": True}, CurveError,
+        ({"metric": "top5", "value": True}, TrendError,
          "record 1 (b): threshold value True outside (0, 1]"),
-        ({"metric": "top5", "value": 1.5}, CurveError,
+        ({"metric": "top5", "value": 1.5}, TrendError,
          "record 1 (b): threshold value 1.5 outside (0, 1]"),
     ])
     def test_threshold_that_cannot_be_shared_is_checked(self, threshold, error, message):
