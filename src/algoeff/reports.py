@@ -16,6 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .archflops import ArchitectureSpec, FlopCount, TensorShape, infer_shapes
@@ -338,7 +339,8 @@ def compute_table(
     TrendError names the record; deviations beyond two percent become warnings.
     """
     front_names = set(front.names)
-    ordered = sorted(records, key=lambda r: (-r.total, r.name))
+    ordered = sorted(records, key=attrgetter("name"))
+    ordered.sort(key=attrgetter("total"), reverse=True)  # stable: equal totals stay in name order
     rows = []
     warnings = []
     for r in ordered:

@@ -81,7 +81,13 @@ def parse_date(text, what: str, error: type[Exception]) -> datetime.date:
     raise error(f"{what} {text!r} is not YYYY-MM-DD")
 
 
-@dataclass(frozen=True)
+# the numeric fields, in the order __post_init__ names the first bad one
+_NUMBER_FIELDS = ("total_compute", "flops_per_image", "epochs", "images_per_epoch",
+                  "backward_multiplier")
+_numbers = attrgetter(*_NUMBER_FIELDS)
+
+
+@dataclass(frozen=True, slots=True)
 class EfficiencyRecord:
     """One training run that reached a threshold, with its compute cost.
 
@@ -91,6 +97,11 @@ class EfficiencyRecord:
     relative. backward_multiplier scales forward cost per image to full
     training cost and participates in the triple product. A triple record
     holds images_per_epoch and total_compute as used, so it reloads equal.
+
+    The class is slotted: an instance has no __dict__, so vars() fails
+    and dataclasses.asdict reads its fields. __post_init__ owns every
+    field rule; records_from_json fills the slots directly and then runs
+    it, which gives the record the generated __init__ would build.
     """
 
     name: str
@@ -112,47 +123,66 @@ class EfficiencyRecord:
             raise TrendError(f"{self.name}: threshold must be a Threshold")
         if not isinstance(self.notes, str):
             raise TrendError(f"{self.name}: notes must be a string")
-        for label in ("total_compute", "flops_per_image", "epochs", "images_per_epoch",
-                      "backward_multiplier"):
-            v = getattr(self, label)
-            if type(v) is float and 0.0 < v < math.inf:  # positive_finite's float case, inlined
-                continue  # because this loop runs for every field of every loaded record
-            if v is None and label != "backward_multiplier":
-                continue
-            if not positive_finite(v):
-                raise TrendError(f"{self.name}: {label} must be positive and finite, got {v!r}")
-            object.__setattr__(self, label, float(v))
-        if (self.flops_per_image is None) != (self.epochs is None):
+        t, f, e, i, b = _numbers(self)
+        # positive_finite's float case, inlined as one test because it runs
+        # for every loaded record; the loop converts ints and words errors
+        if not (type(b) is float and 0.0 < b < math.inf
+                and (t is None or type(t) is float and 0.0 < t < math.inf)
+                and (f is None or type(f) is float and 0.0 < f < math.inf)
+                and (e is None or type(e) is float and 0.0 < e < math.inf)
+                and (i is None or type(i) is float and 0.0 < i < math.inf)):
+            for label, v in zip(_NUMBER_FIELDS, _numbers(self)):
+                if v is None and label != "backward_multiplier":
+                    continue
+                if not positive_finite(v):
+                    raise TrendError(f"{self.name}: {label} must be positive and finite, "
+                                     f"got {v!r}")
+                object.__setattr__(self, label, float(v))
+            t, f, e, i, b = _numbers(self)
+        if (f is None) != (e is None):
             raise TrendError(
                 f"{self.name}: flops_per_image and epochs must be given together"
             )
-        if self.epochs is None:
-            if self.images_per_epoch is not None:
+        if e is None:
+            if i is not None:
                 raise TrendError(
                     f"{self.name}: images_per_epoch is meaningless without "
                     "flops_per_image and epochs"
                 )
-            if self.total_compute is None:
+            if t is None:
                 raise TrendError(
                     f"{self.name}: needs total_compute or flops_per_image with epochs"
                 )
             return
-        if self.images_per_epoch is None:
-            object.__setattr__(self, "images_per_epoch", IMAGES_PER_EPOCH)
-        derived = _checked_product(
-            self.backward_multiplier * self.epochs * self.flops_per_image * self.images_per_epoch,
-            TrendError, f"{self.name}: training_compute: ")
-        total = self.total_compute
-        if total is None:
+        if i is None:
+            i = IMAGES_PER_EPOCH
+            object.__setattr__(self, "images_per_epoch", i)
+        derived = _checked_product(b * e * f * i, TrendError,
+                                   f"{self.name}: training_compute: ")
+        if t is None:
             object.__setattr__(self, "total_compute", derived)
         else:
-            rel = abs(total - derived) / derived
+            rel = abs(t - derived) / derived
             if rel > TOTAL_AGREEMENT_RTOL:
                 raise TrendError(
-                    f"{self.name}: total_compute {total!r} disagrees with "
+                    f"{self.name}: total_compute {t!r} disagrees with "
                     f"epochs * flops_per_image product {derived!r} "
                     f"(relative difference {rel:.3e})"
                 )
+
+    @classmethod
+    def _from_json_fields(cls, obj: dict) -> EfficiencyRecord:
+        """The record of obj, a dict of field values by name, checked by __post_init__.
+
+        Each slot is set through its descriptor, to obj's value or the
+        field's default, which skips the generated __init__'s one
+        object.__setattr__ call per field.
+        """
+        record = cls.__new__(cls)
+        for name, default, set_slot in _SLOT_SETTERS:
+            set_slot(record, obj.get(name, default))
+        record.__post_init__()
+        return record
 
     @property
     def total(self) -> float:
@@ -164,7 +194,11 @@ class EfficiencyRecord:
 # record json
 # ---------------------------------------------------------------------------
 
-_RECORD_FIELDS = frozenset(f.name for f in fields(EfficiencyRecord))
+# (name, default, slot setter) of each field, in field order; a required
+# field's default is dataclasses.MISSING, which the loader never reaches
+_SLOT_SETTERS = tuple((f.name, f.default, EfficiencyRecord.__dict__[f.name].__set__)
+                      for f in fields(EfficiencyRecord))
+_RECORD_FIELDS = frozenset(name for name, _, _ in _SLOT_SETTERS)
 
 
 def _json_array(text: str, noun: str, error: type[Exception]) -> list:
@@ -224,7 +258,9 @@ def _record_from_object(obj, shared: dict) -> EfficiencyRecord:
     and the Threshold of each metric/value object (keyed by a tuple), so
     equal ones are built once.
     """
-    _check_json_object(obj, "", _RECORD_FIELDS, ("name", "date"), TrendError)
+    if not (type(obj) is dict and obj.keys() <= _RECORD_FIELDS
+            and "name" in obj and "date" in obj):  # one test for a well-formed object
+        _check_json_object(obj, "", _RECORD_FIELDS, ("name", "date"), TrendError)
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise TrendError(": name must be a non-empty string")
@@ -236,7 +272,7 @@ def _record_from_object(obj, shared: dict) -> EfficiencyRecord:
     try:
         if "threshold" in obj:
             obj["threshold"] = _threshold_from_json(obj["threshold"], shared)
-        return EfficiencyRecord(**obj)
+        return EfficiencyRecord._from_json_fields(obj)
     except (TrendError, CurveError) as e:  # a bad Threshold raises CurveError
         # record messages start with the name alone
         raise TrendError(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
@@ -246,8 +282,13 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     """Parse a json array of records. Unknown fields are rejected.
 
     Any bad record, its threshold included, raises TrendError naming its
-    position and, once known, its name.
+    position and, once known, its name. When every record is good, the
+    first one whose name an earlier record already has raises TrendError
+    naming both positions.
 
+    Each record's slots are filled from its json object and field
+    defaults, then EfficiencyRecord.__post_init__ checks them, so a
+    loaded record equals EfficiencyRecord(**fields) of the same values.
     Records with equal date strings share one date, and records with
     equal metric/value threshold objects share one Threshold.
     """
@@ -258,6 +299,14 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
             records.append(_record_from_object(obj, shared))
         except TrendError as e:  # the position is written only into a message
             raise TrendError(f"record {i}{e}") from None
+    # names are compared once the parse tree is freed, so the set of them
+    # does not add to the load's peak memory
+    if len(set(map(attrgetter("name"), records))) < len(records):
+        first_of: dict[str, int] = {}
+        for i, r in enumerate(records):
+            first = first_of.setdefault(r.name, i)
+            if first != i:
+                raise TrendError(f"record {i} ({r.name}): name repeats record {first}")
     return tuple(records)
 
 

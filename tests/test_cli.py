@@ -606,6 +606,23 @@ class TestInputEdges:
         assert (code, out) == (2, "")
         assert err == "algoeff: record 3 (r3): threshold value 1.5 outside (0, 1]\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("report", "--records", "{file}"),
+        ("report", "--figures", "--records", "{file}"),
+        ("factor", "a", "a", "--records", "{file}"),
+        ("frontier", "--records", "{file}"),
+        ("analyze", "AlexNet", "alexnet", "--date", "2012-06-01", "--append-records", "{file}"),
+    ])
+    def test_repeated_record_name(self, capsys, tmp_path, argv):
+        # before the rule, report flagged both "a" rows on_frontier and factor a a printed 1.0
+        path = tmp_path / "r.json"
+        path.write_text('[{"name":"a","date":"2015-01-01","total_compute":1e15},'
+                        '{"name":"a","date":"2016-01-01","total_compute":2e15}]')
+        before = path.read_bytes()
+        code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+        assert (code, out, err) == (2, "", "algoeff: record 1 (a): name repeats record 0\n")
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("argv,message", [
         (("flops", "{file}"), "algoeff: not valid JSON: Exceeds the limit"),
         (("frontier", "--records", "{file}"), "algoeff: records file is not valid json: "

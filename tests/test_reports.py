@@ -273,6 +273,15 @@ class TestComputeTable:
         t = compute_table(records, frontier(records))
         assert [r[0] for r in t.rows] == ["aaa", "bbb"]
 
+    def test_equal_totals_stay_in_name_order(self):
+        d = datetime.date(2015, 1, 1)
+        named = [("ddd", 1e17), ("ccc", 2e17), ("bbb", 1e17), ("abc", 3e17), ("aaa", 2e17),
+                 ("aab", 1e17)]
+        records = [simple_record(n, d + datetime.timedelta(days=i), total)
+                   for i, (n, total) in enumerate(named)]
+        t = compute_table(records, frontier(records))
+        assert [r[0] for r in t.rows] == ["abc", "aaa", "ccc", "aab", "bbb", "ddd"]
+
     def test_large_deviation_warns(self):
         r = simple_record("big", datetime.date(2015, 1, 1), 2e17)
         t = compute_table([r], frontier([r]), reported={"big": 100.0})  # quoted 1e17

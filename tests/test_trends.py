@@ -1,7 +1,10 @@
 """Records, factors, frontiers, trend fits, effective compute."""
+import copy
+import dataclasses
 import datetime
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -180,6 +183,83 @@ class TestEfficiencyRecord:
                                   r.backward_multiplier)] == [float] * 4
 
 
+_TRIPLE = rec("t", flops_per_image=7.7e8, epochs=90, notes="n")
+
+
+class TestSlottedRecord:
+    """EfficiencyRecord carries slots, not a __dict__, and stays a plain value."""
+
+    @pytest.mark.parametrize("record", [rec(), _TRIPLE])
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            vars(record)
+
+    @pytest.mark.parametrize("name", ["name", "total_compute", "notes"])
+    def test_assignment_is_refused(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(_TRIPLE, name, 1.0)
+
+    def test_no_new_attribute(self):
+        # CPython 3.11's frozen slotted dataclasses raise TypeError for a non-field
+        with pytest.raises((AttributeError, TypeError)):
+            _TRIPLE.extra = 1
+        assert not hasattr(_TRIPLE, "extra")
+
+    @pytest.mark.parametrize("record", [rec(), _TRIPLE])
+    def test_copies_are_equal_values(self, record):
+        for other in (dataclasses.replace(record), copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert other == record
+            assert other is not record
+            assert repr(other) == repr(record)
+            assert hash(other) == hash(record)
+        assert dataclasses.replace(record, name="other").name == "other"
+
+    def test_repr_and_asdict(self):
+        assert repr(_TRIPLE) == (
+            "EfficiencyRecord(name='t', date=datetime.date(2015, 1, 1), "
+            "threshold=Threshold(metric='top5', value=0.791), total_compute=2.66112e+17, "
+            "flops_per_image=770000000.0, epochs=90.0, images_per_epoch=1280000.0, "
+            "backward_multiplier=3.0, notes='n')")
+        assert dataclasses.asdict(_TRIPLE) == {
+            "name": "t", "date": datetime.date(2015, 1, 1),
+            "threshold": {"metric": "top5", "value": 0.791},
+            "total_compute": 2.66112e17, "flops_per_image": 7.7e8,
+            "epochs": 90.0, "images_per_epoch": 1.28e6, "backward_multiplier": 3.0,
+            "notes": "n"}
+
+
+class TestLoadedEqualsConstructed:
+    """records_from_json builds the record EfficiencyRecord(**fields) builds."""
+
+    @pytest.mark.parametrize("obj,threshold", [
+        ({"total_compute": 1e17}, None),
+        ({"flops_per_image": 7.7e8, "epochs": 90.0}, None),
+        ({"flops_per_image": 7.7e8, "epochs": 90.0, "images_per_epoch": 5e4,
+          "backward_multiplier": 2.0, "total_compute": 2.0 * 90 * 7.7e8 * 5e4}, None),
+        ({"flops_per_image": 7, "epochs": 3, "images_per_epoch": 4,
+          "backward_multiplier": 1}, None),
+        ({"total_compute": 10**17}, None),
+        ({"total_compute": 1e17, "threshold": 0.9}, Threshold("top5", 0.9)),
+        ({"total_compute": 1e17, "threshold": 1}, Threshold("top5", 1.0)),
+        ({"total_compute": 1e17, "threshold": {"metric": "top1", "value": 0.7}},
+         Threshold("top1", 0.7)),
+        ({"total_compute": 1e17, "notes": "hand-entered"}, None),
+    ])
+    def test_fields_and_types_match(self, obj, threshold):
+        loaded = one_record({"name": "x", "date": "2015-01-02", **obj})
+        kwargs = {k: v for k, v in obj.items() if k != "threshold"}
+        if threshold is not None:
+            kwargs["threshold"] = threshold
+        built = EfficiencyRecord(name="x", date=datetime.date(2015, 1, 2), **kwargs)
+        assert loaded == built
+        assert repr(loaded) == repr(built)
+        for f in dataclasses.fields(EfficiencyRecord):
+            assert type(getattr(loaded, f.name)) is type(getattr(built, f.name)), f.name
+        assert loaded.total == built.total
+
+
 def one_record(obj) -> EfficiencyRecord:
     """The record a records file of obj alone holds."""
     (r,) = records_from_json(json.dumps([obj]))
@@ -279,6 +359,17 @@ class TestRecordJson:
                 f' {{"name": "b", "date": "2015-01-02", {fields}}}]')
         with pytest.raises(error) as info:
             records_from_json(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("names,message", [
+        (["a", "a"], "record 1 (a): name repeats record 0"),
+        (["a", "b", "c", "b", "a"], "record 3 (b): name repeats record 1"),
+    ])
+    def test_repeated_name(self, names, message):
+        objs = [{"name": n, "date": f"201{i}-01-01", "total_compute": 1e15 * (i + 1)}
+                for i, n in enumerate(names)]
+        with pytest.raises(TrendError) as info:
+            records_from_json(json.dumps(objs))
         assert str(info.value) == message
 
     def test_equal_threshold_objects_share_one_instance(self):
@@ -391,7 +482,7 @@ def any_record(draw) -> EfficiencyRecord:
 
 class TestRecordsFileText:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(any_record(), max_size=4))
+    @given(st.lists(any_record(), max_size=4, unique_by=lambda r: r.name))
     def test_matches_json_dumps(self, records):
         text = records_to_json(records)
         assert text == records_json_oracle(records)
