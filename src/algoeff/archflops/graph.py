@@ -24,12 +24,21 @@ never both whole, and a known kind string becomes the kind table's own
 key, one str per kind. ``LayerNode`` and ``TensorShape`` are slotted and
 carry no ``__dict__``; ``ArchitectureSpec`` keeps its ``__dict__``,
 which holds the walk memo.
+
+Speed: the valid case is the cheap one, since every node of every graph
+passes through it. The walk tests a node's own parameters and then that
+none required is missing, and words problems by the kind's schema only
+when one of those tests fails. ``TensorShape`` tests its three dimensions
+as plain positive ints in one expression. ``arch_from_json`` fills each
+node's slots directly with the parsed params object and a tuple of its
+inputs, which is what ``LayerNode.__post_init__`` makes of checked
+fields; a node built in Python goes through ``__post_init__``.
 """
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Any, Mapping
 
@@ -51,10 +60,15 @@ class TensorShape:
     width: int
 
     def __post_init__(self) -> None:
-        for name in ("channels", "height", "width"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise GraphError(f"TensorShape.{name} must be a positive integer, got {v!r}")
+        c, h, w = self.channels, self.height, self.width
+        # one test for plain positive ints, since the walk builds a shape per
+        # node; the loop accepts an int subclass and words the first bad field
+        if not (type(c) is int and type(h) is int and type(w) is int
+                and c >= 1 and h >= 1 and w >= 1):
+            for name in ("channels", "height", "width"):
+                v = getattr(self, name)
+                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                    raise GraphError(f"TensorShape.{name} must be a positive integer, got {v!r}")
 
     @property
     def elements(self) -> int:
@@ -249,13 +263,11 @@ def _no_macs(p, ins, out, include_bias):
     return 0
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# What an explicit parameter value must be: (description, test).
-_POSITIVE = ("a positive integer", lambda v: _is_int(v) and v >= 1)
-_NON_NEGATIVE = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+# What an explicit parameter value must be: (description, test). An int that
+# is not a bool is `type(v) is not bool`, since bool cannot be subclassed.
+_POSITIVE = ("a positive integer", lambda v: isinstance(v, int) and type(v) is not bool and v >= 1)
+_NON_NEGATIVE = ("a non-negative integer",
+                 lambda v: isinstance(v, int) and type(v) is not bool and v >= 0)
 _FLAG = ("true or false", lambda v: isinstance(v, bool))
 _NAME = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
 _FRACTION = ("a number in [0, 1]",
@@ -272,9 +284,13 @@ class _Kind:
     arity:  (min, max) number of inputs, max None for unbounded.
     shape:  shape rule; macs: mac rule (see above).
     check:  None, or a rule across well-formed resolved parameters: a problem or None.
+
+    defaults, tests and required are views of params built once, for the
+    walk's good path: name -> default, name -> test, and the names with
+    no default.
     """
 
-    __slots__ = ("params", "arity", "shape", "macs", "check", "defaults")
+    __slots__ = ("params", "arity", "shape", "macs", "check", "defaults", "tests", "required")
 
     def __init__(self, params, shape, macs, arity=(1, 1), check=None):
         self.params = params
@@ -282,8 +298,9 @@ class _Kind:
         self.shape = shape
         self.macs = macs
         self.check = check
-        # built once here so resolving a node is a single dict merge
         self.defaults = {n: d for n, (d, _) in params.items() if d is not _REQUIRED}
+        self.tests = {n: test for n, (_, (_, test)) in params.items()}
+        self.required = frozenset(n for n, (d, _) in params.items() if d is _REQUIRED)
 
 
 _POOL_PARAMS = {
@@ -437,8 +454,24 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
 
 
 def _check_params(node: LayerNode, kind: _Kind, problems: list[str]) -> dict[str, Any] | None:
-    """Append the node's parameter problems; resolve its parameters if there are none."""
-    start = len(problems)
+    """Append the node's parameter problems; resolve its parameters if there are none.
+
+    The good path tests only the node's own parameters, then that none
+    required is missing; the loop over the kind's schema runs only to
+    word the problems, in schema order.
+    """
+    tests = kind.tests
+    for name, value in node.params.items():
+        test = tests.get(name)
+        if test is None or not test(value):
+            break
+    else:
+        if node.params.keys() >= kind.required:
+            params = _resolve(node, kind)
+            problem = kind.check and kind.check(params)
+            if problem:
+                problems.append(problem)
+            return params
     for name, (default, (accepted, test)) in kind.params.items():
         if name in node.params:
             if not test(node.params[name]):
@@ -448,13 +481,7 @@ def _check_params(node: LayerNode, kind: _Kind, problems: list[str]) -> dict[str
     if not node.params.keys() <= kind.params.keys():
         unknown = [name for name in node.params if name not in kind.params]
         problems.append(f"unknown parameter(s) {unknown}; {node.kind} takes {sorted(kind.params)}")
-    if len(problems) > start:
-        return None
-    params = _resolve(node, kind)
-    problem = kind.check and kind.check(params)
-    if problem:
-        problems.append(problem)
-    return params
+    return None
 
 
 def _node_shape(node: LayerNode, params: dict[str, Any], ins: list[TensorShape]) -> TensorShape:
@@ -496,6 +523,12 @@ _TOP_FIELDS = {"name", "default_input", "nodes", "output"}
 _NODE_FIELDS = {"id", "kind", "params", "inputs"}
 _INPUT_FIELDS = {"c", "h", "w"}
 
+# The slot setters of LayerNode's fields, in field order: the loader fills a
+# node through them, which skips the generated frozen __init__ and the
+# params copy of __post_init__, whose checks the loader has already made.
+_SET_ID, _SET_KIND, _SET_PARAMS, _SET_INPUTS = (
+    LayerNode.__dict__[f.name].__set__ for f in fields(LayerNode))
+
 
 def arch_from_json(text: str) -> ArchitectureSpec:
     """Parse and validate an architecture file. Raises GraphError."""
@@ -524,15 +557,17 @@ def arch_from_json(text: str) -> ArchitectureSpec:
     if not isinstance(raws, list):
         raise GraphError("nodes must be an array")
     nodes = []
+    new_node = object.__new__
     for i, raw in enumerate(raws):
         if not isinstance(raw, dict):
             raise GraphError(f"nodes[{i}] must be an object")
-        unknown = set(raw) - _NODE_FIELDS
-        if unknown:
-            raise GraphError(f"nodes[{i}]: unknown field(s) {sorted(unknown)}")
-        for req in ("id", "kind"):
-            if req not in raw:
-                raise GraphError(f"nodes[{i}]: missing field {req!r}")
+        if not (raw.keys() <= _NODE_FIELDS and "id" in raw and "kind" in raw):
+            unknown = set(raw) - _NODE_FIELDS
+            if unknown:
+                raise GraphError(f"nodes[{i}]: unknown field(s) {sorted(unknown)}")
+            for req in ("id", "kind"):
+                if req not in raw:
+                    raise GraphError(f"nodes[{i}]: missing field {req!r}")
         params = raw.get("params", {})
         inputs = raw.get("inputs", [])
         if not isinstance(params, dict):
@@ -542,9 +577,14 @@ def arch_from_json(text: str) -> ArchitectureSpec:
         kind = raw["kind"]
         if type(kind) is str:
             kind = _KIND_NAMES.get(kind, kind)
-        nodes.append(LayerNode(id=raw["id"], kind=kind, params=params, inputs=tuple(inputs)))
+        node = new_node(LayerNode)
+        _SET_ID(node, raw["id"])
+        _SET_KIND(node, kind)
+        _SET_PARAMS(node, params)  # the parsed dict itself, not a copy
+        _SET_INPUTS(node, tuple(inputs))
+        nodes.append(node)
         # the parse tree and the spec are never both whole: each parsed node
-        # is dropped once its LayerNode holds copies of what it needs
+        # is dropped once its LayerNode holds what it needs
         raws[i] = None
 
     arch = ArchitectureSpec(

@@ -334,11 +334,13 @@ def compute_table(
 ) -> Table:
     """Every record's training total, largest first, with quoted values.
 
-    front is frontier(records). reported maps record names to quoted totals
-    in table units (raw flops / 1e15), positive and finite in raw flops or
-    TrendError names the record; deviations beyond two percent become warnings.
+    front is frontier(records), whose records are among these objects: a
+    row is on the frontier when its record is, not when its name is.
+    reported maps record names to quoted totals in table units (raw flops /
+    1e15), positive and finite in raw flops or TrendError names the record;
+    deviations beyond two percent become warnings.
     """
-    front_names = set(front.names)
+    on_front = set(map(id, front.records))
     ordered = sorted(records, key=attrgetter("name"))
     ordered.sort(key=attrgetter("total"), reverse=True)  # stable: equal totals stay in name order
     rows = []
@@ -366,7 +368,7 @@ def compute_table(
             fmt_compute(r.total, unit),
             quoted_cell,
             deviation_cell,
-            "yes" if r.name in front_names else "",
+            "yes" if id(r) in on_front else "",
         ))
     return Table(
         key="training_compute",
@@ -386,11 +388,14 @@ def frontier_points(records: Sequence[EfficiencyRecord], front: Frontier,
                     unit: str = "raw") -> Table:
     """Scatter points for compute-to-threshold over time.
 
-    front is frontier(records). months counts from the earliest record.
-    log2_total is of the raw value regardless of unit, since slopes live there.
+    front is frontier(records), whose records are among these objects: a
+    row is on the frontier when its record is. months counts from the
+    earliest record. log2_total is of the raw value regardless of unit,
+    since slopes live there.
     """
-    front_names = set(front.names)
-    ordered = sorted(records, key=lambda r: (r.date, r.name))
+    on_front = set(map(id, front.records))
+    ordered = sorted(records, key=attrgetter("name"))
+    ordered.sort(key=attrgetter("date"))  # stable: equal dates stay in name order
     origin = date_to_months(ordered[0].date)
     rows = []
     for r in ordered:
@@ -400,7 +405,7 @@ def frontier_points(records: Sequence[EfficiencyRecord], front: Frontier,
             f"{date_to_months(r.date) - origin:.3f}",
             f"{to_report_units(r.total, unit):.6e}",
             f"{math.log2(r.total):.4f}",
-            "yes" if r.name in front_names else "",
+            "yes" if id(r) in on_front else "",
         ))
     return Table(
         key="frontier_points",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algoeff.archflops.graph as graph_mod
 from algoeff.archflops import (
     INPUT_ID,
     LAYER_KINDS,
@@ -50,6 +51,10 @@ def tiny_arch(**overrides) -> ArchitectureSpec:
     return ArchitectureSpec(**fields)
 
 
+class _Int(int):
+    """An int subclass, which every integer rule accepts as an int."""
+
+
 class TestTensorShape:
     def test_parse_x_separator(self):
         assert TensorShape.parse("3x224x224") == TensorShape(3, 224, 224)
@@ -84,6 +89,25 @@ class TestTensorShape:
     def test_rejects_float_dims(self):
         with pytest.raises(GraphError):
             TensorShape(3.0, 4, 4)
+
+    def test_int_subclass_dims_are_accepted(self):
+        shape = TensorShape(_Int(3), _Int(4), 5)
+        assert shape == TensorShape(3, 4, 5)
+        assert hash(shape) == hash(TensorShape(3, 4, 5))
+        assert shape.elements == 60
+
+    @pytest.mark.parametrize("bad", [True, 0, -1, 2.0])
+    @pytest.mark.parametrize("index,name", enumerate(("channels", "height", "width")))
+    def test_bad_dim_is_named(self, bad, index, name):
+        dims = [3, 4, 5]
+        dims[index] = bad
+        with pytest.raises(GraphError) as raised:
+            TensorShape(*dims)
+        assert str(raised.value) == f"TensorShape.{name} must be a positive integer, got {bad!r}"
+
+    def test_first_bad_dim_in_field_order_is_named(self):
+        with pytest.raises(GraphError, match=r"^TensorShape\.height .* got -1$"):
+            TensorShape(_Int(2), -1, True)
 
 
 class TestLayerNode:
@@ -183,6 +207,59 @@ class TestSlottedValues:
         obj["nodes"][index] = {"id": "x", "kind": "conv2d", "weights": []}
         with pytest.raises(GraphError, match=rf"^nodes\[{index}\]: unknown field"):
             arch_from_json(json.dumps(obj))
+
+
+class TestLoadedNode:
+    """A node arch_from_json fills through its slots is the node LayerNode(**fields) builds."""
+
+    RAWS = [
+        {"id": "c", "kind": "conv2d", "inputs": ["input"],
+         "params": {"out_channels": 4, "kernel_h": 3, "kernel_w": 3}},
+        {"id": "b", "kind": "batchnorm", "inputs": ["c"]},
+        {"id": "a", "kind": "activation", "params": {"function": "relu"}},
+        {"id": "n", "kind": "batchnorm"},
+    ]
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        # the last two nodes have no inputs, which the walk rejects, so the
+        # loader's nodes are taken as built
+        monkeypatch.setattr(graph_mod, "require_valid", lambda arch: arch)
+        text = json.dumps({"name": "t", "default_input": {"c": 3, "h": 8, "w": 8},
+                           "nodes": self.RAWS, "output": "b"})
+        return arch_from_json(text).nodes
+
+    def test_equals_the_constructed_node(self, loaded):
+        for raw, node in zip(self.RAWS, loaded):
+            built = LayerNode(**raw)
+            assert node == built
+            assert repr(node) == repr(built)
+            assert type(node.params) is dict and type(node.inputs) is tuple
+            assert not hasattr(node, "__dict__")
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except TypeError as exc:  # params is a dict, so a node does not hash
+            return type(exc)
+
+    def test_copies_and_hash_behave_as_for_the_constructed_node(self, loaded):
+        for raw, node in zip(self.RAWS, loaded):
+            built = LayerNode(**raw)
+            assert self._outcome(lambda: hash(node)) == self._outcome(lambda: hash(built))
+            assert pickle.loads(pickle.dumps(node)) == built
+            assert copy.deepcopy(node) == built
+            assert dataclasses.replace(node) == built
+            assert dataclasses.replace(node, id="z") == dataclasses.replace(built, id="z")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.id = "z"
+
+    def test_one_shape_call_per_node_per_walk(self, node_shape_calls):
+        arch = arch_from_json(_chain_json(3))
+        assert node_shape_calls == [n.id for n in arch.nodes]
+        infer_shapes(arch, TensorShape(8, 4, 4))
+        assert node_shape_calls == 2 * [n.id for n in arch.nodes]
 
 
 def _chain_json(blocks: int) -> str:
@@ -663,3 +740,106 @@ class TestOneCheckedWalk:
         assert validate_arch(then_relu(bogus=1)) == [
             "node 'r': unknown parameter(s) ['bogus']; activation takes ['function']"
         ]
+
+
+# What each accepted-value description of the kind table means, written out
+# here so the property below does not test the table against itself.
+_ACCEPTS = {
+    "a positive integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+    "a non-negative integer":
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+    "true or false": lambda v: isinstance(v, bool),
+    "a non-empty string": lambda v: isinstance(v, str) and v != "",
+    "a number in [0, 1]":
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1,
+}
+# Well-formed values for each description, some of them int subclasses and huge ints.
+_GOOD = {
+    "a positive integer": st.one_of(st.integers(1, 9), st.integers(2**63, 2**70),
+                                    st.integers(1, 9).map(_Int)),
+    "a non-negative integer": st.one_of(st.integers(0, 9), st.integers(0, 9).map(_Int)),
+    "true or false": st.booleans(),
+    "a non-empty string": st.sampled_from(["relu", "3"]),
+    "a number in [0, 1]": st.one_of(st.floats(0, 1), st.sampled_from([0, 1])),
+}
+_ALL_PARAM_NAMES = sorted({n for k in graph_mod._KINDS.values() for n in k.params} | {"bogus"})
+_ANY_VALUE = st.one_of(
+    st.integers(-3, 9), st.integers(2**63, 2**70), st.integers(1, 9).map(_Int),
+    st.booleans(), st.floats(-2, 2), st.sampled_from([2.0, 0.5, float("nan")]), st.none(),
+    st.sampled_from(["", "relu", "3"]), st.lists(st.integers(1, 3), max_size=2),
+)
+
+
+def _schema_problems(node: LayerNode, kind) -> list[str]:
+    """The node's parameter problems, kind by kind entry in schema order, then unknown names."""
+    problems = []
+    for name, (default, (accepted, _)) in kind.params.items():
+        if name in node.params:
+            if not _ACCEPTS[accepted](node.params[name]):
+                problems.append(f"parameter {name!r} must be {accepted}, "
+                                f"got {node.params[name]!r}")
+        elif default is graph_mod._REQUIRED:
+            problems.append(f"missing required parameter {name!r}")
+    unknown = [n for n in node.params if n not in kind.params]
+    if unknown:
+        problems.append(f"unknown parameter(s) {unknown}; {node.kind} takes {sorted(kind.params)}")
+    return problems
+
+
+@st.composite
+def _drawn_params(draw) -> tuple[str, dict]:
+    """A kind and parameters for it in a drawn order. A clean draw gives each required
+    name a well-formed value and leaves each other name out or well-formed; a spoiled
+    one gives any name any value or none, and perhaps adds unknown names."""
+    kind_name = draw(st.sampled_from(sorted(graph_mod._KINDS)))
+    spoiled = draw(st.booleans())
+    items = []
+    for name, (default, (accepted, _)) in graph_mod._KINDS[kind_name].params.items():
+        if spoiled:
+            how = draw(st.sampled_from(["omit", "good", "any"]))
+        else:
+            how = "good" if default is graph_mod._REQUIRED else draw(st.sampled_from(["omit", "good"]))
+        if how == "good":
+            items.append((name, draw(_GOOD[accepted])))
+        elif how == "any":
+            items.append((name, draw(_ANY_VALUE)))
+    names = st.lists(st.sampled_from(_ALL_PARAM_NAMES), max_size=2 if spoiled else 0, unique=True)
+    for name in draw(names):
+        if name not in graph_mod._KINDS[kind_name].params:
+            items.append((name, draw(_ANY_VALUE)))
+    return kind_name, dict(draw(st.permutations(items)))
+
+
+class TestParamGoodPath:
+    """_check_params's good path and its schema loop agree on every kind."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_drawn_params())
+    def test_resolves_exactly_when_the_schema_finds_no_problem(self, drawn):
+        kind_name, params = drawn
+        kind = graph_mod._KINDS[kind_name]
+        node = LayerNode(id="n", kind=kind_name, params=params, inputs=("input",))
+        problems = ["an earlier problem"]
+        resolved = graph_mod._check_params(node, kind, problems)
+        expected = _schema_problems(node, kind)
+        if expected:
+            assert resolved is None
+            assert problems == ["an earlier problem", *expected]
+        else:
+            assert resolved == graph_mod._resolve(node, kind)
+            cross = kind.check and kind.check(resolved)
+            assert problems == ["an earlier problem", *([cross] if cross else [])]
+
+    def test_bool_is_no_integer_and_required_names_are_needed(self):
+        for kind_name, kind in graph_mod._KINDS.items():
+            for name, (_, (accepted, _)) in kind.params.items():
+                if accepted.endswith("integer"):
+                    node = LayerNode(id="n", kind=kind_name, params={name: True})
+                    problems = []
+                    assert graph_mod._check_params(node, kind, problems) is None
+                    assert f"parameter {name!r} must be {accepted}, got True" in problems
+            problems = []
+            resolved = graph_mod._check_params(LayerNode(id="n", kind=kind_name), kind, problems)
+            assert (resolved is None) == bool(kind.required)
+            assert problems == [f"missing required parameter {n!r}" for n in kind.params
+                                if n in kind.required]

@@ -333,6 +333,27 @@ class TestFrontierPoints:
         assert float(alexnet[3]) == pytest.approx(266.112)
         assert alexnet[4] == f"{math.log2(2.66112e17):.4f}"
 
+    def test_equal_dates_stay_in_name_order(self):
+        d = datetime.date(2015, 1, 1)
+        dated = [("ddd", d), ("ccc", d.replace(month=3)), ("bbb", d), ("abc", d.replace(year=2014)),
+                 ("aaa", d.replace(month=3)), ("aab", d)]
+        records = [simple_record(n, day, 1e17 / (i + 1)) for i, (n, day) in enumerate(dated)]
+        t = frontier_points(records, frontier(records))
+        assert [r[0] for r in t.rows] == ["abc", "aab", "bbb", "ddd", "aaa", "ccc"]
+
+
+def test_frontier_flag_follows_the_record_not_its_name():
+    # two Python-built records of one name: only the one on the frontier is flagged
+    first = simple_record("a", datetime.date(2015, 1, 1), 1e15)
+    later = simple_record("a", datetime.date(2016, 1, 1), 2e15)
+    records = [first, later]
+    front = frontier(records)
+    assert front.records == (first,)
+    computed = compute_table(records, front)
+    assert [(r[1], r[7]) for r in computed.rows] == [("2016-01-01", ""), ("2015-01-01", "yes")]
+    points = frontier_points(records, front)
+    assert [(r[1], r[5]) for r in points.rows] == [("2015-01-01", "yes"), ("2016-01-01", "")]
+
 
 class TestCurvePoints:
     def test_long_format(self):
