@@ -22,13 +22,12 @@ from .graph import (
     LayerNode,
     TensorShape,
     arch_from_json,
-    arch_to_json,
     require_valid,
     validate_arch,
     window_out_dim,
 )
 from .shapes import ShapeError, infer_shapes
-from .zoo import builtin_arch, builtin_names
+from .zoo import builtin_arch
 
 __all__ = [
     "ArchitectureSpec",
@@ -42,9 +41,7 @@ __all__ = [
     "ShapeError",
     "TensorShape",
     "arch_from_json",
-    "arch_to_json",
     "builtin_arch",
-    "builtin_names",
     "count_flops",
     "infer_shapes",
     "require_valid",

@@ -17,6 +17,8 @@ threads is safe. The walk relies on this: a successful walk is memoized
 on the spec instance by input shape, so a memo entry means "valid, with
 these shapes, for this input". A failed walk runs again on every call; a
 spec changed in place after a walk keeps reporting its earlier state.
+Equal specs and nodes hash equal, so a spec can key a dict: the hash skips
+the ``params`` and ``metadata`` dicts, which equality still compares.
 
 Memory: a graph is held once. ``arch_from_json`` drops each parsed node
 as soon as its ``LayerNode`` exists, so the JSON tree and the spec are
@@ -106,7 +108,7 @@ class LayerNode:
 
     id: str
     kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict, hash=False)
     inputs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -189,7 +191,7 @@ def _conv_shape(p, ins):
 
 def _pool_shape(p, ins):
     (x,) = ins
-    window = p["kernel"], p["stride"], p["padding"], 1, p["ceil"]
+    window = p["kernel"], p["stride"] or p["kernel"], p["padding"], 1, p["ceil"]
     return TensorShape(
         x.channels, window_out_dim(x.height, *window), window_out_dim(x.width, *window)
     )
@@ -305,7 +307,7 @@ class _Kind:
 
 _POOL_PARAMS = {
     "kernel": (_REQUIRED, _POSITIVE),
-    "stride": (None, _POSITIVE),  # None: the kernel
+    "stride": (None, _POSITIVE),  # None: the kernel; an explicit stride is >= 1
     "padding": (0, _NON_NEGATIVE),
     "ceil": (False, _FLAG),
 }
@@ -352,10 +354,7 @@ _KIND_NAMES = {name: name for name in _KINDS}
 
 def _resolve(node: LayerNode, kind: _Kind) -> dict[str, Any]:
     """The node's parameters over its kind's defaults; the walk checks them first."""
-    params = {**kind.defaults, **node.params}
-    if params.get("stride", 1) is None:  # pools default stride to kernel
-        params["stride"] = params["kernel"]
-    return params
+    return {**kind.defaults, **node.params}
 
 
 @dataclass(frozen=True)
@@ -371,7 +370,7 @@ class ArchitectureSpec:
     default_input: TensorShape
     nodes: tuple[LayerNode, ...]
     output: str
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         try:
@@ -594,25 +593,3 @@ def arch_from_json(text: str) -> ArchitectureSpec:
         output=obj["output"],
     )
     return require_valid(arch)
-
-
-def arch_to_json(arch: ArchitectureSpec) -> str:
-    """Serialize to the architecture file format.
-
-    metadata is documentation carried by bundled specs only; the file
-    format has no field for it, so it is dropped here.
-    """
-    obj = {
-        "name": arch.name,
-        "default_input": {
-            "c": arch.default_input.channels,
-            "h": arch.default_input.height,
-            "w": arch.default_input.width,
-        },
-        "nodes": [
-            {"id": n.id, "kind": n.kind, "params": dict(n.params), "inputs": list(n.inputs)}
-            for n in arch.nodes
-        ],
-        "output": arch.output,
-    }
-    return json.dumps(obj, indent=2)

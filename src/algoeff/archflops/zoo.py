@@ -9,7 +9,8 @@ none is published. A builder adds nodes to a ``_Builder`` and returns
 the id of the output node; ``builtin_arch`` wraps the nodes in an
 ``ArchitectureSpec`` at the 3x224x224 input, with the row's figures
 verbatim in ``metadata``. Metadata is documentation only and never feeds
-computation.
+computation. ``benchmark`` is the bundled records' ``flops_per_image`` in
+gigaops, and a test checks that they agree. ``builtin_arch`` is the one public name.
 
 Each builder mirrors a widely used reference implementation of the
 architecture. Counted with the default convention (conv2d + linear
@@ -452,11 +453,6 @@ def _normalize(name: str) -> str:
 
 
 _CANONICAL = {_normalize(k): k for k in _GRAPHS}
-
-
-def builtin_names() -> tuple[str, ...]:
-    """Canonical names of all bundled architectures."""
-    return tuple(_GRAPHS)
 
 
 def builtin_arch(name: str) -> ArchitectureSpec:

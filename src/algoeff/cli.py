@@ -430,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         except ThresholdNotReached as e:
             print(f"algoeff: {e}", file=sys.stderr)
             return 3
-        except (GraphError, CurveError, TrendError, DatasetError, OSError) as e:
+        except (GraphError, CurveError, TrendError, DatasetError, OSError, UnicodeDecodeError) as e:
             print(f"algoeff: {e}", file=sys.stderr)
             return 2
 

@@ -35,7 +35,6 @@ from .trends import (
     doubling_time,
     effective_compute,
     efficiency_factor,
-    moore_factor,
     to_report_units,
 )
 
@@ -244,7 +243,7 @@ def effective_table(factors: Sequence[float]) -> Table:
     else:
         model = EffectiveComputeModel()
         title = f"Default effective-compute model over {model.period_months:g} months"
-        cells = model.breakdown().items()
+        cells = model.factors_at(model.period_months).items()
     return Table(
         key="effective",
         title=title,
@@ -435,31 +434,17 @@ def curve_points(curves: Sequence[ComputeCurve], unit: str = "raw") -> Table:
 
 
 def effective_compute_points() -> Table:
-    """The default effective-compute model's stacked growth factors, every six months.
-
-    Spending and efficiency grow exponentially to hit their period-end
-    factors; hardware doubles on its own clock. The product is the
-    effective multiple relative to month zero.
-    """
+    """The default effective-compute model's growth factors over month zero, every six months."""
     model = EffectiveComputeModel()
-    rows = []
-    for t in range(0, int(model.period_months) + 1, 6):  # 0, 6, ..., 72
-        share = t / model.period_months
-        hardware = moore_factor(t, model.hardware_doubling_months)
-        spending = model.spending_factor ** share
-        efficiency = model.efficiency_factor ** share
-        rows.append((
-            f"{t:g}",
-            f"{hardware:.4g}",
-            f"{spending:.4g}",
-            f"{efficiency:.4g}",
-            f"{effective_compute((hardware, spending, efficiency)):.4g}",
-        ))
+    rows = tuple(
+        (f"{t:g}", *(f"{v:.4g}" for v in model.factors_at(t).values()))
+        for t in range(0, int(model.period_months) + 1, 6)  # 0, 6, ..., 72
+    )
     return Table(
         key="effective_compute_points",
         title="Effective compute growth factors",
         columns=("month", "hardware", "spending", "efficiency", "effective"),
-        rows=tuple(rows),
+        rows=rows,
     )
 
 

@@ -659,7 +659,8 @@ class EffectiveComputeModel:
     spending on a single run, and algorithmic efficiency gains. The
     defaults describe a six year window with two year hardware
     doubling, a 37500x spending rise and a 25x efficiency gain, which
-    combine to 7.5 million times more effective compute.
+    combine to 7.5 million times more effective compute. factors_at is
+    the one growth formula, read at period_months for the period's end.
     """
 
     hardware_doubling_months: float = 24.0
@@ -672,20 +673,23 @@ class EffectiveComputeModel:
             if not positive_finite(getattr(self, f.name)):
                 raise TrendError(f"{f.name} must be positive and finite")
 
-    @property
-    def hardware_factor(self) -> float:
-        return moore_factor(self.period_months, self.hardware_doubling_months)
+    def factors_at(self, months: float) -> dict[str, float]:
+        """The hardware, spending and efficiency factors after months, and their product.
 
-    @property
-    def total_factor(self) -> float:
-        return effective_compute(
-            [self.hardware_factor, self.spending_factor, self.efficiency_factor]
-        )
-
-    def breakdown(self) -> dict[str, float]:
+        months lies in [0, period_months]. Hardware doubles on its own clock;
+        spending and efficiency grow exponentially to their factors at
+        period_months. Keys, in order: hardware_factor, spending_factor,
+        efficiency_factor, total_factor.
+        """
+        if not 0 <= months <= self.period_months:  # also NaN
+            raise TrendError(f"months must be in [0, {self.period_months:g}], got {months!r}")
+        share = months / self.period_months
+        hardware = moore_factor(months, self.hardware_doubling_months)
+        spending = self.spending_factor ** share
+        efficiency = self.efficiency_factor ** share
         return {
-            "hardware_factor": self.hardware_factor,
-            "spending_factor": self.spending_factor,
-            "efficiency_factor": self.efficiency_factor,
-            "total_factor": self.total_factor,
+            "hardware_factor": hardware,
+            "spending_factor": spending,
+            "efficiency_factor": efficiency,
+            "total_factor": effective_compute((hardware, spending, efficiency)),
         }

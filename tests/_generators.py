@@ -7,6 +7,7 @@ counted layers) so the literal oracles in _oracles.py stay fast.
 from __future__ import annotations
 
 import datetime
+import json
 import random
 
 from algoeff.archflops import ArchitectureSpec, LayerNode, TensorShape, require_valid
@@ -16,6 +17,18 @@ from algoeff.trends import EfficiencyRecord
 from _oracles import out_dim_floor
 
 MAX_DIM = 16
+
+
+def arch_file_text(arch: ArchitectureSpec) -> str:
+    """arch as a graph file, for arch_from_json; the format has no field for metadata."""
+    di = arch.default_input
+    return json.dumps({
+        "name": arch.name,
+        "default_input": {"c": di.channels, "h": di.height, "w": di.width},
+        "nodes": [{"id": n.id, "kind": n.kind, "params": dict(n.params), "inputs": list(n.inputs)}
+                  for n in arch.nodes],
+        "output": arch.output,
+    }, indent=2)
 
 
 def _conv_draw(rng: random.Random, c: int, h: int, w: int):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import algoeff
-from algoeff.archflops import arch_to_json, builtin_arch
+from algoeff.archflops import builtin_arch
 import algoeff.cli as cli_mod
 import algoeff.trends as trends_mod
 from algoeff.cli import _build_parser, main
@@ -27,7 +27,7 @@ from algoeff.trends import (
     records_to_json,
 )
 
-from _generators import records_file_records
+from _generators import arch_file_text, records_file_records
 from _oracles import records_json_oracle
 
 
@@ -133,7 +133,7 @@ class TestShapeInferenceOncePerCommand:
     @pytest.fixture
     def graph_file(self, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text(arch_to_json(builtin_arch("ResNet-50")))
+        path.write_text(arch_file_text(builtin_arch("ResNet-50")))
         return str(path)
 
     @pytest.mark.parametrize("argv", [
@@ -553,7 +553,7 @@ class TestNonFiniteInputs:
 
 
 def _alexnet_file(tmp_path, edit) -> str:
-    obj = json.loads(arch_to_json(builtin_arch("AlexNet")))
+    obj = json.loads(arch_file_text(builtin_arch("AlexNet")))
     edit(obj)
     path = tmp_path / "alexnet.json"
     path.write_text(json.dumps(obj))
@@ -634,6 +634,23 @@ class TestInputEdges:
         code, out, err = run(capsys, *(a.format(file=path) for a in argv))
         assert (code, out) == (2, "")
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("flops", "{dir}/graph.json"),
+        ("frontier", "--records", "{dir}/records.json"),
+        ("analyze", "AlexNet", "{dir}/run.csv"),
+        ("analyze", "AlexNet", "alexnet", "--date", "2012-06-01",
+         "--append-records", "{dir}/records.json"),
+    ])
+    def test_undecodable_file(self, capsys, tmp_path, argv):
+        # before, a file that is not UTF-8 ended in a UnicodeDecodeError traceback
+        for name in ("graph.json", "records.json", "run.csv"):
+            (tmp_path / name).write_bytes(b"\xff[]")
+        code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == ("algoeff: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n")
+        assert (tmp_path / "records.json").read_bytes() == b"\xff[]"
 
     @pytest.mark.parametrize("argv", [("shapes",), ("flops", "--per-layer", "--counted-kinds",
                                                   "concat")])

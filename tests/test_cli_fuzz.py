@@ -1,5 +1,5 @@
 """Generated inputs at the command line boundary: records json, curve csv, graph json
-and numeric flags.
+(each sometimes with bytes that are not UTF-8) and numeric flags.
 
 Whatever the input, a command ends in exit code 0, 1, 2 or 3, raises
 nothing, prints no inf or nan, and reports a failure as one line on
@@ -17,10 +17,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algoeff.archflops import arch_to_json
 from algoeff.cli import main
 
-from _generators import random_arch
+from _generators import arch_file_text, random_arch
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -51,6 +50,16 @@ FLAG_NUMBERS = st.one_of(
 )
 
 DATES = st.sampled_from(["2012-06-01", "2014-09-17", "2017-04-17", "2019-05-28"])
+
+# bytes that no UTF-8 text holds (a lone 0xff, a lead byte without its continuation,
+# an encoded surrogate); most draws add none, so that a command gets past reading
+NOT_UTF8 = st.sampled_from([b"", b"", b"", b"", b"\xff", b"\xc3", b"\xed\xa0\x80"])
+
+
+def write(path, text, junk):
+    """Write text to path as UTF-8 with junk spliced in at its middle."""
+    data = text.encode()
+    path.write_bytes(data[:len(data) // 2] + junk + data[len(data) // 2:])
 
 
 @st.composite
@@ -112,7 +121,7 @@ WRONG_TYPES = [None, True, False, "3", "", 1.5, -1, 0, [], [1], {}, {"c": 3}]
 @st.composite
 def graph_json(draw):
     """A random valid graph, then most often one mutation of its json."""
-    obj = json.loads(arch_to_json(random_arch(random.Random(draw(st.integers(0, 2**32 - 1))))))
+    obj = json.loads(arch_file_text(random_arch(random.Random(draw(st.integers(0, 2**32 - 1))))))
     nodes = obj["nodes"]
     node = draw(st.sampled_from(nodes))
     mutation = draw(st.sampled_from([
@@ -173,11 +182,11 @@ FORMATS = st.sampled_from(["markdown", "csv", "json"])
 
 
 @FUZZ
-@given(records=records_json(), fmt=FORMATS)
-def test_record_commands(records, fmt):
+@given(records=records_json(), junk=NOT_UTF8, fmt=FORMATS)
+def test_record_commands(records, junk, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.json"
-        path.write_text(records)
+        write(path, records, junk)
         for argv in (["factor", "r0", "r1"], ["decompose", "r0", "r1"],
                      ["doubling", "r1", "r0"], ["frontier"], ["trend"],
                      ["trend", "--all-records", "--method", "endpoints"],
@@ -186,20 +195,23 @@ def test_record_commands(records, fmt):
 
 
 @FUZZ
-@given(curve=curve_csv(), records=records_json(), images=FLAG_NUMBERS,
-       multiplier=FLAG_NUMBERS, fmt=FORMATS)
-def test_analyze(curve, records, images, multiplier, fmt):
+@given(curve=curve_csv(), curve_junk=NOT_UTF8, records=records_json(), records_junk=NOT_UTF8,
+       images=FLAG_NUMBERS, multiplier=FLAG_NUMBERS, fmt=FORMATS)
+def test_analyze(curve, curve_junk, records, records_junk, images, multiplier, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         curve_path = Path(tmp) / "run.csv"
-        curve_path.write_text(curve)
+        write(curve_path, curve, curve_junk)
         records_path = Path(tmp) / "records.json"
-        records_path.write_text(records)
+        write(records_path, records, records_junk)
+        before = records_path.read_bytes()
         check(["analyze", "AlexNet", str(curve_path), "--threshold", "0.5",
                f"--images-per-epoch={images}", f"--backward-multiplier={multiplier}",
                "--format", fmt])
         check(["analyze", "AlexNet", str(curve_path), "--threshold", "0.5",
                "--date", "2020-01-01", "--append-records", str(records_path),
                f"--images-per-epoch={images}", "--format", fmt])
+        if records_junk:
+            assert records_path.read_bytes() == before
 
 
 @settings(FUZZ, max_examples=150)
@@ -211,11 +223,11 @@ def test_numeric_flags(factor, period, factors, fmt):
 
 
 @FUZZ
-@given(graph=graph_json(), fmt=FORMATS)
-def test_graph_commands(graph, fmt):
+@given(graph=graph_json(), junk=NOT_UTF8, fmt=FORMATS)
+def test_graph_commands(graph, junk, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
-        path.write_text(graph)
+        write(path, graph, junk)
         for argv in (["flops", str(path)], ["flops", str(path), "--per-layer"],
                      ["shapes", str(path)], ["analyze", str(path), "alexnet"]):
             check(argv + ["--format", fmt])

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from algoeff.archflops import builtin_arch
 from algoeff.curves import LearningCurve, Threshold, epochs_to_threshold
 from algoeff.datasets import (
     REPORTED_TERAFLOP_S_DAYS,
@@ -50,6 +51,13 @@ class TestImagenetRecords:
             quoted = REPORTED_TERAFLOP_S_DAYS[r.name]
             computed = to_report_units(r.total, "table")
             assert computed == pytest.approx(quoted, rel=0.02), r.name
+
+    def test_per_image_cost_is_the_registry_benchmark_figure(self, records):
+        # two copies of sixteen numbers: criterion 01 reads the zoo registry's,
+        # every training total the records'
+        for r in records:
+            reported = builtin_arch(r.name).metadata["reported_gigaops_per_image"]
+            assert r.flops_per_image == reported["benchmark"] * 1e9, r.name
 
     def test_alexnet_row(self, records):
         alexnet = next(r for r in records if r.name == "AlexNet")

@@ -23,7 +23,6 @@ from algoeff.archflops import (
     ShapeError,
     TensorShape,
     arch_from_json,
-    arch_to_json,
     builtin_arch,
     count_flops,
     infer_shapes,
@@ -31,7 +30,7 @@ from algoeff.archflops import (
     validate_arch,
 )
 
-from _generators import random_arch
+from _generators import arch_file_text, random_arch
 
 
 def tiny_arch(**overrides) -> ArchitectureSpec:
@@ -193,14 +192,14 @@ class TestSlottedValues:
         assert not hasattr(value, "extra")
 
     def test_loaded_nodes_share_one_kind_string(self):
-        arch = arch_from_json(arch_to_json(builtin_arch("AlexNet")))
+        arch = arch_from_json(arch_file_text(builtin_arch("AlexNet")))
         convs = [n for n in arch.nodes if n.kind == "conv2d"]
         assert len(convs) == 5
         assert all(n.kind is convs[0].kind for n in convs)
 
     @pytest.mark.parametrize("index", [1, 2])
     def test_bad_node_after_good_ones_keeps_its_index(self, index):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][index] = "conv"
         with pytest.raises(GraphError, match=rf"^nodes\[{index}\] must be an object$"):
             arch_from_json(json.dumps(obj))
@@ -237,23 +236,27 @@ class TestLoadedNode:
             assert type(node.params) is dict and type(node.inputs) is tuple
             assert not hasattr(node, "__dict__")
 
-    @staticmethod
-    def _outcome(call):
-        try:
-            return call()
-        except TypeError as exc:  # params is a dict, so a node does not hash
-            return type(exc)
-
     def test_copies_and_hash_behave_as_for_the_constructed_node(self, loaded):
         for raw, node in zip(self.RAWS, loaded):
             built = LayerNode(**raw)
-            assert self._outcome(lambda: hash(node)) == self._outcome(lambda: hash(built))
+            assert hash(node) == hash(built) and {built: raw["id"]}[node] == raw["id"]
             assert pickle.loads(pickle.dumps(node)) == built
             assert copy.deepcopy(node) == built
             assert dataclasses.replace(node) == built
             assert dataclasses.replace(node, id="z") == dataclasses.replace(built, id="z")
             with pytest.raises(dataclasses.FrozenInstanceError):
                 node.id = "z"
+
+    def test_spec_is_a_dict_key(self):
+        built = tiny_arch()
+        loaded = arch_from_json(arch_file_text(built))
+        assert hash(loaded) == hash(built)
+        assert {built: "tiny"}[loaded] == "tiny"
+        # the hash skips params and metadata, equality still tells them apart
+        other = tiny_arch(metadata={"note": 1})
+        assert hash(other) == hash(built) and other not in {built}
+        wider = _with_params(built, "fc", out_features=11)
+        assert hash(wider) == hash(built) and wider not in {built}
 
     def test_one_shape_call_per_node_per_walk(self, node_shape_calls):
         arch = arch_from_json(_chain_json(3))
@@ -444,7 +447,7 @@ class TestValidation:
 
     def test_unknown_param_rejected(self):
         # a misspelt stride would otherwise be counted at the default of 1
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["default_input"] = {"c": 3, "h": 14, "w": 14}
         obj["nodes"][0]["params"] = {"out_channels": 4, "kernel_h": 7, "kernel_w": 7,
                                      "stride": 2}
@@ -478,7 +481,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad_id", [7, None, ["c1"]])
     def test_non_string_id_rejected(self, bad_id):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][1]["id"] = bad_id
         obj["nodes"][2]["inputs"] = ["c1"]
         expected = rf"node {re.escape(repr(bad_id))}: id must be a string"
@@ -489,7 +492,7 @@ class TestValidation:
         ("name", 5), ("name", None), ("name", ["tiny"]), ("output", 5), ("output", ["c1"]),
     ])
     def test_non_string_name_or_output_rejected(self, field, value):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj[field] = value
         expected = (rf"^name must be a string, got {re.escape(repr(value))}$" if field == "name"
                     else rf"^tiny: output {re.escape(repr(value))} does not name a node$")
@@ -536,7 +539,7 @@ class TestConstants:
 class TestJsonFormat:
     def test_round_trip(self):
         arch = tiny_arch()
-        text = arch_to_json(arch)
+        text = arch_file_text(arch)
         back = arch_from_json(text)
         assert back.name == arch.name
         assert back.default_input == arch.default_input
@@ -547,9 +550,9 @@ class TestJsonFormat:
 
     def test_metadata_not_serialized(self):
         arch = tiny_arch(metadata={"reported_accuracy": {"top5": 99.0}})
-        obj = json.loads(arch_to_json(arch))
+        obj = json.loads(arch_file_text(arch))
         assert "metadata" not in obj
-        assert arch_from_json(arch_to_json(arch)).metadata == {}
+        assert arch_from_json(arch_file_text(arch)).metadata == {}
 
     def test_rejects_invalid_json(self):
         with pytest.raises(GraphError, match="not valid JSON"):
@@ -560,61 +563,61 @@ class TestJsonFormat:
             arch_from_json("[1, 2]")
 
     def test_rejects_unknown_top_field(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["extra"] = 1
         with pytest.raises(GraphError, match="unknown field"):
             arch_from_json(json.dumps(obj))
 
     def test_rejects_missing_top_field(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         del obj["output"]
         with pytest.raises(GraphError, match="missing field"):
             arch_from_json(json.dumps(obj))
 
     def test_rejects_bad_default_input(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["default_input"] = {"c": 3, "h": 8}
         with pytest.raises(GraphError, match="default_input"):
             arch_from_json(json.dumps(obj))
 
     def test_rejects_nodes_not_array(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"] = {}
         with pytest.raises(GraphError, match="nodes must be an array"):
             arch_from_json(json.dumps(obj))
 
     def test_rejects_node_non_object(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][0] = "conv"
         with pytest.raises(GraphError, match=r"nodes\[0\]"):
             arch_from_json(json.dumps(obj))
 
     def test_rejects_node_unknown_field(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][0]["weights"] = [1.0]
         with pytest.raises(GraphError, match="unknown field"):
             arch_from_json(json.dumps(obj))
 
     def test_rejects_node_missing_id_or_kind(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         del obj["nodes"][0]["kind"]
         with pytest.raises(GraphError, match="missing field 'kind'"):
             arch_from_json(json.dumps(obj))
 
     def test_rejects_node_bad_params(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][0]["params"] = []
         with pytest.raises(GraphError, match="params must be an object"):
             arch_from_json(json.dumps(obj))
 
     def test_rejects_node_bad_inputs(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][0]["inputs"] = [1]
         with pytest.raises(GraphError, match=r"^tiny: node 'c1': input 1 is not a node id string$"):
             arch_from_json(json.dumps(obj))
 
     def test_every_node_problem_listed_with_the_output(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][0]["params"]["stide"] = 2
         obj["nodes"][1]["inputs"] = [5]
         obj["output"] = 7
@@ -626,7 +629,7 @@ class TestJsonFormat:
             "node 'relu': input 5 is not a node id string; output 7 does not name a node")
 
     def test_from_json_validates_graph(self):
-        obj = json.loads(arch_to_json(tiny_arch()))
+        obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][0]["params"]["kernel_h"] = 99  # larger than padded input
         with pytest.raises(GraphError, match="exceeds"):
             arch_from_json(json.dumps(obj))

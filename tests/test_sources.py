@@ -44,8 +44,7 @@ def test_importing_the_package_loads_no_submodule():
 _OWNERS = {
     "algoeff.archflops": (
         "ArchitectureSpec", "CountingConvention", "FlopCount", "GraphError", "ShapeError",
-        "TensorShape", "arch_from_json", "arch_to_json", "builtin_arch", "builtin_names",
-        "count_flops", "infer_shapes",
+        "TensorShape", "arch_from_json", "builtin_arch", "count_flops", "infer_shapes",
     ),
     "algoeff.curves": (
         "ComputeCurve", "CurveError", "DominanceResult", "LearningCurve", "Threshold",

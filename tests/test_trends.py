@@ -840,7 +840,7 @@ class TestMooreFactor:
 
     def test_model_with_huge_period_raises_trend_error(self):
         with pytest.raises(TrendError, match="growth factor"):
-            EffectiveComputeModel(period_months=1e6).hardware_factor
+            EffectiveComputeModel(period_months=1e6).factors_at(1e6)
 
 
 class TestEffectiveCompute:
@@ -869,7 +869,7 @@ class TestEffectiveCompute:
 class TestEffectiveComputeModel:
     def test_default_breakdown(self):
         model = EffectiveComputeModel()
-        b = model.breakdown()
+        b = model.factors_at(model.period_months)
         assert b["hardware_factor"] == 8.0       # 2^(72/24)
         assert b["spending_factor"] == 37500.0
         assert b["efficiency_factor"] == 25.0
@@ -878,8 +878,24 @@ class TestEffectiveComputeModel:
     def test_custom_model(self):
         model = EffectiveComputeModel(hardware_doubling_months=12.0, period_months=24.0,
                                       spending_factor=10.0, efficiency_factor=5.0)
-        assert model.hardware_factor == 4.0
-        assert model.total_factor == 200.0
+        b = model.factors_at(model.period_months)
+        assert b["hardware_factor"] == 4.0
+        assert b["total_factor"] == 200.0
+
+    def test_growth_within_the_period(self):
+        model = EffectiveComputeModel()
+        assert list(model.factors_at(0).values()) == [1.0, 1.0, 1.0, 1.0]
+        half = model.factors_at(36)
+        assert half["hardware_factor"] == pytest.approx(2 ** 1.5)
+        assert half["spending_factor"] == pytest.approx(37500 ** 0.5)
+        assert half["total_factor"] == pytest.approx(7_500_000 ** 0.5)
+
+    @pytest.mark.parametrize("months", [-1.0, 72.5, math.nan, math.inf])
+    def test_months_outside_the_period_rejected(self, months):
+        # a huge factor grown past its period overflowed the float power
+        model = EffectiveComputeModel(spending_factor=1e300)
+        with pytest.raises(TrendError, match=r"^months must be in \[0, 72\], got "):
+            model.factors_at(months)
 
     def test_rejects_non_positive(self):
         with pytest.raises(TrendError):

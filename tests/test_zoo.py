@@ -8,12 +8,13 @@ from algoeff.archflops import (
     GraphError,
     TensorShape,
     arch_from_json,
-    arch_to_json,
     builtin_arch,
-    builtin_names,
     count_flops,
     validate_arch,
 )
+from algoeff.archflops.zoo import _GRAPHS
+
+from _generators import arch_file_text
 
 # Exact multiply-accumulate totals at each graph's default 3x224x224
 # input. These pin the graphs against accidental edits; the looser
@@ -38,7 +39,7 @@ EXPECTED_MACS = {
 }
 
 
-# sha256 of each graph's arch_to_json text followed by its metadata as
+# sha256 of each graph's arch_file_text followed by its metadata as
 # json.dumps(..., sort_keys=True). Unlike the totals these pin every node
 # id, kind, parameter and input, and every reported figure.
 EXPECTED_DIGESTS = {
@@ -62,12 +63,12 @@ EXPECTED_DIGESTS = {
 
 
 def _spec_bytes(arch):
-    return arch_to_json(arch).encode() + json.dumps(arch.metadata, sort_keys=True).encode()
+    return arch_file_text(arch).encode() + json.dumps(arch.metadata, sort_keys=True).encode()
 
 
 def test_builtins_are_pinned_exactly():
-    assert list(builtin_names()) == list(EXPECTED_DIGESTS)
-    for name in builtin_names():
+    assert list(_GRAPHS) == list(EXPECTED_DIGESTS)  # the registry's order
+    for name in _GRAPHS:
         digest = hashlib.sha256(_spec_bytes(builtin_arch(name))).hexdigest()
         assert digest == EXPECTED_DIGESTS[name], name
 
@@ -85,8 +86,8 @@ def test_metadata_is_fresh_per_call():
 
 
 def test_sixteen_builtins():
-    assert set(builtin_names()) == set(EXPECTED_MACS)
-    assert len(builtin_names()) == 16
+    assert set(_GRAPHS) == set(EXPECTED_MACS)
+    assert len(_GRAPHS) == 16
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_MACS))
@@ -107,7 +108,7 @@ def test_builtins_default_to_imagenet_input(name):
 @pytest.mark.parametrize("name", sorted(EXPECTED_MACS))
 def test_builtins_survive_json_round_trip(name):
     arch = builtin_arch(name)
-    back = arch_from_json(arch_to_json(arch))
+    back = arch_from_json(arch_file_text(arch))
     assert count_flops(back).total_per_image == EXPECTED_MACS[name]
     assert back.name == arch.name
 
@@ -171,7 +172,7 @@ class TestMetadata:
 
     def test_metadata_does_not_affect_counting(self):
         arch = builtin_arch("AlexNet")
-        stripped = arch_from_json(arch_to_json(arch))  # metadata dropped
+        stripped = arch_from_json(arch_file_text(arch))  # metadata dropped
         assert count_flops(stripped).total_per_image == count_flops(arch).total_per_image
 
 
