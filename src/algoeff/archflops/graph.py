@@ -13,10 +13,11 @@ checked graph with the mac rules.
 
 Everything here is immutable. Treat specs as values: helpers return new
 objects and never mutate their arguments, so sharing instances across
-threads is safe. The walk relies on this: a successful walk is memoized
-on the spec instance by input shape, so a memo entry means "valid, with
-these shapes, for this input". A failed walk runs again on every call; a
-spec changed in place after a walk keeps reporting its earlier state.
+threads is safe. The walk relies on this: a spec memoizes its latest
+successful walk with the input shape, so the memo means "valid, with
+these shapes, for this input", and a successful walk at another input
+replaces it. A failed walk runs again on every call; a spec changed in
+place after a walk keeps reporting its earlier state.
 Equal specs and nodes hash equal, so a spec can key a dict: the hash skips
 the ``params`` and ``metadata`` dicts, which equality still compares.
 
@@ -64,13 +65,15 @@ class TensorShape:
     def __post_init__(self) -> None:
         c, h, w = self.channels, self.height, self.width
         # one test for plain positive ints, since the walk builds a shape per
-        # node; the loop accepts an int subclass and words the first bad field
+        # node; otherwise _POSITIVE, which also accepts an int subclass,
+        # words the first field it rejects
         if not (type(c) is int and type(h) is int and type(w) is int
                 and c >= 1 and h >= 1 and w >= 1):
+            accepted, test = _POSITIVE
             for name in ("channels", "height", "width"):
                 v = getattr(self, name)
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise GraphError(f"TensorShape.{name} must be a positive integer, got {v!r}")
+                if not test(v):
+                    raise GraphError(f"TensorShape.{name} must be {accepted}, got {v!r}")
 
     @property
     def elements(self) -> int:
@@ -392,8 +395,8 @@ class ArchitectureSpec:
             ) from None
 
 
-# Instance attribute of an ArchitectureSpec holding its successful walks by input
-# shape. Not a dataclass field, so equality, repr and dataclasses.replace ignore it.
+# Instance attribute of an ArchitectureSpec holding (input shape, shapes) of its latest
+# successful walk. Not a dataclass field, so equality, repr and dataclasses.replace ignore it.
 _MEMO_ATTR = "_inferred_shapes"
 
 
@@ -405,9 +408,9 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
     """
     if not isinstance(input_shape, TensorShape):
         return [f"input shape {input_shape!r} is not a TensorShape"], {}
-    memo = arch.__dict__.setdefault(_MEMO_ATTR, {})
-    if input_shape in memo:
-        return [], memo[input_shape]
+    memo_input, memo_shapes = arch.__dict__.get(_MEMO_ATTR, (None, None))
+    if memo_input == input_shape:
+        return [], memo_shapes
     problems: list[str] = [] if arch.nodes else ["architecture has no nodes"]
     shapes, seen, shape_problem = {INPUT_ID: input_shape}, set(), None
     for node in arch.nodes:
@@ -448,7 +451,7 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
         problems.append(f"output {arch.output!r} does not name a node")
     if problems or shape_problem is not None:
         return problems or [shape_problem], shapes
-    memo[input_shape] = shapes
+    arch.__dict__[_MEMO_ATTR] = (input_shape, shapes)
     return problems, shapes
 
 

@@ -23,8 +23,9 @@ def infer_shapes(
 
     Every node is checked as validate_arch checks it: ShapeError lists
     the problems validate_arch would return for this input shape. The
-    walk is memoized on the spec (see graph.py); each call returns a
-    fresh copy, so callers may change what they get back.
+    spec keeps its most recent successful walk, so a repeated input shape
+    is not walked again (see graph.py); each call returns a fresh copy, so
+    callers may change what they get back.
     """
     problems, shapes = _walk(arch, input_shape or arch.default_input)
     if problems:

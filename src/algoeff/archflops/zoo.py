@@ -8,9 +8,12 @@ architecture's own publication) and the reported accuracy, or None where
 none is published. A builder adds nodes to a ``_Builder`` and returns
 the id of the output node; ``builtin_arch`` wraps the nodes in an
 ``ArchitectureSpec`` at the 3x224x224 input, with the row's figures
-verbatim in ``metadata``. Metadata is documentation only and never feeds
-computation. ``benchmark`` is the bundled records' ``flops_per_image`` in
-gigaops, and a test checks that they agree. ``builtin_arch`` is the one public name.
+verbatim in ``metadata``. Rows of one family share a builder: ``_resnet``
+serves the five ResNet rows, ``_shufflenet_v2`` both ShuffleNet v2 widths
+and ``_inverted_residuals`` MobileNet_v2 and EfficientNet-b0. Metadata is
+documentation only and never feeds computation. ``benchmark`` is the
+bundled records' ``flops_per_image`` in gigaops, and a test checks that
+they agree. ``builtin_arch`` is the one public name.
 
 Each builder mirrors a widely used reference implementation of the
 architecture. Counted with the default convention (conv2d + linear
@@ -289,30 +292,34 @@ def _mobilenet_v1(b: _Builder) -> str:
     return b.classifier(x)
 
 
-def _mobilenet_v2(b: _Builder) -> str:
-    x = b.cba("input", "stem", 32, k=3, s=2, p=1, act="relu6")
+def _inverted_residuals(b: _Builder, block: str, act: str, plan: tuple[tuple[int, ...], ...],
+                        se: bool = False, dropout: bool = False) -> str:
+    """MobileNet v2 style: each plan row (t, out_c, n, k, stride) is n blocks of
+    expansion t and kernel k, the first of them strided."""
+    x = b.cba("input", "stem", 32, k=3, s=2, p=1, act=act)
     channels = 32
-    plan = [(1, 16, 1, 1), (6, 24, 2, 2), (6, 32, 3, 2), (6, 64, 4, 2),
-            (6, 96, 3, 1), (6, 160, 3, 2), (6, 320, 1, 1)]
     idx = 0
-    for t, out_c, n, first_stride in plan:
+    for t, out_c, n, k, first_stride in plan:
         for i in range(n):
             idx += 1
             stride = first_stride if i == 0 else 1
-            prefix = f"ir{idx}"
+            prefix = f"{block}{idx}"
             y = x
             hidden = channels * t
             if t != 1:
-                y = b.cba(y, f"{prefix}.expand", hidden, k=1, act="relu6")
-            y = b.cba(y, f"{prefix}.depth", hidden, k=3, s=stride, p=1,
-                      groups=hidden, act="relu6")
+                y = b.cba(y, f"{prefix}.expand", hidden, k=1, act=act)
+            y = b.cba(y, f"{prefix}.depth", hidden, k=k, s=stride, p=(k - 1) // 2,
+                      groups=hidden, act=act)
+            if se:
+                # squeeze width is a quarter of the block input, i.e. hidden/(4t)
+                y = b.add("squeeze_excite", y, f"{prefix}.se", reduction=4 * t)
             y = b.cba(y, f"{prefix}.project", out_c, k=1, act=None)
             if stride == 1 and channels == out_c:
                 y = b.add("elementwise_add", [x, y], f"{prefix}.add")
             x = y
             channels = out_c
-    x = b.cba(x, "head.conv", 1280, k=1, act="relu6")
-    return b.classifier(x)
+    x = b.cba(x, "head.conv", 1280, k=1, act=act)
+    return b.classifier(x, dropout=dropout)
 
 
 # ---------------------------------------------------------------------------
@@ -383,38 +390,6 @@ def _shufflenet_v2(b: _Builder, stage_out: tuple[int, int, int]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# efficientnet
-# ---------------------------------------------------------------------------
-
-def _efficientnet_b0(b: _Builder) -> str:
-    x = b.cba("input", "stem", 32, k=3, s=2, p=1, act="swish")
-    channels = 32
-    plan = [(1, 16, 1, 3, 1), (6, 24, 2, 3, 2), (6, 40, 2, 5, 2), (6, 80, 3, 3, 2),
-            (6, 112, 3, 5, 1), (6, 192, 4, 5, 2), (6, 320, 1, 3, 1)]
-    idx = 0
-    for t, out_c, n, k, first_stride in plan:
-        for i in range(n):
-            idx += 1
-            stride = first_stride if i == 0 else 1
-            prefix = f"mb{idx}"
-            y = x
-            hidden = channels * t
-            if t != 1:
-                y = b.cba(y, f"{prefix}.expand", hidden, k=1, act="swish")
-            y = b.cba(y, f"{prefix}.depth", hidden, k=k, s=stride, p=(k - 1) // 2,
-                      groups=hidden, act="swish")
-            # squeeze width is a quarter of the block input, i.e. hidden/(4t)
-            y = b.add("squeeze_excite", y, f"{prefix}.se", reduction=4 * t)
-            y = b.cba(y, f"{prefix}.project", out_c, k=1, act=None)
-            if stride == 1 and channels == out_c:
-                y = b.add("elementwise_add", [x, y], f"{prefix}.add")
-            x = y
-            channels = out_c
-    x = b.cba(x, "head.conv", 1280, k=1, act="swish")
-    return b.classifier(x, dropout=True)
-
-
-# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
@@ -436,12 +411,18 @@ _GRAPHS: dict[str, tuple[Callable[..., str], dict[str, Any], tuple, tuple | None
     "DenseNet121": (_densenet121, {}, (2.70, 2.70, None), None),
     "Squeezenet_v1_1": (_squeezenet11, {}, (0.36, 0.36, None), ("top5", 80.6, 80.6, 80.3)),
     "MobileNet_v1": (_mobilenet_v1, {}, (0.57, 0.58, 0.57), ("top1", 71.0, None, 70.6)),
-    "MobileNet_v2": (_mobilenet_v2, {}, (0.33, 0.33, None), ("top1", 68.5, 71.9, 72.0)),
+    "MobileNet_v2": (_inverted_residuals, {"block": "ir", "act": "relu6", "plan": (
+        (1, 16, 1, 3, 1), (6, 24, 2, 3, 2), (6, 32, 3, 3, 2), (6, 64, 4, 3, 2),
+        (6, 96, 3, 3, 1), (6, 160, 3, 3, 2), (6, 320, 1, 3, 1))},
+        (0.33, 0.33, None), ("top1", 68.5, 71.9, 72.0)),
     "ShuffleNet_v1_1x": (_shufflenet_v1, {}, (0.14, 0.15, 0.14), ("top1", 64.6, None, 67.6)),
     "ShuffleNet_v2_1x": (_shufflenet_v2, {"stage_out": (116, 232, 464)}, (0.14, 0.15, 0.14), None),
     "ShuffleNet_v2_1_5x": (_shufflenet_v2, {"stage_out": (176, 352, 704)},
                            (0.31, 0.31, None), ("top1", 69.3, 69.4, 71.6)),
-    "EfficientNet-b0": (_efficientnet_b0, {}, (0.39, None, 0.39), None),
+    "EfficientNet-b0": (_inverted_residuals, {"block": "mb", "act": "swish", "se": True,
+                                              "dropout": True, "plan": (
+        (1, 16, 1, 3, 1), (6, 24, 2, 3, 2), (6, 40, 2, 5, 2), (6, 80, 3, 3, 2),
+        (6, 112, 3, 5, 1), (6, 192, 4, 5, 2), (6, 320, 1, 3, 1))}, (0.39, None, 0.39), None),
 }
 
 _GIGAOPS_KEYS = ("benchmark", "counter", "original")

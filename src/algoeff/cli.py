@@ -210,17 +210,24 @@ def _build_parser() -> _Parser:
 # helpers
 # ---------------------------------------------------------------------------
 
+def _read_text(path: str | Path) -> str:
+    """A user's input file as text; one that is not UTF-8 is an input error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"{path}: {e}") from None
+
+
 def _load_arch(value: str) -> ArchitectureSpec:
     if "/" in value or value.endswith(".json"):
-        return arch_from_json(Path(value).read_text(encoding="utf-8"))
+        return arch_from_json(_read_text(value))
     return builtin_arch(value)
 
 
 def _load_curve_arg(value: str, percent: bool):
     path = Path(value)
     if "/" in value or value.endswith(".csv") or path.exists():
-        return parse_curve(path.read_text(encoding="utf-8"), name=path.stem,
-                           percent=percent)
+        return parse_curve(_read_text(path), name=path.stem, percent=percent)
     names = curve_names()
     if value in names:
         if percent:
@@ -252,7 +259,7 @@ def _parse_input(value: str | None) -> TensorShape | None:
 def _load_records(path: str | None) -> tuple[EfficiencyRecord, ...]:
     if path is None:
         return load_imagenet_records()
-    return records_from_json(Path(path).read_text(encoding="utf-8"))
+    return records_from_json(_read_text(path))
 
 
 def _replace_file(path: Path, text: str):
@@ -330,9 +337,9 @@ def _cmd_analyze(args) -> list[Table]:
         if args.date is None:
             raise UsageError("algoeff analyze: --append-records requires --date")
         run_date = parse_date(args.date, "--date", TrendError)
-        name = args.name or arch.name
+        name = arch.name if args.name is None else args.name
         path = Path(args.append_records)
-        existing = records_from_json(path.read_text(encoding="utf-8")) if path.exists() else ()
+        existing = records_from_json(_read_text(path)) if path.exists() else ()
         if any(r.name == name for r in existing):
             raise TrendError(f"record {name!r} already exists in {path}")
         if curve.cumulative_flops is not None:
@@ -430,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         except ThresholdNotReached as e:
             print(f"algoeff: {e}", file=sys.stderr)
             return 3
-        except (GraphError, CurveError, TrendError, DatasetError, OSError, UnicodeDecodeError) as e:
+        except (GraphError, CurveError, TrendError, DatasetError, OSError) as e:
             print(f"algoeff: {e}", file=sys.stderr)
             return 2
 

@@ -297,6 +297,18 @@ class TestAnalyze:
         assert code == 2
         assert "already exists" in err
 
+    def test_append_empty_name_is_rejected(self, capsys, tmp_path):
+        # before, an empty --name fell back to the architecture name
+        records_file = tmp_path / "runs.json"
+        run(capsys, "analyze", "AlexNet", "alexnet", "--date", "2012-06-01",
+            "--name", "first", "--append-records", str(records_file))
+        before = records_file.read_bytes()
+        code, out, err = run(capsys, "analyze", "AlexNet", "alexnet", "--date", "2020-01-01",
+                             "--name", "", "--append-records", str(records_file))
+        assert (code, out) == (2, "")
+        assert err == "algoeff: record name must be a non-empty string\n"
+        assert records_file.read_bytes() == before
+
     def test_append_failure_keeps_old_file(self, capsys, tmp_path, monkeypatch):
         records_file = tmp_path / "runs.json"
         run(capsys, "analyze", "AlexNet", "alexnet", "--date", "2012-06-01",
@@ -641,14 +653,17 @@ class TestInputEdges:
         ("analyze", "AlexNet", "{dir}/run.csv"),
         ("analyze", "AlexNet", "alexnet", "--date", "2012-06-01",
          "--append-records", "{dir}/records.json"),
+        ("analyze", "{dir}/graph.json", "{dir}/run.csv"),
     ])
     def test_undecodable_file(self, capsys, tmp_path, argv):
-        # before, a file that is not UTF-8 ended in a UnicodeDecodeError traceback
+        # before, a file that is not UTF-8 ended in a UnicodeDecodeError traceback;
+        # the message names the first file read
         for name in ("graph.json", "records.json", "run.csv"):
             (tmp_path / name).write_bytes(b"\xff[]")
         code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        bad = next(a for a in argv if a.startswith("{dir}/")).format(dir=tmp_path)
         assert (code, out) == (2, "")
-        assert err == ("algoeff: 'utf-8' codec can't decode byte 0xff in position 0: "
+        assert err == (f"algoeff: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
                        "invalid start byte\n")
         assert (tmp_path / "records.json").read_bytes() == b"\xff[]"
 

@@ -1,5 +1,7 @@
 """Shape inference against window enumeration and hand-worked cases."""
 import dataclasses
+import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -291,16 +293,34 @@ class TestMemo:
         assert len(node_shape_calls) == len(arch.nodes)
 
     def test_each_input_shape_is_inferred_separately(self, node_shape_calls):
+        # a repeated input reuses the walk; a new input walks again and replaces it
         arch = builtin_arch("ResNet-50")
         big = TensorShape(3, 288, 288)
-        for shape in (arch.default_input, big, arch.default_input, big):
+        for shape in (arch.default_input, arch.default_input, big, big, arch.default_input):
             got = infer_shapes(arch, shape)
             want = shapes_oracle(arch, shape)
             assert got["input"] == shape
             for node in arch.nodes:
                 s = got[node.id]
                 assert (s.channels, s.height, s.width) == want[node.id]
-        assert len(node_shape_calls) == 2 * len(arch.nodes)
+        assert len(node_shape_calls) == 3 * len(arch.nodes)
+
+    def test_a_sweep_over_inputs_retains_one_shape_map(self):
+        # before, every input's shape map stayed on the spec
+        arch = builtin_arch("DenseNet121")
+        infer_shapes(arch)
+        tracemalloc.start()
+        try:
+            infer_shapes(arch, TensorShape(3, 200, 200))
+            gc.collect()
+            one_map = tracemalloc.get_traced_memory()[0]
+            for size in range(201, 232):
+                infer_shapes(arch, TensorShape(3, size, size))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < retained < 1.5 * one_map
 
     def test_mutating_a_result_does_not_leak(self):
         arch = chain(LayerNode(id="r", kind="activation", params={}, inputs=("input",)))
