@@ -444,7 +444,7 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
             problems[start:] = [f"node {node.id!r}: {p}" for p in problems[start:]]
         elif not problems and shape_problem is None:
             try:
-                shapes[node.id] = _node_shape(node, params, [shapes[r] for r in node.inputs])
+                shapes[node.id] = kind.shape(params, [shapes[r] for r in node.inputs])
             except ValueError as exc:
                 shape_problem = f"node {node.id!r}: {exc}"
     if not isinstance(arch.output, str) or arch.output not in seen:
@@ -484,11 +484,6 @@ def _check_params(node: LayerNode, kind: _Kind, problems: list[str]) -> dict[str
         unknown = [name for name in node.params if name not in kind.params]
         problems.append(f"unknown parameter(s) {unknown}; {node.kind} takes {sorted(kind.params)}")
     return None
-
-
-def _node_shape(node: LayerNode, params: dict[str, Any], ins: list[TensorShape]) -> TensorShape:
-    """The walk's one call of a shape rule per node and input shape."""
-    return _KINDS[node.kind].shape(params, ins)
 
 
 def validate_arch(arch: ArchitectureSpec) -> list[str]:
@@ -532,12 +527,16 @@ _SET_ID, _SET_KIND, _SET_PARAMS, _SET_INPUTS = (
     LayerNode.__dict__[f.name].__set__ for f in fields(LayerNode))
 
 
-def arch_from_json(text: str) -> ArchitectureSpec:
-    """Parse and validate an architecture file. Raises GraphError."""
+def arch_from_json(text: str, path=None) -> ArchitectureSpec:
+    """Parse and validate an architecture file. Raises GraphError.
+
+    path, when given, leads the message for a text that is not json.
+    """
     try:
         obj = json.loads(text)
     except ValueError as exc:  # also a json int past the int-to-str digit limit
-        raise GraphError(f"not valid JSON: {exc}") from None
+        where = "" if path is None else f"{path}: "
+        raise GraphError(f"{where}not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise GraphError("architecture file must contain a JSON object")
 

@@ -220,7 +220,7 @@ def _read_text(path: str | Path) -> str:
 
 def _load_arch(value: str) -> ArchitectureSpec:
     if "/" in value or value.endswith(".json"):
-        return arch_from_json(_read_text(value))
+        return arch_from_json(_read_text(value), value)
     return builtin_arch(value)
 
 
@@ -259,7 +259,7 @@ def _parse_input(value: str | None) -> TensorShape | None:
 def _load_records(path: str | None) -> tuple[EfficiencyRecord, ...]:
     if path is None:
         return load_imagenet_records()
-    return records_from_json(_read_text(path))
+    return records_from_json(_read_text(path), path)
 
 
 def _replace_file(path: Path, text: str):
@@ -339,7 +339,7 @@ def _cmd_analyze(args) -> list[Table]:
         run_date = parse_date(args.date, "--date", TrendError)
         name = arch.name if args.name is None else args.name
         path = Path(args.append_records)
-        existing = records_from_json(_read_text(path)) if path.exists() else ()
+        existing = records_from_json(_read_text(path), path) if path.exists() else ()
         if any(r.name == name for r in existing):
             raise TrendError(f"record {name!r} already exists in {path}")
         if curve.cumulative_flops is not None:

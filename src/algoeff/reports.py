@@ -30,6 +30,7 @@ from .trends import (
     Frontier,
     TrendError,
     TrendFit,
+    _unit_divisor,
     date_to_months,
     decompose,
     doubling_time,
@@ -80,10 +81,14 @@ def fmt_factor(x: float) -> str:
 
 def fmt_compute(raw: float, unit: str) -> str:
     """A raw-flops total in a display unit; fixed point for table units."""
-    v = to_report_units(raw, unit)
-    if unit == "table":
-        return f"{v:.1f}"
-    return f"{v:.4g}"
+    return _compute_formatter(unit)(raw)
+
+
+def _compute_formatter(unit: str):
+    """fmt_compute at one unit, whose divisor is looked up once for a table's rows."""
+    divisor = _unit_divisor(unit)
+    spec = ".1f" if unit == "table" else ".4g"
+    return lambda raw: format(raw / divisor, spec)
 
 
 def _fmt_period(value: float, unit: str) -> str:
@@ -341,10 +346,14 @@ def compute_table(
     """
     on_front = set(map(id, front.records))
     ordered = sorted(records, key=attrgetter("name"))
-    ordered.sort(key=attrgetter("total"), reverse=True)  # stable: equal totals stay in name order
+    # stable: equal totals stay in name order
+    ordered.sort(key=attrgetter("total_compute"), reverse=True)
+    fmt_total = _compute_formatter(unit)
+    date_cells: dict = {}  # each distinct date's cell, formatted once
     rows = []
     warnings = []
     for r in ordered:
+        total = r.total_compute
         quoted_cell = ""
         deviation_cell = ""
         if reported and r.name in reported:
@@ -353,18 +362,22 @@ def compute_table(
                     and positive_finite(quoted_raw := q * UNIT_DIVISORS["table"])):
                 raise TrendError(f"{r.name}: quoted total must be positive and finite "
                                  f"in raw flops, got {q!r}")
-            quoted_cell = fmt_compute(quoted_raw, unit)
-            dev = (r.total - quoted_raw) / quoted_raw
+            quoted_cell = fmt_total(quoted_raw)
+            dev = (total - quoted_raw) / quoted_raw
             deviation_cell = f"{dev * 100:+.2f}%"
             if abs(dev) > 0.02:
-                warnings.append(_quote_note(r.name, "computed total", fmt_compute(r.total, unit),
+                warnings.append(_quote_note(r.name, "computed total", fmt_total(total),
                                             f"deviates {deviation_cell} from", quoted_cell))
+        date = r.date
+        date_cell = date_cells.get(date)
+        if date_cell is None:
+            date_cell = date_cells[date] = date.isoformat()
         rows.append((
             r.name,
-            r.date.isoformat(),
+            date_cell,
             f"{r.epochs:g}" if r.epochs is not None else "",
             f"{r.flops_per_image / 1e9:.2f}" if r.flops_per_image is not None else "",
-            fmt_compute(r.total, unit),
+            fmt_total(total),
             quoted_cell,
             deviation_cell,
             "yes" if id(r) in on_front else "",
@@ -396,14 +409,21 @@ def frontier_points(records: Sequence[EfficiencyRecord], front: Frontier,
     ordered = sorted(records, key=attrgetter("name"))
     ordered.sort(key=attrgetter("date"))  # stable: equal dates stay in name order
     origin = date_to_months(ordered[0].date)
+    divisor = _unit_divisor(unit)
+    date_cells: dict = {}  # each distinct date's date and months cells, formatted once
     rows = []
     for r in ordered:
+        date = r.date
+        cells = date_cells.get(date)
+        if cells is None:
+            cells = date_cells[date] = (date.isoformat(),
+                                        f"{date_to_months(date) - origin:.3f}")
+        total = r.total_compute
         rows.append((
             r.name,
-            r.date.isoformat(),
-            f"{date_to_months(r.date) - origin:.3f}",
-            f"{to_report_units(r.total, unit):.6e}",
-            f"{math.log2(r.total):.4f}",
+            *cells,
+            f"{total / divisor:.6e}",
+            f"{math.log2(total):.4f}",
             "yes" if id(r) in on_front else "",
         ))
     return Table(
@@ -453,18 +473,20 @@ def effective_compute_points() -> Table:
 # ---------------------------------------------------------------------------
 
 def render_markdown(tables: Sequence[Table]) -> str:
-    parts = []
+    lines = []
     for t in tables:
-        lines = [f"## {t.title}", ""]
-        lines.append("| " + " | ".join(t.columns) + " |")
-        lines.append("|" + "|".join(" --- " for _ in t.columns) + "|")
-        for row in t.rows:
-            lines.append("| " + " | ".join(row) + " |")
+        if lines:
+            lines.append("")  # a blank line between tables
+        lines += (f"## {t.title}", "",
+                  "| " + " | ".join(t.columns) + " |",
+                  "|" + "|".join(" --- " for _ in t.columns) + "|")
+        lines += ["| " + " | ".join(row) + " |" for row in t.rows]
         for w in t.warnings:
-            lines.append("")
-            lines.append(f"> note: {w}")
-        parts.append("\n".join(lines))
-    return "\n\n".join(parts) + "\n"
+            lines += ("", f"> note: {w}")
+    if not lines:
+        return "\n"
+    lines.append("")  # the text ends in a newline
+    return "\n".join(lines)
 
 
 def render_csv(tables: Sequence[Table]) -> str:

@@ -11,6 +11,16 @@ Compute is stored in raw floating point operations. Two display units
 are available throughout: "stated" divides by one teraflop/s sustained
 for a day (8.64e16), "table" divides by 1e15, matching the units the
 bundled record set is usually quoted in.
+
+Memory: a records file is held once. ``records_from_json`` parses with
+a json object hook that keeps one object for each distinct metric/value
+threshold object, so the parse tree holds one per distinct threshold,
+not one per record. It drops the text once parsed and each parsed
+record object as soon as its ``EfficiencyRecord`` exists, so the text,
+the json tree and the records are never all whole. Records with equal
+date strings share one date, and records with equal threshold objects
+share one ``Threshold``. ``EfficiencyRecord`` is slotted and carries no
+``__dict__``.
 """
 from __future__ import annotations
 
@@ -52,11 +62,16 @@ class TrendError(ValueError):
     """Invalid record data or an invalid trend operation."""
 
 
-def to_report_units(value: float, unit: str = "raw") -> float:
-    """Convert raw flops to one of the display units: raw, stated, table."""
+def _unit_divisor(unit: str) -> float:
+    """Raw flops per display unit; TrendError for a unit that is not raw, stated or table."""
     if unit not in UNIT_DIVISORS:
         raise TrendError(f"unknown unit {unit!r}; expected one of {sorted(UNIT_DIVISORS)}")
-    return value / UNIT_DIVISORS[unit]
+    return UNIT_DIVISORS[unit]
+
+
+def to_report_units(value: float, unit: str = "raw") -> float:
+    """Convert raw flops to one of the display units: raw, stated, table."""
+    return value / _unit_divisor(unit)
 
 
 def date_to_months(d: datetime.date) -> float:
@@ -201,12 +216,18 @@ _SLOT_SETTERS = tuple((f.name, f.default, EfficiencyRecord.__dict__[f.name].__se
 _RECORD_FIELDS = frozenset(name for name, _, _ in _SLOT_SETTERS)
 
 
-def _json_array(text: str, noun: str, error: type[Exception]) -> list:
-    """The json array a records-like file holds; errors name the file by its noun."""
+def _json_array(text: str, noun: str, error: type[Exception], object_hook=None,
+                path=None) -> list:
+    """The json array a records-like file holds; errors name the file by its noun.
+
+    object_hook goes to json.loads. path, when given, leads the message
+    for a text that is not json.
+    """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_hook=object_hook)
     except ValueError as e:  # also a json int past the int-to-str digit limit
-        raise error(f"{noun} file is not valid json: {e}") from None
+        where = "" if path is None else f"{path}: "
+        raise error(f"{where}{noun} file is not valid json: {e}") from None
     if not isinstance(data, list):
         raise error(f"{noun} file must contain a json array")
     return data
@@ -224,28 +245,53 @@ def _check_json_object(obj, where: str, known: frozenset, required: tuple,
             raise error(f"{where}: missing required field {req!r}")
 
 
+def _threshold_sharer(shared: dict):
+    """A json object hook that returns one object for each distinct metric/value object.
+
+    It shares objects {"metric": <str>, "value": <float above 0>}, keys in
+    that order: equal ones also print alike, so sharing them changes no
+    message that shows one, wherever in a record it sits. An int, bool,
+    NaN or zero value, or the keys the other way round, prints unlike
+    some equal object, and such an object is left alone. shared keeps
+    each shared object under (metric, value), which holds it for as long
+    as shared lives, and maps its id to None until _threshold_from_json
+    builds its Threshold.
+    """
+    def share(obj: dict) -> dict:
+        if len(obj) == 2:  # the cheap test first: most objects are records
+            value = obj.get("value")
+            if type(value) is float and value > 0.0:
+                metric = obj.get("metric")
+                if type(metric) is str and next(iter(obj)) == "metric":
+                    first = shared.get((metric, value))
+                    if first is None:
+                        first = shared[metric, value] = obj
+                        shared[id(obj)] = None
+                    return first
+        return obj
+
+    return share
+
+
 def _threshold_from_json(value, shared: dict) -> Threshold:
     """A record's threshold: a number (a top5 value) or a metric/value object.
 
-    shared maps (metric, value type, value) to the Threshold built for an
-    equal object earlier in the file, so each is built once. Only a
-    two-key object with a str metric and an int or float value is looked
-    up; any other value is built, and checked, every time.
+    An object the parse shared (see _threshold_sharer) is looked up in
+    shared by its id, so its Threshold is built, and checked, once; any
+    other value is built every time.
     """
-    if type(value) is dict and len(value) == 2:
-        metric, v = value.get("metric"), value.get("value")
-        if type(metric) is str and type(v) in (int, float):
-            key = (metric, type(v), v)
-            threshold = shared.get(key)
-            if threshold is None:
-                threshold = shared[key] = Threshold(metric, v)
-            return threshold
+    threshold = shared.get(id(value))
+    if threshold is not None:
+        return threshold
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Threshold("top5", value)
     if isinstance(value, dict):
         if value.keys() != {"metric", "value"}:
             raise TrendError("threshold object must have exactly the keys metric and value")
-        return Threshold(value["metric"], value["value"])
+        threshold = Threshold(value["metric"], value["value"])
+        if id(value) in shared:
+            shared[id(value)] = threshold
+        return threshold
     raise TrendError("threshold must be a number or a metric/value object")
 
 
@@ -253,10 +299,10 @@ def _record_from_object(obj, shared: dict) -> EfficiencyRecord:
     """One record from its json object, whose date and threshold are replaced.
 
     Every message starts with ": " or " (name): ", for the caller to put
-    the record's position in front. shared holds what earlier records of
-    the same file built: the date of each date string (keyed by the str)
-    and the Threshold of each metric/value object (keyed by a tuple), so
-    equal ones are built once.
+    the record's position in front. shared holds what the parse and
+    earlier records of the same file built: the date of each date string
+    (keyed by the str) and the shared metric/value objects with their
+    Threshold (see _threshold_sharer), so equal ones are built once.
     """
     if not (type(obj) is dict and obj.keys() <= _RECORD_FIELDS
             and "name" in obj and "date" in obj):  # one test for a well-formed object
@@ -278,13 +324,14 @@ def _record_from_object(obj, shared: dict) -> EfficiencyRecord:
         raise TrendError(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
 
 
-def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
+def records_from_json(text: str, path=None) -> tuple[EfficiencyRecord, ...]:
     """Parse a json array of records. Unknown fields are rejected.
 
     Any bad record, its threshold included, raises TrendError naming its
     position and, once known, its name. When every record is good, the
     first one whose name an earlier record already has raises TrendError
-    naming both positions.
+    naming both positions. path, when given, leads the message for a
+    text that is not json.
 
     Each record's slots are filled from its json object and field
     defaults, then EfficiencyRecord.__post_init__ checks them, so a
@@ -293,12 +340,17 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     equal metric/value threshold objects share one Threshold.
     """
     shared: dict = {}
+    objs = _json_array(text, "records", TrendError, _threshold_sharer(shared), path)
+    del text  # freed here unless the caller holds it too
     records = []
-    for i, obj in enumerate(_json_array(text, "records", TrendError)):
+    for i, obj in enumerate(objs):
         try:
             records.append(_record_from_object(obj, shared))
         except TrendError as e:  # the position is written only into a message
             raise TrendError(f"record {i}{e}") from None
+        # the parse tree and the records are never both whole: each parsed
+        # object is dropped once its record holds what it needs
+        objs[i] = None
     # names are compared once the parse tree is freed, so the set of them
     # does not add to the load's peak memory
     if len(set(map(attrgetter("name"), records))) < len(records):

@@ -5,10 +5,11 @@ package: window placement by walking candidate positions instead of
 closed-form division, operation counts by looping over output
 positions, dominance by dense grid evaluation with numpy, frontier by
 a quadratic scan of the exclusion rule, a curve's first bad point by
-one search per rule, a records file by json.dumps. Slow and simple on
-purpose. The rules the oracles rely on are written out here, not taken
-from the package: the layer parameter defaults, from README's table of
-parameters, and the key order of a records file's objects.
+one search per rule, a records file by json.dumps, markdown by one join
+per table. Slow and simple on purpose. The rules the oracles rely on
+are written out here, not taken from the package: the layer parameter
+defaults, from README's table of parameters, and the key order of a
+records file's objects.
 """
 from __future__ import annotations
 
@@ -293,3 +294,21 @@ def _record_object(r) -> dict:
 def records_json_oracle(records) -> str:
     """The records file text, by json's own indent=2 encoder."""
     return json.dumps([_record_object(r) for r in records], indent=2) + "\n"
+
+
+def markdown_oracle(tables) -> str:
+    """Tables as markdown: each table's lines joined on their own, then the tables.
+
+    A table is its title, a blank line, the header, the rule and the rows,
+    then a blank line and a note per warning; a blank line parts two
+    tables, and the text ends in a newline, even with no tables.
+    """
+    parts = []
+    for t in tables:
+        lines = [f"## {t.title}", "", "| " + " | ".join(t.columns) + " |",
+                 "|" + "|".join(" --- " for _ in t.columns) + "|"]
+        lines += ["| " + " | ".join(row) + " |" for row in t.rows]
+        for w in t.warnings:
+            lines += ["", f"> note: {w}"]
+        parts.append("\n".join(lines))
+    return "\n\n".join(parts) + "\n"

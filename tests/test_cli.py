@@ -645,7 +645,9 @@ class TestInputEdges:
         path.write_text("[" + "1" * 5000 + "]")
         code, out, err = run(capsys, *(a.format(file=path) for a in argv))
         assert (code, out) == (2, "")
-        assert err.startswith(message) and err.count("\n") == 1
+        # like any text that is not json, the message names the file
+        assert err.startswith(message.replace("algoeff: ", f"algoeff: {path}: ", 1))
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("flops", "{dir}/graph.json"),
@@ -666,6 +668,29 @@ class TestInputEdges:
         assert err == (f"algoeff: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
                        "invalid start byte\n")
         assert (tmp_path / "records.json").read_bytes() == b"\xff[]"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("flops", "{dir}/graph.json"),
+         "not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+        (("frontier", "--records", "{dir}/records.json"),
+         "records file is not valid json: Expecting property name enclosed in double quotes: "
+         "line 1 column 3 (char 2)"),
+        (("analyze", "AlexNet", "alexnet", "--date", "2012-06-01",
+          "--append-records", "{dir}/records.json"),
+         "records file is not valid json: Expecting property name enclosed in double quotes: "
+         "line 1 column 3 (char 2)"),
+        (("analyze", "{dir}/graph.json", "alexnet", "--date", "2012-06-01",
+          "--append-records", "{dir}/records.json"),
+         "not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+    ])
+    def test_truncated_json_file(self, capsys, tmp_path, argv, message):
+        # before, the message did not say which of a command's files was cut short
+        (tmp_path / "graph.json").write_text('{"name": ')
+        (tmp_path / "records.json").write_text("[{")
+        code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        bad = next(a for a in argv if a.startswith("{dir}/")).format(dir=tmp_path)
+        assert (code, out, err) == (2, "", f"algoeff: {bad}: {message}\n")
+        assert (tmp_path / "records.json").read_text() == "[{"
 
     @pytest.mark.parametrize("argv", [("shapes",), ("flops", "--per-layer", "--counted-kinds",
                                                   "concat")])

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algoeff.curves import ComputeCurve
 from algoeff.datasets import REPORTED_TERAFLOP_S_DAYS, load_cross_domain, load_imagenet_records
@@ -25,6 +27,8 @@ from algoeff.reports import (
     table_warnings,
 )
 from algoeff.trends import EfficiencyRecord, TrendError, frontier
+
+from _oracles import markdown_oracle
 
 
 FRONTIER_NAMES = ("AlexNet", "GoogLeNet", "MobileNet_v1", "ShuffleNet_v1_1x",
@@ -391,7 +395,28 @@ SMALL = Table(key="k", title="Small table", columns=("a", "b"),
               rows=(("1", "2"), ("3", "x,y")), warnings=("check row two",))
 
 
+# cells with pipes, newlines and non-ASCII text beside arbitrary characters
+_CELL = st.text(st.one_of(st.sampled_from("| \né€😀"), st.characters()), max_size=6)
+
+
+@st.composite
+def any_table(draw) -> Table:
+    width = draw(st.integers(1, 4))
+    return Table(key="k", title=draw(_CELL),
+                 columns=tuple(draw(st.lists(_CELL, min_size=width, max_size=width))),
+                 rows=tuple(draw(st.lists(st.tuples(*[_CELL] * width), max_size=3))),
+                 warnings=tuple(draw(st.lists(_CELL, max_size=2))))
+
+
 class TestRenderers:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(any_table(), max_size=3))
+    def test_markdown_matches_oracle(self, tables):
+        assert render_markdown(tables) == markdown_oracle(tables)
+
+    def test_markdown_of_no_tables_is_one_newline(self):
+        assert render_markdown([]) == "\n"
+
     def test_markdown(self):
         out = render_markdown([SMALL])
         lines = out.splitlines()

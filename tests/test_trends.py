@@ -5,7 +5,9 @@ import datetime
 import json
 import math
 import pickle
+import platform
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -266,6 +268,37 @@ def one_record(obj) -> EfficiencyRecord:
     return r
 
 
+def _load_or_message(text: str):
+    """The records of a records file, or the message of the TrendError it raises."""
+    try:
+        return records_from_json(text)
+    except TrendError as e:
+        return str(e)
+
+
+# metric/value objects with either key order and with values that print
+# unlike some equal value: int, bool, NaN, signed zeros and out of range
+_METRIC_VALUE_OBJECTS = [
+    f'{{"metric": "top5", "value": {v}}}' for v in ("0.5", "1.0", "1", "true", "NaN",
+                                                    "-0.0", "0.0", "2.0")
+] + [f'{{"value": {v}, "metric": "top5"}}' for v in ("1.0", "1", "true", "0.0")]
+
+# json arrays of two metric/value objects that are equal but print apart, and
+# two that print alike
+_EQUAL_UNLIKE_PAIRS = [
+    f'[{{"metric": "top5", "value": {a}}}, {b}]' for a, b in (
+        ("1.0", '{"metric": "top5", "value": 1}'),
+        ("1.0", '{"metric": "top5", "value": true}'),
+        ("0.0", '{"metric": "top5", "value": -0.0}'),
+        ("-0.0", '{"metric": "top5", "value": 0.0}'),
+        ("NaN", '{"metric": "top5", "value": NaN}'),
+        ("0.5", '{"value": 0.5, "metric": "top5"}'),
+        ("2.0", '{"metric": "top5", "value": 2.0}'),
+        ("0.5", '{"metric": "top5", "value": 5e-1}'),
+    )
+]
+
+
 class TestRecordJson:
     def test_minimal_dict(self):
         r = one_record({"name": "x", "date": "2015-01-02", "total_compute": 1e15})
@@ -413,6 +446,47 @@ class TestRecordJson:
             records_from_json(json.dumps(objs))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("field", ["threshold", "date", "notes", "total_compute"])
+    @pytest.mark.parametrize("obj", _METRIC_VALUE_OBJECTS)
+    def test_metric_value_object_in_any_field(self, field, obj):
+        # record a's threshold is a float-valued object that equal objects could share
+        text = ('[{"name": "a", "date": "2015-01-02", "total_compute": 1.0, '
+                '"threshold": {"metric": "top5", "value": 1.0}}, '
+                f'{{"name": "b", "date": "2016-01-02", "total_compute": 2.0, "{field}": {obj}}}]')
+        value = json.loads(obj)
+        if field == "threshold":
+            try:
+                threshold = Threshold(value["metric"], value["value"])
+            except CurveError as e:
+                expected = f"record 1 (b): {e}"
+            else:
+                expected = (rec("a", datetime.date(2015, 1, 2), total_compute=1.0,
+                                threshold=Threshold("top5", 1.0)),
+                            rec("b", datetime.date(2016, 1, 2), total_compute=2.0,
+                                threshold=threshold))
+        else:
+            expected = {
+                "date": f"record 1 (b): date {value!r} is not YYYY-MM-DD",
+                "notes": "record 1 (b): notes must be a string",
+                "total_compute": (f"record 1 (b): total_compute must be positive and finite, "
+                                  f"got {value!r}"),
+            }[field]
+        assert _load_or_message(text) == expected
+
+    @pytest.mark.parametrize("field,pair", [
+        (field, pair) for field in ("date", "total_compute") for pair in _EQUAL_UNLIKE_PAIRS
+    ])
+    def test_equal_objects_keep_their_own_text(self, field, pair):
+        # two objects that compare equal but print apart, in one value whose repr is shown
+        text = f'[{{"name": "b", "date": "2016-01-02", "total_compute": 2.0, "{field}": {pair}}}]'
+        shown = repr(json.loads(pair))
+        expected = {
+            "date": f"record 0 (b): date {shown} is not YYYY-MM-DD",
+            "total_compute": f"record 0 (b): total_compute must be positive and finite, "
+                             f"got {shown}",
+        }[field]
+        assert _load_or_message(text) == expected
+
     def test_round_trip_preserves_everything(self):
         records = (
             rec("a", datetime.date(2012, 6, 1), flops_per_image=7.7e8, epochs=90),
@@ -478,6 +552,30 @@ def any_record(draw) -> EfficiencyRecord:
             return EfficiencyRecord(**kwargs, total_compute=r.total)
         return r
     return EfficiencyRecord(**kwargs, total_compute=draw(_EXTREME))
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="sizes are CPython's allocations")
+def test_loading_holds_one_copy_of_the_records():
+    text = records_to_json(records_file_records(random.Random(20), 20_000))
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    tree, tree_peak = peak(lambda: json.loads(text))
+    assert len(tree) == 20_000
+    del tree
+    records, records_peak = peak(lambda: records_from_json(text))
+    assert len(records) == 20_000
+    # with the whole parse tree held beside the records, the peak is the tree's
+    assert records_peak <= 0.8 * tree_peak, (records_peak, tree_peak)
 
 
 class TestRecordsFileText:
