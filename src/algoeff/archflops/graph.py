@@ -527,16 +527,12 @@ _SET_ID, _SET_KIND, _SET_PARAMS, _SET_INPUTS = (
     LayerNode.__dict__[f.name].__set__ for f in fields(LayerNode))
 
 
-def arch_from_json(text: str, path=None) -> ArchitectureSpec:
-    """Parse and validate an architecture file. Raises GraphError.
-
-    path, when given, leads the message for a text that is not json.
-    """
+def arch_from_json(text: str) -> ArchitectureSpec:
+    """Parse and validate an architecture file's text. Raises GraphError."""
     try:
         obj = json.loads(text)
     except ValueError as exc:  # also a json int past the int-to-str digit limit
-        where = "" if path is None else f"{path}: "
-        raise GraphError(f"{where}not valid JSON: {exc}") from None
+        raise GraphError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise GraphError("architecture file must contain a JSON object")
 

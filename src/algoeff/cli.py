@@ -210,24 +210,31 @@ def _build_parser() -> _Parser:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _read_text(path: str | Path) -> str:
-    """A user's input file as text; one that is not UTF-8 is an input error naming it."""
+def _is_file(value: str, suffix: str) -> bool:
+    """A graph or curve argument names a file when it has a / or the format's suffix."""
+    return "/" in value or value.endswith(suffix)
+
+
+def _parse_file(path: str | Path, parse):
+    """A user's file read as UTF-8 and parsed; every error found in it is led by the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
         raise DatasetError(f"{path}: {e}") from None
+    except (GraphError, CurveError, TrendError) as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def _load_arch(value: str) -> ArchitectureSpec:
-    if "/" in value or value.endswith(".json"):
-        return arch_from_json(_read_text(value), value)
+    if _is_file(value, ".json"):
+        return _parse_file(value, arch_from_json)
     return builtin_arch(value)
 
 
 def _load_curve_arg(value: str, percent: bool):
-    path = Path(value)
-    if "/" in value or value.endswith(".csv") or path.exists():
-        return parse_curve(_read_text(path), name=path.stem, percent=percent)
+    if _is_file(value, ".csv"):
+        stem = Path(value).stem
+        return _parse_file(value, lambda text: parse_curve(text, name=stem, percent=percent))
     names = curve_names()
     if value in names:
         if percent:
@@ -259,7 +266,7 @@ def _parse_input(value: str | None) -> TensorShape | None:
 def _load_records(path: str | None) -> tuple[EfficiencyRecord, ...]:
     if path is None:
         return load_imagenet_records()
-    return records_from_json(_read_text(path), path)
+    return _parse_file(path, records_from_json)
 
 
 def _replace_file(path: Path, text: str):
@@ -339,7 +346,7 @@ def _cmd_analyze(args) -> list[Table]:
         run_date = parse_date(args.date, "--date", TrendError)
         name = arch.name if args.name is None else args.name
         path = Path(args.append_records)
-        existing = records_from_json(_read_text(path), path) if path.exists() else ()
+        existing = _parse_file(path, records_from_json) if path.exists() else ()
         if any(r.name == name for r in existing):
             raise TrendError(f"record {name!r} already exists in {path}")
         if curve.cumulative_flops is not None:

@@ -64,19 +64,14 @@ def fmt_factor(x: float) -> str:
     Rounding happens on the shortest decimal form of the value, so a
     float that prints as 0.385 displays as 0.38, not what its binary
     expansion would give. Values below ten keep one decimal (2 ->
-    "2.0"), values from ten to a hundred print as integers ("44"),
-    larger values group thousands ("1,500").
+    "2.0"), and so does a value that rounds up to ten (9.96 -> "10.0");
+    values from ten to a hundred print as integers ("44"), larger
+    values group thousands ("1,500").
     """
     d = decimal.Decimal(repr(float(x)))
     q = d.quantize(decimal.Decimal(1).scaleb(d.adjusted() - 1),
                    rounding=decimal.ROUND_HALF_EVEN)
-    v = float(q)
-    if abs(v) >= 100:
-        return f"{q:,.0f}"
-    s = format(q, "f")
-    if abs(v) < 10 and "." not in s:
-        return f"{s}.0"
-    return s
+    return f"{q:,.0f}" if abs(q) >= 100 else format(q, "f")
 
 
 def fmt_compute(raw: float, unit: str) -> str:

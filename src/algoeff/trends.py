@@ -216,18 +216,12 @@ _SLOT_SETTERS = tuple((f.name, f.default, EfficiencyRecord.__dict__[f.name].__se
 _RECORD_FIELDS = frozenset(name for name, _, _ in _SLOT_SETTERS)
 
 
-def _json_array(text: str, noun: str, error: type[Exception], object_hook=None,
-                path=None) -> list:
-    """The json array a records-like file holds; errors name the file by its noun.
-
-    object_hook goes to json.loads. path, when given, leads the message
-    for a text that is not json.
-    """
+def _json_array(text: str, noun: str, error: type[Exception], object_hook=None) -> list:
+    """The json array in text, parsed with object_hook; errors name the file by its noun."""
     try:
         data = json.loads(text, object_hook=object_hook)
     except ValueError as e:  # also a json int past the int-to-str digit limit
-        where = "" if path is None else f"{path}: "
-        raise error(f"{where}{noun} file is not valid json: {e}") from None
+        raise error(f"{noun} file is not valid json: {e}") from None
     if not isinstance(data, list):
         raise error(f"{noun} file must contain a json array")
     return data
@@ -324,14 +318,13 @@ def _record_from_object(obj, shared: dict) -> EfficiencyRecord:
         raise TrendError(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
 
 
-def records_from_json(text: str, path=None) -> tuple[EfficiencyRecord, ...]:
+def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     """Parse a json array of records. Unknown fields are rejected.
 
     Any bad record, its threshold included, raises TrendError naming its
     position and, once known, its name. When every record is good, the
     first one whose name an earlier record already has raises TrendError
-    naming both positions. path, when given, leads the message for a
-    text that is not json.
+    naming both positions.
 
     Each record's slots are filled from its json object and field
     defaults, then EfficiencyRecord.__post_init__ checks them, so a
@@ -340,7 +333,7 @@ def records_from_json(text: str, path=None) -> tuple[EfficiencyRecord, ...]:
     equal metric/value threshold objects share one Threshold.
     """
     shared: dict = {}
-    objs = _json_array(text, "records", TrendError, _threshold_sharer(shared), path)
+    objs = _json_array(text, "records", TrendError, _threshold_sharer(shared))
     del text  # freed here unless the caller holds it too
     records = []
     for i, obj in enumerate(objs):
@@ -415,6 +408,14 @@ def _require_same_threshold(baseline: EfficiencyRecord, improved: EfficiencyReco
             f"({baseline.threshold} vs {improved.threshold}); factors are only "
             "meaningful at a shared threshold"
         )
+
+
+def _require_one_threshold(records: Sequence[EfficiencyRecord]):
+    """Raise TrendError unless every record targets the first one's threshold."""
+    first = records[0]
+    for r in records:
+        if r.threshold is not first.threshold:  # loaded records share equal thresholds
+            _require_same_threshold(first, r)
 
 
 @dataclass(frozen=True)
@@ -594,10 +595,7 @@ def frontier(records: Sequence[EfficiencyRecord]) -> Frontier:
     """
     if not records:
         raise TrendError("frontier needs at least one record")
-    first = records[0]
-    for r in records:
-        if r.threshold is not first.threshold:
-            _require_same_threshold(first, r)
+    _require_one_threshold(records)
     kept: list[EfficiencyRecord] = []
     for r in sorted(records, key=attrgetter("date")):  # stable: same-date ties keep input order
         if not kept or r.total < kept[-1].total:
@@ -634,13 +632,14 @@ def fit_trend(
     method "regression" is least squares on (months, log2 total);
     "endpoints" uses only the earliest and latest records, which
     reproduces quoted doubling times of the form elapsed over
-    log2(first total / last total).
+    log2(first total / last total). All records must share one threshold.
     """
     if method not in ("regression", "endpoints"):
         raise TrendError(f"unknown fit method {method!r}; expected regression or endpoints")
     if len(records) < 2:
         raise TrendError("trend fitting needs at least two records")
     ordered = sorted(records, key=lambda r: r.date)
+    _require_one_threshold(ordered)  # a Frontier cannot be indexed; the sorted list can
     if ordered[0].date == ordered[-1].date:
         raise TrendError("trend fitting needs records on at least two distinct dates")
     xs = [date_to_months(r.date) for r in ordered]

@@ -1,0 +1,162 @@
+"""A standing mutation check: each planted bug must fail the tests named for it.
+
+    python tests/mutants.py [NAME ...]
+
+``MUTANTS`` lists each planted bug as (name, file under the repository
+root, exact old text, new text, tests that must fail). The script copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory and,
+one mutant at a time, replaces the old text in the copy, runs only that
+mutant's tests there with pytest (stopping at the first failure) and
+puts the file back. A mutant is killed when pytest reports a failed
+test and survives when every test passes; old text that is not found
+exactly once, or a pytest run that ends any other way, marks it broken.
+The named tests first run once with no mutant, and must all pass. It
+prints one line per mutant and exits 1 if any survives or is broken.
+Names given on the command line select mutants. No bytecode is written,
+so a mutant never runs a stale compiled copy of the file it changed.
+pytest does not collect this file: its name does not start with ``test_``.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLI = "src/algoeff/cli.py"
+GRAPH = "src/algoeff/archflops/graph.py"
+ZOO = "src/algoeff/archflops/zoo.py"
+TRENDS = "src/algoeff/trends.py"
+
+MUTANTS = [
+    # input files: the CLI names the file, and only a / or a suffix makes an argument one
+    ("no path prefix on a file's errors", CLI,
+     'raise type(e)(f"{path}: {e}") from None', "raise",
+     ["tests/test_cli.py::TestInputEdges"]),
+    ("a curve argument is a file whenever the entry exists", CLI,
+     'if _is_file(value, ".csv"):', 'if _is_file(value, ".csv") or Path(value).exists():',
+     ["tests/test_cli.py::TestAnalyze"]),
+    ("no threshold check in fit_trend", TRENDS,
+     "    _require_one_threshold(ordered)", "    pass",
+     ["tests/test_trends.py::TestFitTrend", "tests/test_cli.py::TestFrontierTrendEffective"]),
+    # loader checks that one test each reaches
+    ("node inputs not checked for an array", GRAPH,
+     "if not isinstance(inputs, list):", "if False:",
+     ["tests/test_graph.py::TestJsonFormat"]),
+    ("record name not checked", TRENDS,
+     "if not isinstance(name, str) or not name:", "if False:",
+     ["tests/test_trends.py::TestRecordJson"]),
+    ("a Frontier of no records", TRENDS,
+     "        if not self.records:", "        if False:",
+     ["tests/test_trends.py::TestFrontier"]),
+    # the shared inverted-residual builder
+    ("no squeeze-excite", ZOO, "            if se:", "            if False:",
+     ["tests/test_zoo.py"]),
+    ("padding 1 for every depthwise kernel", ZOO, "p=(k - 1) // 2,", "p=1,",
+     ["tests/test_zoo.py"]),
+    ("MobileNet_v2 with the mb prefix", ZOO, '{"block": "ir"', '{"block": "mb"',
+     ["tests/test_zoo.py"]),
+    ("EfficientNet-b0 with the ir prefix", ZOO, '{"block": "mb"', '{"block": "ir"',
+     ["tests/test_zoo.py"]),
+    ("head dropout on MobileNet_v2", ZOO, '"act": "relu6", "plan"',
+     '"act": "relu6", "dropout": True, "plan"', ["tests/test_zoo.py"]),
+    # counting and shapes
+    ("grouped convolution counted as dense", GRAPH,
+     '(ins[0].channels // p["groups"])', "ins[0].channels",
+     ["tests/test_counting.py"]),
+    ("no ceil-mode guard on the last window", GRAPH,
+     "if ceil and (out - 1) * stride >= in_dim + padding:", "if False:",
+     ["tests/test_shapes.py::TestWindowOutDim"]),
+    ("a missing required parameter passes the good path", GRAPH,
+     "if node.params.keys() >= kind.required:", "if True:",
+     ["tests/test_graph.py::TestParamGoodPath", "tests/test_graph.py::TestValidation"]),
+    ("a bool taken for a positive integer", GRAPH,
+     "isinstance(v, int) and type(v) is not bool and v >= 1)", "isinstance(v, int) and v >= 1)",
+     ["tests/test_graph.py"]),
+    # frontier, threshold crossing and trends
+    ("an equal total joins the frontier", TRENDS,
+     "if not kept or r.total < kept[-1].total:", "if not kept or r.total <= kept[-1].total:",
+     ["tests/test_trends.py::TestFrontier"]),
+    ("the crossing needs accuracy above the threshold", "src/algoeff/curves.py",
+     "if acc >= threshold.value:", "if acc > threshold.value:",
+     ["tests/test_curves.py"]),
+    # the record loader
+    ("repeated record names accepted", TRENDS,
+     'if len(set(map(attrgetter("name"), records))) < len(records):', "if False:",
+     ["tests/test_trends.py::TestRecordJson"]),
+    ("int and bool threshold values shared", TRENDS,
+     "if type(value) is float and value > 0.0:", "if isinstance(value, (int, float)):",
+     ["tests/test_trends.py"]),
+    ("threshold objects shared in either key order", TRENDS,
+     ' and next(iter(obj)) == "metric"', "",
+     ["tests/test_trends.py"]),
+    # reports and the command around them
+    ("a three percent deviation from a quoted total not flagged", "src/algoeff/reports.py",
+     "if abs(dev) > 0.02:", "if abs(dev) > 0.2:",
+     ["tests/test_reports.py"]),
+    ("the collector runs during a command", CLI,
+     "    gc.disable()\n", "",
+     ["tests/test_cli.py::TestCollectorPaused"]),
+    ("a rewritten records file loses its permission bits", CLI,
+     "            shutil.copymode(path, tmp)", "            pass",
+     ["tests/test_cli.py::TestAnalyze"]),
+]
+
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+
+def _pytest(work: Path, tests: list[str]) -> int:
+    """pytest's exit code for the tests in the copy, stopping at the first failure."""
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=work, capture_output=True, env=ENV).returncode
+
+
+def _outcome(work: Path, file: str, old: str, new: str, tests: list[str]) -> str:
+    """killed, SURVIVED or broken: ... for one mutant, leaving the copy as it found it."""
+    path = work / file
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return f"broken: old text found {text.count(old)} times"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    try:
+        code = _pytest(work, tests)
+    finally:
+        path.write_text(text, encoding="utf-8")
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"broken: pytest exit {code}")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    start = time.perf_counter()
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="algoeff-mutants-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for sub in ("src", "tests"):
+            shutil.copytree(ROOT / sub, work / sub, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", work)
+        # a test that fails with no mutant in place would kill every mutant it is named for
+        if _pytest(work, sorted({t for m in chosen for t in m[4]})) != 0:
+            print("the named tests do not all pass without a mutant; no mutant was run")
+            return 1
+        for name, file, old, new, tests in chosen:
+            t = time.perf_counter()
+            outcome = _outcome(work, file, old, new, tests)
+            failed += outcome != "killed"
+            print(f"{outcome:8} {time.perf_counter() - t:5.1f} s  {name}", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -232,6 +232,21 @@ class TestAnalyze:
         assert code == 2
         assert "neither a readable csv path nor a bundled curve" in err
 
+    @pytest.mark.parametrize("argv,entry,make", [
+        (("analyze", "AlexNet", "alexnet"), "alexnet", Path.mkdir),
+        (("analyze", "AlexNet", "alexnet"), "alexnet", lambda p: p.write_text("not a curve")),
+        (("flops", "AlexNet"), "AlexNet", lambda p: p.write_text("not a graph")),
+    ])
+    def test_bundled_name_beside_an_entry_of_that_name(self, capsys, tmp_path, monkeypatch,
+                                                       argv, entry, make):
+        # only a / or the format's suffix makes an argument a file; before, a curve
+        # argument read any entry of that name in the working directory
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.chdir(tmp_path)
+        make(tmp_path / entry)
+        assert run(capsys, *argv) == expected
+
     def test_append_requires_date(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "AlexNet", "alexnet",
                            "--append-records", str(tmp_path / "r.json"))
@@ -481,6 +496,20 @@ class TestFrontierTrendEffective:
         assert code == 0
         assert json.loads(out)["tables"][0]["rows"][0][1] == "16"
 
+    @pytest.mark.parametrize("argv", [("trend",), ("trend", "--all-records")])
+    def test_trend_needs_one_threshold(self, capsys, tmp_path, argv):
+        # before, --all-records fit through both thresholds and printed an 11.14-month doubling
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps([
+            {"name": "a", "date": "2012-06-01", "total_compute": 4e17, "threshold": 0.7},
+            {"name": "b", "date": "2014-09-17", "total_compute": 2e16, "threshold": 0.8},
+            {"name": "c", "date": "2017-04-17", "total_compute": 1e16, "threshold": 0.8},
+        ]))
+        code, out, err = run(capsys, *argv, "--records", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("algoeff: a and b target different thresholds ")
+        assert err.count("\n") == 1
+
     def test_effective_explicit_factors(self, capsys):
         code, out, _ = run(capsys, "effective", "300000", "25",
                            "--format", "json")
@@ -512,7 +541,7 @@ class TestFrontierTrendEffective:
         path.write_text(json.dumps([{"name": "a", "date": date, "total_compute": 4e17}]))
         code, out, err = run(capsys, "frontier", "--records", str(path))
         assert (code, out) == (2, "")
-        assert err == f"algoeff: record 0 (a): date '{date}' is not YYYY-MM-DD\n"
+        assert err == f"algoeff: {path}: record 0 (a): date '{date}' is not YYYY-MM-DD\n"
 
 
 INF_TOTAL = '[{"name": "a", "date": "2012-01-01", "total_compute": Infinity},' \
@@ -547,7 +576,9 @@ class TestNonFiniteInputs:
         path = tmp_path / "r.json"
         path.write_text(records)
         code, out, err = run(capsys, *argv, "--records", str(path))
-        assert (code, out, err) == (2, "", f"algoeff: {message}\n")
+        # an error found while loading the file is led by its path
+        where = f"{path}: " if message.startswith("record ") else ""
+        assert (code, out, err) == (2, "", f"algoeff: {where}{message}\n")
 
     @pytest.mark.parametrize("factor,period", [("inf", "12"), ("2", "inf"), ("1e400", "12")])
     def test_doubling_flags(self, capsys, factor, period):
@@ -560,7 +591,7 @@ class TestNonFiniteInputs:
         path.write_text("epoch,top5_accuracy,cumulative_flops\n1,0.5,nan\n2,0.8,3e18\n")
         code, out, err = run(capsys, "analyze", "AlexNet", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("algoeff: c line 2: compute must be finite")
+        assert err.startswith(f"algoeff: {path}: c line 2: compute must be finite")
         assert err.count("\n") == 1
 
 
@@ -616,7 +647,7 @@ class TestInputEdges:
         path.write_text(json.dumps(objs))
         code, out, err = run(capsys, "frontier", "--records", str(path))
         assert (code, out) == (2, "")
-        assert err == "algoeff: record 3 (r3): threshold value 1.5 outside (0, 1]\n"
+        assert err == f"algoeff: {path}: record 3 (r3): threshold value 1.5 outside (0, 1]\n"
 
     @pytest.mark.parametrize("argv", [
         ("report", "--records", "{file}"),
@@ -632,7 +663,8 @@ class TestInputEdges:
                         '{"name":"a","date":"2016-01-01","total_compute":2e15}]')
         before = path.read_bytes()
         code, out, err = run(capsys, *(a.format(file=path) for a in argv))
-        assert (code, out, err) == (2, "", "algoeff: record 1 (a): name repeats record 0\n")
+        assert (code, out, err) == (2, "", f"algoeff: {path}: record 1 (a): name repeats "
+                                           "record 0\n")
         assert path.read_bytes() == before
 
     @pytest.mark.parametrize("argv,message", [

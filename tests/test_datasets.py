@@ -75,6 +75,18 @@ class TestCrossDomainBundle:
     def test_eight_comparisons(self, comparisons):
         assert len(comparisons) == 8
 
+    def test_image_comparison_is_the_records(self, comparisons, records):
+        # two copies of two totals and two dates: the doubling table reads the
+        # comparison's, every records table the records'
+        image = comparisons[0]
+        by_name = {r.name: r for r in records}
+        for name, compute, date in [
+            (image.baseline, image.baseline_compute, image.baseline_date),
+            (image.improved, image.improved_compute, image.improved_date),
+        ]:
+            assert compute == pytest.approx(by_name[name].total, rel=1e-12), name
+            assert date == by_name[name].date, name
+
     def test_kinds(self, comparisons):
         kinds = [c.kind for c in comparisons]
         assert kinds.count("training") == 6

@@ -610,6 +610,12 @@ class TestJsonFormat:
         with pytest.raises(GraphError, match="params must be an object"):
             arch_from_json(json.dumps(obj))
 
+    def test_rejects_node_inputs_not_array(self):
+        obj = json.loads(arch_file_text(tiny_arch()))
+        obj["nodes"][0]["inputs"] = "input"
+        with pytest.raises(GraphError, match=r"^nodes\[0\]: inputs must be an array of node ids$"):
+            arch_from_json(json.dumps(obj))
+
     def test_rejects_node_bad_inputs(self):
         obj = json.loads(arch_file_text(tiny_arch()))
         obj["nodes"][0]["inputs"] = [1]

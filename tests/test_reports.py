@@ -292,6 +292,13 @@ class TestComputeTable:
         assert len(t.warnings) == 1
         assert "deviates +100.00%" in t.warnings[0]
 
+    @pytest.mark.parametrize("quoted,warned", [(100.0, False), (98.5, False), (102.0, False),
+                                               (97.0, True), (103.0, True)])
+    def test_deviation_warns_beyond_two_percent(self, quoted, warned):
+        r = simple_record("r", datetime.date(2015, 1, 1), 1e17)
+        t = compute_table([r], frontier([r]), reported={"r": quoted})
+        assert bool(t.warnings) == warned
+
     def test_large_deviation_note_in_full(self):
         r = simple_record("big", datetime.date(2015, 1, 1), 2e17)
         t = compute_table([r], frontier([r]), reported={"big": 100.0})

@@ -374,6 +374,13 @@ class TestRecordJson:
         with pytest.raises(TrendError, match="not valid json"):
             records_from_json("nope")
 
+    @pytest.mark.parametrize("name", ["", 5, None, ["a"]])
+    def test_name_must_be_a_non_empty_string(self, name):
+        with pytest.raises(TrendError) as info:
+            records_from_json(json.dumps([{"name": name, "date": "2015-01-02",
+                                           "total_compute": 1.0}]))
+        assert str(info.value) == "record 0: name must be a non-empty string"
+
     def test_error_names_record_index(self):
         with pytest.raises(TrendError, match="record 1"):
             records_from_json('[{"name":"a","date":"2015-01-02","total_compute":1.0},'
@@ -802,6 +809,11 @@ class TestFrontier:
         with pytest.raises(TrendError, match="different thresholds"):
             frontier([a, b])
 
+    def test_frontier_dataclass_needs_a_record(self):
+        with pytest.raises(TrendError) as raised:
+            Frontier(records=())
+        assert str(raised.value) == "frontier must contain at least one record"
+
     def test_frontier_dataclass_validates_monotonicity(self):
         a = rec("a", datetime.date(2012, 1, 1), total_compute=1e17)
         b = rec("b", datetime.date(2013, 1, 1), total_compute=2e17)
@@ -886,6 +898,15 @@ class TestFitTrend:
         shuffled = list(records)
         random.Random(3).shuffle(shuffled)
         assert fit_trend(shuffled).slope == fit_trend(records).slope
+
+    def test_threshold_mismatch_rejected(self):
+        # before, a fit through records at two thresholds printed a doubling time
+        a = rec("a", datetime.date(2012, 1, 1), total_compute=4e17)
+        b = EfficiencyRecord(name="b", date=datetime.date(2014, 1, 1),
+                             threshold=Threshold("top5", 0.9), total_compute=1e17)
+        for records in ([a, b], [b, a], Frontier(records=(a, b))):
+            with pytest.raises(TrendError, match="^a and b target different thresholds"):
+                fit_trend(records)
 
     def test_needs_two_records(self):
         with pytest.raises(TrendError, match="at least two"):
