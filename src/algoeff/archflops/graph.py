@@ -21,12 +21,15 @@ place after a walk keeps reporting its earlier state.
 Equal specs and nodes hash equal, so a spec can key a dict: the hash skips
 the ``params`` and ``metadata`` dicts, which equality still compares.
 
-Memory: a graph is held once. ``arch_from_json`` drops each parsed node
-as soon as its ``LayerNode`` exists, so the JSON tree and the spec are
-never both whole, and a known kind string becomes the kind table's own
-key, one str per kind. ``LayerNode`` and ``TensorShape`` are slotted and
-carry no ``__dict__``; ``ArchitectureSpec`` keeps its ``__dict__``,
-which holds the walk memo.
+Memory: a graph is held once. ``arch_from_json`` builds each node's
+``LayerNode`` as the JSON parser closes the node's object, through the
+parser's object hook, so the node objects and their ``inputs`` arrays
+are freed during the parse and never all alive together; a known kind
+string becomes the kind table's own key, one str per kind. A file with
+an error is parsed twice: the second parse, without the hook, words the
+messages. ``LayerNode`` and ``TensorShape`` are slotted and carry no
+``__dict__``; ``ArchitectureSpec`` keeps its ``__dict__``, which holds
+the walk memo.
 
 Speed: the valid case is the cheap one, since every node of every graph
 passes through it. The walk tests a node's own parameters and then that
@@ -527,12 +530,56 @@ _SET_ID, _SET_KIND, _SET_PARAMS, _SET_INPUTS = (
     LayerNode.__dict__[f.name].__set__ for f in fields(LayerNode))
 
 
+def _json_node(obj: dict):
+    """The LayerNode a well-formed node object describes, else the object itself.
+
+    Well-formed: fields within id, kind, params and inputs, with id and
+    kind present, params an object and inputs an array if given. The
+    node holds the parsed params dict itself and its inputs as a tuple.
+    """
+    if "kind" in obj and "id" in obj and obj.keys() <= _NODE_FIELDS:
+        params = obj.get("params", {})
+        inputs = obj.get("inputs", [])
+        if type(params) is dict and type(inputs) is list:
+            kind = obj["kind"]
+            if type(kind) is str:
+                kind = _KIND_NAMES.get(kind, kind)
+            node = object.__new__(LayerNode)
+            _SET_ID(node, obj["id"])
+            _SET_KIND(node, kind)
+            _SET_PARAMS(node, params)
+            _SET_INPUTS(node, tuple(inputs))
+            return node
+    return obj
+
+
 def arch_from_json(text: str) -> ArchitectureSpec:
-    """Parse and validate an architecture file's text. Raises GraphError."""
+    """Parse and validate an architecture file's text. Raises GraphError.
+
+    The parser's object hook builds each node as the parser closes its
+    object. A node-shaped object where no node belongs would then be
+    worded as a node, so a text with any error is parsed again without
+    the hook, and every message comes from the plain parse tree.
+    """
     try:
-        obj = json.loads(text)
+        return _arch_from_tree(_parse(text, _json_node))
+    except GraphError:
+        pass
+    return _arch_from_tree(_parse(text, None))
+
+
+def _parse(text: str, object_hook) -> Any:
+    """json.loads(text) with object_hook; text that is not JSON raises GraphError."""
+    try:
+        return json.loads(text, object_hook=object_hook)
     except ValueError as exc:  # also a json int past the int-to-str digit limit
         raise GraphError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphError("not valid JSON: nested too deeply") from None
+
+
+def _arch_from_tree(obj: Any) -> ArchitectureSpec:
+    """The checked spec of a parse tree whose nodes are LayerNodes or node objects."""
     if not isinstance(obj, dict):
         raise GraphError("architecture file must contain a JSON object")
 
@@ -550,39 +597,27 @@ def arch_from_json(text: str) -> ArchitectureSpec:
         raise GraphError('default_input must be an object with exactly the fields "c", "h", "w"')
     shape = TensorShape(di["c"], di["h"], di["w"])
 
-    raws = obj["nodes"]
-    if not isinstance(raws, list):
+    nodes = obj["nodes"]
+    if not isinstance(nodes, list):
         raise GraphError("nodes must be an array")
-    nodes = []
-    new_node = object.__new__
-    for i, raw in enumerate(raws):
+    for i, raw in enumerate(nodes):
+        if type(raw) is dict:  # parsed without the hook, or declined by it
+            # each node object is dropped once its LayerNode exists
+            nodes[i] = raw = _json_node(raw)
+        if type(raw) is LayerNode:
+            continue
+        # word why the object is not a node
         if not isinstance(raw, dict):
             raise GraphError(f"nodes[{i}] must be an object")
-        if not (raw.keys() <= _NODE_FIELDS and "id" in raw and "kind" in raw):
-            unknown = set(raw) - _NODE_FIELDS
-            if unknown:
-                raise GraphError(f"nodes[{i}]: unknown field(s) {sorted(unknown)}")
-            for req in ("id", "kind"):
-                if req not in raw:
-                    raise GraphError(f"nodes[{i}]: missing field {req!r}")
-        params = raw.get("params", {})
-        inputs = raw.get("inputs", [])
-        if not isinstance(params, dict):
+        unknown = set(raw) - _NODE_FIELDS
+        if unknown:
+            raise GraphError(f"nodes[{i}]: unknown field(s) {sorted(unknown)}")
+        for req in ("id", "kind"):
+            if req not in raw:
+                raise GraphError(f"nodes[{i}]: missing field {req!r}")
+        if not isinstance(raw.get("params", {}), dict):
             raise GraphError(f"nodes[{i}]: params must be an object")
-        if not isinstance(inputs, list):
-            raise GraphError(f"nodes[{i}]: inputs must be an array of node ids")
-        kind = raw["kind"]
-        if type(kind) is str:
-            kind = _KIND_NAMES.get(kind, kind)
-        node = new_node(LayerNode)
-        _SET_ID(node, raw["id"])
-        _SET_KIND(node, kind)
-        _SET_PARAMS(node, params)  # the parsed dict itself, not a copy
-        _SET_INPUTS(node, tuple(inputs))
-        nodes.append(node)
-        # the parse tree and the spec are never both whole: each parsed node
-        # is dropped once its LayerNode holds what it needs
-        raws[i] = None
+        raise GraphError(f"nodes[{i}]: inputs must be an array of node ids")
 
     arch = ArchitectureSpec(
         name=obj["name"],

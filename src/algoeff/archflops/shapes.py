@@ -27,7 +27,14 @@ def infer_shapes(
     is not walked again (see graph.py); each call returns a fresh copy, so
     callers may change what they get back.
     """
+    return dict(_walked_shapes(arch, input_shape))
+
+
+def _walked_shapes(
+    arch: ArchitectureSpec, input_shape: TensorShape | None
+) -> dict[str, TensorShape]:
+    """infer_shapes without the copy: the walk's own dict, which the caller must not change."""
     problems, shapes = _walk(arch, input_shape or arch.default_input)
     if problems:
         raise ShapeError("; ".join(problems))
-    return dict(shapes)
+    return shapes

@@ -189,6 +189,17 @@ class LearningCurve:
         return max(self.accuracies)
 
 
+#: How many characters of a header value a message quotes.
+_QUOTED_CHARS = 60
+
+
+def _quoted(value: str) -> str:
+    """repr(value), or the repr of its first _QUOTED_CHARS characters and "..." when longer."""
+    if len(value) <= _QUOTED_CHARS:
+        return repr(value)
+    return f"{value[:_QUOTED_CHARS]!r}..."
+
+
 def parse_curve(text: str, name: str = "curve", percent: bool = False) -> LearningCurve:
     """Parse curve csv: header ``epoch,<metric>_accuracy[,cumulative_flops]``.
 
@@ -214,19 +225,19 @@ def parse_curve(text: str, name: str = "curve", percent: bool = False) -> Learni
             if len(fields) not in (2, 3) or fields[0] != "epoch":
                 raise CurveError(
                     f"{name} line {lineno}: expected header "
-                    f"'epoch,<metric>_accuracy[,cumulative_flops]', got {line!r}"
+                    f"'epoch,<metric>_accuracy[,cumulative_flops]', got {_quoted(line)}"
                 )
             metric = fields[1].removesuffix("_accuracy")
             if metric == fields[1] or not metric:
                 raise CurveError(
                     f"{name} line {lineno}: second column must be named "
-                    f"'<metric>_accuracy', got {fields[1]!r}"
+                    f"'<metric>_accuracy', got {_quoted(fields[1])}"
                 )
             if len(fields) == 3:
                 if fields[2] != "cumulative_flops":
                     raise CurveError(
                         f"{name} line {lineno}: third column must be named "
-                        f"'cumulative_flops', got {fields[2]!r}"
+                        f"'cumulative_flops', got {_quoted(fields[2])}"
                     )
                 has_flops = True
             header = fields

@@ -20,6 +20,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .archflops import ArchitectureSpec, FlopCount, TensorShape, infer_shapes
+from .archflops.shapes import _walked_shapes
 from .curves import ComputeCurve, LearningCurve, Threshold, positive_finite
 from .datasets import CrossDomainComparison
 from .trends import (
@@ -125,26 +126,45 @@ def flops_tables(
         "giga_per_image": f"{per_image / 1e9:.4f}",
     })]
     if per_layer:
-        shapes = infer_shapes(arch, count.input)
+        # count_flops walked this input, so the walk's memo holds every shape
+        texts = _node_shape_texts(arch, _walked_shapes(arch, count.input))
         tables.append(Table(
             key="flops_per_layer",
             title=f"Per-layer counts for {arch.name}",
             columns=("node", "kind", "output_shape", unit),
-            rows=tuple((n.id, n.kind, str(shapes[n.id]), f"{count.per_layer[n.id]:,d}")
-                       for n in arch.nodes),
+            rows=tuple((n.id, n.kind, text, f"{count.per_layer[n.id]:,d}")
+                       for n, text in zip(arch.nodes, texts)),
         ))
     return tables
+
+
+def _node_shape_texts(arch: ArchitectureSpec, shapes: dict[str, TensorShape]) -> list[str]:
+    """Each node's output shape as text, one str per distinct shape object.
+
+    A node that keeps its input's shape (batchnorm, activation, an add)
+    holds that very object, so most rows of a deep graph share a string.
+    """
+    texts: dict[int, str] = {}
+    out = []
+    for n in arch.nodes:
+        shape = shapes[n.id]
+        text = texts.get(id(shape))
+        if text is None:
+            text = texts[id(shape)] = str(shape)
+        out.append(text)
+    return out
 
 
 def shapes_table(arch: ArchitectureSpec, input_shape: TensorShape | None) -> Table:
     """The network input and every node's inferred output shape."""
     shapes = infer_shapes(arch, input_shape)
+    texts = _node_shape_texts(arch, shapes)
     return Table(
         key="shapes",
         title=f"Inferred shapes for {arch.name}",
         columns=("node", "kind", "shape"),
         rows=(("input", "input", str(shapes["input"])),)
-        + tuple((n.id, n.kind, str(shapes[n.id])) for n in arch.nodes),
+        + tuple((n.id, n.kind, text) for n, text in zip(arch.nodes, texts)),
     )
 
 

@@ -222,6 +222,8 @@ def _json_array(text: str, noun: str, error: type[Exception], object_hook=None) 
         data = json.loads(text, object_hook=object_hook)
     except ValueError as e:  # also a json int past the int-to-str digit limit
         raise error(f"{noun} file is not valid json: {e}") from None
+    except RecursionError:
+        raise error(f"{noun} file is not valid json: nested too deeply") from None
     if not isinstance(data, list):
         raise error(f"{noun} file must contain a json array")
     return data

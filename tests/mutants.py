@@ -46,7 +46,7 @@ MUTANTS = [
      ["tests/test_trends.py::TestFitTrend", "tests/test_cli.py::TestFrontierTrendEffective"]),
     # loader checks that one test each reaches
     ("node inputs not checked for an array", GRAPH,
-     "if not isinstance(inputs, list):", "if False:",
+     "if type(params) is dict and type(inputs) is list:", "if type(params) is dict:",
      ["tests/test_graph.py::TestJsonFormat"]),
     ("record name not checked", TRENDS,
      "if not isinstance(name, str) or not name:", "if False:",
@@ -54,6 +54,26 @@ MUTANTS = [
     ("a Frontier of no records", TRENDS,
      "        if not self.records:", "        if False:",
      ["tests/test_trends.py::TestFrontier"]),
+    # graph files: nodes built as the parser reads them, messages from the plain parse
+    ("the parser's object hook builds no node", GRAPH,
+     "return _arch_from_tree(_parse(text, _json_node))",
+     "return _arch_from_tree(_parse(text, None))",
+     ["tests/test_graph.py::test_nodes_are_built_while_the_parser_reads_them"]),
+    ("no second parse after an error", GRAPH,
+     "    except GraphError:\n        pass\n", "    except GraphError:\n        raise\n",
+     ["tests/test_graph.py::TestNodeShapedObjects"]),
+    # input edges: deep nesting and long curve headers end in one short line
+    ("a graph file nested too deeply is not caught", GRAPH,
+     "except RecursionError:", "except ZeroDivisionError:",
+     ["tests/test_graph.py::test_json_nested_too_deeply",
+      "tests/test_cli.py::TestInputEdges::test_nested_too_deeply"]),
+    ("a records file nested too deeply is not caught", TRENDS,
+     "except RecursionError:", "except ZeroDivisionError:",
+     ["tests/test_cli.py::TestInputEdges::test_nested_too_deeply"]),
+    ("a long curve header value quoted whole", "src/algoeff/curves.py",
+     "    if len(value) <= _QUOTED_CHARS:", "    if True:",
+     ["tests/test_curves.py::TestParseCurve::test_header_quotes_at_most_sixty_characters",
+      "tests/test_cli.py::TestInputEdges::test_long_curve_header_is_cut"]),
     # the shared inverted-residual builder
     ("no squeeze-excite", ZOO, "            if se:", "            if False:",
      ["tests/test_zoo.py"]),

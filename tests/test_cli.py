@@ -681,6 +681,29 @@ class TestInputEdges:
         assert err.startswith(message.replace("algoeff: ", f"algoeff: {path}: ", 1))
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (("flops", "{file}"), "not valid JSON: nested too deeply"),
+        (("frontier", "--records", "{file}"), "records file is not valid json: nested too deeply"),
+        (("analyze", "AlexNet", "alexnet", "--date", "2012-06-01", "--append-records", "{file}"),
+         "records file is not valid json: nested too deeply"),
+    ])
+    def test_nested_too_deeply(self, capsys, tmp_path, argv, message):
+        # before, the parser's RecursionError ended in a traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+        assert (code, out, err) == (2, "", f"algoeff: {path}: {message}\n")
+        assert path.read_text() == "[" * 200_000
+
+    def test_long_curve_header_is_cut(self, capsys, tmp_path, monkeypatch):
+        # before, the whole 200 KB first line was echoed
+        monkeypatch.chdir(tmp_path)
+        Path("deep.csv").write_text("[" * 200_000 + "\n1,0.5\n")
+        code, out, err = run(capsys, "analyze", "AlexNet", "./deep.csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("algoeff: ./deep.csv: deep line 1: expected header ")
+        assert err.endswith("'...\n") and len(err.encode()) < 300
+
     @pytest.mark.parametrize("argv", [
         ("flops", "{dir}/graph.json"),
         ("frontier", "--records", "{dir}/records.json"),

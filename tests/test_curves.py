@@ -229,6 +229,25 @@ class TestParseCurve:
         with pytest.raises(CurveError, match="line 1"):
             parse_curve(header + "\n1,0.5\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("time," + "a" * 55, "expected header 'epoch,<metric>_accuracy[,cumulative_flops]', "
+                            "got 'time," + "a" * 55 + "'"),
+        ("time," + "a" * 56, "expected header 'epoch,<metric>_accuracy[,cumulative_flops]', "
+                            "got 'time," + "a" * 55 + "'..."),
+        ("epoch," + "b" * 60, "second column must be named '<metric>_accuracy', "
+                             "got '" + "b" * 60 + "'"),
+        ("epoch," + "b" * 61, "second column must be named '<metric>_accuracy', "
+                             "got '" + "b" * 60 + "'..."),
+        ("epoch,top5_accuracy," + "c" * 60, "third column must be named 'cumulative_flops', "
+                                           "got '" + "c" * 60 + "'"),
+        ("epoch,top5_accuracy," + "c\x00" * 40, "third column must be named 'cumulative_flops', "
+                                               "got '" + "c\\x00" * 30 + "'..."),
+    ])
+    def test_header_quotes_at_most_sixty_characters(self, line, message):
+        with pytest.raises(CurveError) as raised:
+            parse_curve(line + "\n1,0.5\n", name="c")
+        assert str(raised.value) == f"c line 1: {message}"
+
     def test_wrong_field_count_names_line(self):
         with pytest.raises(CurveError, match="line 3"):
             parse_curve("epoch,top5_accuracy\n1,0.5\n2,0.6,9\n")

@@ -307,6 +307,81 @@ def test_loading_holds_one_copy_of_the_graph():
     assert peak <= 1.1 * tree_bytes, (peak, tree_bytes)
 
 
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="sizes are CPython's allocations")
+def test_nodes_are_built_while_the_parser_reads_them():
+    # the parse tree's node objects are never all alive at once
+    text = _chain_json(2500)
+    _, _, tree_peak = _traced(lambda: json.loads(text))
+    arch, _, peak = _traced(lambda: arch_from_json(text))
+    assert len(arch.nodes) == 10_000
+    assert peak < 0.95 * tree_peak, (peak, tree_peak)
+
+
+# A node-shaped object: the loader's object hook makes a LayerNode of it
+# wherever it sits, and the messages must still show the parsed object.
+_NODE_SHAPED = {"id": "a", "kind": "batchnorm"}
+_CONV = {"id": "c", "kind": "conv2d", "inputs": ["input"],
+         "params": {"out_channels": 4, "kernel_h": 3, "kernel_w": 3}}
+
+
+def _graph_with(**fields):
+    obj = {"name": "t", "default_input": {"c": 3, "h": 8, "w": 8},
+           "nodes": [_CONV, {"id": "b", "kind": "batchnorm", "inputs": ["c"]}], "output": "b"}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+class TestNodeShapedObjects:
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps(_NODE_SHAPED),
+         "unknown field(s) ['id', 'kind']; expected ['default_input', 'name', 'nodes', 'output']"),
+        (_graph_with(name=_NODE_SHAPED), "name must be a string, got {'id': 'a', 'kind': "
+                                         "'batchnorm'}"),
+        (_graph_with(output=_NODE_SHAPED),
+         "t: output {'id': 'a', 'kind': 'batchnorm'} does not name a node"),
+        (_graph_with(default_input=_NODE_SHAPED),
+         'default_input must be an object with exactly the fields "c", "h", "w"'),
+        (_graph_with(nodes=[_CONV, {"id": "b", "kind": "batchnorm", "inputs": [_NODE_SHAPED]}]),
+         "t: node 'b': input {'id': 'a', 'kind': 'batchnorm'} is not a node id string"),
+        (_graph_with(nodes=[{"id": "a", "kind": "batchnorm", "inputs": ["input"],
+                             "params": _NODE_SHAPED}], output="a"),
+         "t: node 'a': unknown parameter(s) ['id', 'kind']; batchnorm takes []"),
+        (_graph_with(nodes=[{**_CONV, "params": {**_CONV["params"], "kernel_h": _NODE_SHAPED}}],
+                     output="c"),
+         "t: node 'c': parameter 'kernel_h' must be a positive integer, got "
+         "{'id': 'a', 'kind': 'batchnorm'}"),
+    ], ids=["top level", "name", "output", "default_input", "inputs entry", "params",
+            "kernel_h"])
+    def test_message_shows_the_parsed_object(self, text, message):
+        with pytest.raises(GraphError) as raised:
+            arch_from_json(text)
+        assert str(raised.value) == message
+
+
+def test_json_nested_too_deeply():
+    # before, the parser's RecursionError escaped
+    for text in ("[" * 200_000, '{"name": ' + "[" * 200_000):
+        with pytest.raises(GraphError, match="^not valid JSON: nested too deeply$"):
+            arch_from_json(text)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_loaded_spec_equals_the_constructed_one(seed):
+    text = arch_file_text(random_arch(random.Random(seed)))
+    obj = json.loads(text)
+    di = obj["default_input"]
+    built = ArchitectureSpec(
+        name=obj["name"], default_input=TensorShape(di["c"], di["h"], di["w"]),
+        nodes=tuple(LayerNode(**fields) for fields in obj["nodes"]), output=obj["output"])
+    loaded = arch_from_json(text)
+    assert loaded == built
+    assert all(type(n.params) is dict and type(n.inputs) is tuple for n in loaded.nodes)
+    keys = {id(k) for k in graph_mod._KINDS}
+    assert all(id(n.kind) in keys for n in loaded.nodes)
+
+
 class TestNodeParam:
     """A node's parameters over its kind's defaults, seen in the shapes and counts they give."""
 
