@@ -20,13 +20,14 @@ from .graph import (
     ArchitectureSpec,
     GraphError,
     LayerNode,
+    ShapeError,
     TensorShape,
     arch_from_json,
     require_valid,
     validate_arch,
     window_out_dim,
 )
-from .shapes import ShapeError, infer_shapes
+from .shapes import infer_shapes
 from .zoo import builtin_arch
 
 __all__ = [

@@ -29,11 +29,12 @@ squeeze + ic for the biases of its two layers.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import _KINDS, LAYER_KINDS, ArchitectureSpec, GraphError, TensorShape, _resolve
-from .shapes import infer_shapes
+from .graph import (
+    _KINDS, LAYER_KINDS, ArchitectureSpec, GraphError, TensorShape, _resolve, walked_shapes,
+)
 
 UNITS = ("mac", "flop2")
 
@@ -69,15 +70,12 @@ class CountingConvention:
 
 @dataclass(frozen=True)
 class FlopCount:
-    """Result of counting one architecture at one input shape."""
+    """Result of counting one architecture at one input shape; per_layer is held, not copied."""
 
     total_per_image: int
     per_layer: Mapping[str, int]
     convention: CountingConvention
     input: TensorShape
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_layer", dict(self.per_layer))
 
     @property
     def per_image_float(self) -> float:
@@ -98,11 +96,12 @@ def count_flops(
 ) -> FlopCount:
     """Count per-image operations for every node.
 
-    The per-layer map carries every node id (zeros included), so the
-    total always equals the sum of the breakdown. A malformed spec raises ShapeError.
+    The per-layer map carries every node id (zeros included), so the total
+    always equals the sum of the breakdown. Shapes are read in place from
+    graph.walked_shapes; a malformed spec raises ShapeError.
     """
     convention = convention or CountingConvention()
-    shapes = infer_shapes(arch, input_shape)
+    shapes = walked_shapes(arch, input_shape)
     scale = 2 if convention.unit == "flop2" else 1
 
     per_layer: dict[str, int] = {}

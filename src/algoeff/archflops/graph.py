@@ -8,8 +8,8 @@ What the package knows about each layer kind sits in one entry of
 ``_KINDS``: its parameters with their defaults and accepted values, its
 input arity, any rule across its parameters, its shape rule and its mac
 rule. One walk here checks every node and infers its shape; validation
-and ``shapes.infer_shapes`` both go through it. ``counting`` walks a
-checked graph with the mac rules.
+reads its problems and ``walked_shapes`` its shape map, which ``counting``
+and the reports read in place and ``shapes.infer_shapes`` copies.
 
 Everything here is immutable. Treat specs as values: helpers return new
 objects and never mutate their arguments, so sharing instances across
@@ -51,6 +51,10 @@ from typing import Any, Mapping
 
 class GraphError(ValueError):
     """Structural problem in an architecture description."""
+
+
+class ShapeError(GraphError):
+    """Shape inference met a node that is malformed or does not fit its inputs."""
 
 
 #: Reserved id that layer inputs use to reference the network input tensor.
@@ -456,6 +460,14 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
         return problems or [shape_problem], shapes
     arch.__dict__[_MEMO_ATTR] = (input_shape, shapes)
     return problems, shapes
+
+
+def walked_shapes(arch: ArchitectureSpec, input_shape: TensorShape | None) -> dict:
+    """shapes.infer_shapes without the copy: the walk's own dict, which callers must not change."""
+    problems, shapes = _walk(arch, input_shape or arch.default_input)
+    if problems:
+        raise ShapeError("; ".join(problems))
+    return shapes
 
 
 def _check_params(node: LayerNode, kind: _Kind, problems: list[str]) -> dict[str, Any] | None:

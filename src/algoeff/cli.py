@@ -215,10 +215,11 @@ def _is_file(value: str, suffix: str) -> bool:
     return "/" in value or value.endswith(suffix)
 
 
-def _parse_file(path: str | Path, parse):
+def _parse_file(path: str, parse):
     """A user's file read as UTF-8 and parsed; every error found in it is led by the path."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:  # an OSError names path as given
+            return parse(f.read())
     except UnicodeDecodeError as e:
         raise DatasetError(f"{path}: {e}") from None
     except (GraphError, CurveError, TrendError) as e:
@@ -269,24 +270,27 @@ def _load_records(path: str | None) -> tuple[EfficiencyRecord, ...]:
     return _parse_file(path, records_from_json)
 
 
-def _replace_file(path: Path, text: str):
+def _replace_file(path: str, text: str):
     """Write text to path atomically: a temporary file beside it, then os.replace.
 
     A reader sees the old file or the new one, never a partial write, and
     a failure leaves the old file as it was and no temporary file behind.
     A symlink is followed, so the file it points at is the one replaced.
     """
-    path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    f = open(tmp, "x", encoding="utf-8")  # "x": never clobber another file
+    real = Path(os.path.realpath(path))
+    tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp")
+    try:
+        f = open(tmp, "x", encoding="utf-8")  # "x": never clobber another file
+    except OSError as e:  # name the file as given, not its temporary
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with f:
             f.write(text)
             f.flush()
             os.fsync(f.fileno())
-        if path.exists():
-            shutil.copymode(path, tmp)
-        os.replace(tmp, path)
+        if real.exists():
+            shutil.copymode(real, tmp)
+        os.replace(tmp, real)
     except BaseException:
         tmp.unlink()
         raise
@@ -345,8 +349,8 @@ def _cmd_analyze(args) -> list[Table]:
             raise UsageError("algoeff analyze: --append-records requires --date")
         run_date = parse_date(args.date, "--date", TrendError)
         name = arch.name if args.name is None else args.name
-        path = Path(args.append_records)
-        existing = _parse_file(path, records_from_json) if path.exists() else ()
+        path = args.append_records
+        existing = _parse_file(path, records_from_json) if os.path.exists(path) else ()
         if any(r.name == name for r in existing):
             raise TrendError(f"record {name!r} already exists in {path}")
         if curve.cumulative_flops is not None:

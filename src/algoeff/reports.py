@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
-from .archflops import ArchitectureSpec, FlopCount, TensorShape, infer_shapes
-from .archflops.shapes import _walked_shapes
+from .archflops import ArchitectureSpec, FlopCount, TensorShape
+from .archflops.graph import walked_shapes
 from .curves import ComputeCurve, LearningCurve, Threshold, positive_finite
 from .datasets import CrossDomainComparison
 from .trends import (
@@ -127,7 +127,7 @@ def flops_tables(
     })]
     if per_layer:
         # count_flops walked this input, so the walk's memo holds every shape
-        texts = _node_shape_texts(arch, _walked_shapes(arch, count.input))
+        texts = _node_shape_texts(arch, walked_shapes(arch, count.input))
         tables.append(Table(
             key="flops_per_layer",
             title=f"Per-layer counts for {arch.name}",
@@ -157,7 +157,7 @@ def _node_shape_texts(arch: ArchitectureSpec, shapes: dict[str, TensorShape]) ->
 
 def shapes_table(arch: ArchitectureSpec, input_shape: TensorShape | None) -> Table:
     """The network input and every node's inferred output shape."""
-    shapes = infer_shapes(arch, input_shape)
+    shapes = walked_shapes(arch, input_shape)
     texts = _node_shape_texts(arch, shapes)
     return Table(
         key="shapes",
@@ -527,9 +527,9 @@ def render_json(tables: Sequence[Table]) -> str:
             {
                 "key": t.key,
                 "title": t.title,
-                "columns": list(t.columns),
-                "rows": [list(r) for r in t.rows],
-                "warnings": list(t.warnings),
+                "columns": t.columns,
+                "rows": t.rows,
+                "warnings": t.warnings,
             }
             for t in tables
         ]

@@ -1,16 +1,19 @@
 """Seeded random test-case generators shared across the suite.
 
-Everything takes an explicit random.Random so failures reproduce from
-a seed. Architectures stay small (input dims at most 16, at most five
-counted layers) so the literal oracles in _oracles.py stay fast.
+Everything random takes an explicit random.Random so failures reproduce
+from a seed. Random architectures stay small (input dims at most 16, at
+most five counted layers) so the literal oracles in _oracles.py stay
+fast; chain_graph_json makes one as long as asked, and traced measures
+what a call allocates.
 """
 from __future__ import annotations
 
 import datetime
 import json
 import random
+import tracemalloc
 
-from algoeff.archflops import ArchitectureSpec, LayerNode, TensorShape, require_valid
+from algoeff.archflops import INPUT_ID, ArchitectureSpec, LayerNode, TensorShape, require_valid
 from algoeff.curves import ComputeCurve, Threshold
 from algoeff.trends import EfficiencyRecord
 
@@ -29,6 +32,36 @@ def arch_file_text(arch: ArchitectureSpec) -> str:
                   for n in arch.nodes],
         "output": arch.output,
     }, indent=2)
+
+
+def chain_graph_json(blocks: int) -> str:
+    """A residual chain of conv, batchnorm, activation and add, four nodes a block."""
+    nodes, prev = [], INPUT_ID
+    for b in range(blocks):
+        nodes += [
+            {"id": f"c{b}", "kind": "conv2d", "inputs": [prev],
+             "params": {"out_channels": 8, "kernel_h": 3, "kernel_w": 3, "padding": 1}},
+            {"id": f"b{b}", "kind": "batchnorm", "inputs": [f"c{b}"]},
+            {"id": f"a{b}", "kind": "activation", "inputs": [f"b{b}"]},
+            {"id": f"s{b}", "kind": "elementwise_add", "inputs": [f"a{b}", prev]} if b
+            else {"id": f"s{b}", "kind": "activation", "inputs": [f"a{b}"]},
+        ]
+        prev = f"s{b}"
+    return json.dumps({"name": "chain", "default_input": {"c": 8, "h": 8, "w": 8},
+                       "nodes": nodes, "output": prev})
+
+
+def traced(call):
+    """(result, bytes still held after call, peak bytes during call) by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - before, peak - before
 
 
 def _conv_draw(rng: random.Random, c: int, h: int, w: int):

@@ -6,10 +6,10 @@ closed-form division, operation counts by looping over output
 positions, dominance by dense grid evaluation with numpy, frontier by
 a quadratic scan of the exclusion rule, a curve's first bad point by
 one search per rule, a records file by json.dumps, markdown by one join
-per table. Slow and simple on purpose. The rules the oracles rely on
-are written out here, not taken from the package: the layer parameter
-defaults, from README's table of parameters, and the key order of a
-records file's objects.
+per table, json tables by json.dumps of lists. Slow and simple on
+purpose. The rules the oracles rely on are written out here, not taken
+from the package: the layer parameter defaults, from README's table of
+parameters, and the key order of a records file's objects.
 """
 from __future__ import annotations
 
@@ -312,3 +312,12 @@ def markdown_oracle(tables) -> str:
             lines += ["", f"> note: {w}"]
         parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
+
+
+def json_oracle(tables) -> str:
+    """Tables as json: each table's columns, rows and warnings as lists, indented by two."""
+    return json.dumps({"tables": [
+        {"key": t.key, "title": t.title, "columns": list(t.columns),
+         "rows": [list(r) for r in t.rows], "warnings": list(t.warnings)}
+        for t in tables
+    ]}, indent=2) + "\n"

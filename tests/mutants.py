@@ -33,6 +33,10 @@ GRAPH = "src/algoeff/archflops/graph.py"
 ZOO = "src/algoeff/archflops/zoo.py"
 TRENDS = "src/algoeff/trends.py"
 
+# Each mutant names the tests that kill it, by class or id, so the whole run stays short.
+PINNED = "tests/test_zoo.py::test_builtins_are_pinned_exactly"
+AS_TYPED = "tests/test_cli.py::TestAnalyze::test_append_names_the_file_as_typed"
+
 MUTANTS = [
     # input files: the CLI names the file, and only a / or a suffix makes an argument one
     ("no path prefix on a file's errors", CLI,
@@ -40,10 +44,11 @@ MUTANTS = [
      ["tests/test_cli.py::TestInputEdges"]),
     ("a curve argument is a file whenever the entry exists", CLI,
      'if _is_file(value, ".csv"):', 'if _is_file(value, ".csv") or Path(value).exists():',
-     ["tests/test_cli.py::TestAnalyze"]),
+     ["tests/test_cli.py::TestAnalyze::test_bundled_name_beside_an_entry_of_that_name"]),
     ("no threshold check in fit_trend", TRENDS,
      "    _require_one_threshold(ordered)", "    pass",
-     ["tests/test_trends.py::TestFitTrend", "tests/test_cli.py::TestFrontierTrendEffective"]),
+     ["tests/test_trends.py::TestFitTrend::test_threshold_mismatch_rejected",
+      "tests/test_cli.py::TestFrontierTrendEffective::test_trend_needs_one_threshold"]),
     # loader checks that one test each reaches
     ("node inputs not checked for an array", GRAPH,
      "if type(params) is dict and type(inputs) is list:", "if type(params) is dict:",
@@ -75,20 +80,34 @@ MUTANTS = [
      ["tests/test_curves.py::TestParseCurve::test_header_quotes_at_most_sixty_characters",
       "tests/test_cli.py::TestInputEdges::test_long_curve_header_is_cut"]),
     # the shared inverted-residual builder
-    ("no squeeze-excite", ZOO, "            if se:", "            if False:",
-     ["tests/test_zoo.py"]),
-    ("padding 1 for every depthwise kernel", ZOO, "p=(k - 1) // 2,", "p=1,",
-     ["tests/test_zoo.py"]),
-    ("MobileNet_v2 with the mb prefix", ZOO, '{"block": "ir"', '{"block": "mb"',
-     ["tests/test_zoo.py"]),
-    ("EfficientNet-b0 with the ir prefix", ZOO, '{"block": "mb"', '{"block": "ir"',
-     ["tests/test_zoo.py"]),
+    ("no squeeze-excite", ZOO, "            if se:", "            if False:", [PINNED]),
+    ("padding 1 for every depthwise kernel", ZOO, "p=(k - 1) // 2,", "p=1,", [PINNED]),
+    ("MobileNet_v2 with the mb prefix", ZOO, '{"block": "ir"', '{"block": "mb"', [PINNED]),
+    ("EfficientNet-b0 with the ir prefix", ZOO, '{"block": "mb"', '{"block": "ir"', [PINNED]),
     ("head dropout on MobileNet_v2", ZOO, '"act": "relu6", "plan"',
-     '"act": "relu6", "dropout": True, "plan"', ["tests/test_zoo.py"]),
-    # counting and shapes
+     '"act": "relu6", "dropout": True, "plan"', [PINNED]),
+    # counting and shapes: the commands read the walk's shape map in place
+    ("count_flops reads shapes through infer_shapes", "src/algoeff/archflops/counting.py",
+     "    shapes = walked_shapes(arch, input_shape)\n",
+     "    from .shapes import infer_shapes\n    shapes = infer_shapes(arch, input_shape)\n",
+     ["tests/test_counting.py::test_count_allocates_one_per_layer_map"]),
+    ("FlopCount copies its per-layer map", "src/algoeff/archflops/counting.py",
+     "    input: TensorShape\n\n    @property",
+     "    input: TensorShape\n\n    def __post_init__(self):\n"
+     "        object.__setattr__(self, \"per_layer\", dict(self.per_layer))\n\n    @property",
+     ["tests/test_counting.py::test_count_allocates_one_per_layer_map"]),
+    ("shapes_table reads a copy of the shape map", "src/algoeff/reports.py",
+     "    shapes = walked_shapes(arch, input_shape)\n",
+     "    shapes = dict(walked_shapes(arch, input_shape))\n",
+     ["tests/test_reports.py::test_shapes_table_reads_the_walk_in_place"]),
+    ("an --append-records file named without its ./", CLI,
+     "        path = args.append_records\n", "        path = Path(args.append_records)\n",
+     [AS_TYPED]),
+    ("a failed write names the temporary file", CLI,
+     "        raise OSError(e.errno, e.strerror, path) from None", "        raise", [AS_TYPED]),
     ("grouped convolution counted as dense", GRAPH,
      '(ins[0].channels // p["groups"])', "ins[0].channels",
-     ["tests/test_counting.py"]),
+     ["tests/test_counting.py::TestHandArithmetic"]),
     ("no ceil-mode guard on the last window", GRAPH,
      "if ceil and (out - 1) * stride >= in_dim + padding:", "if False:",
      ["tests/test_shapes.py::TestWindowOutDim"]),
@@ -97,34 +116,34 @@ MUTANTS = [
      ["tests/test_graph.py::TestParamGoodPath", "tests/test_graph.py::TestValidation"]),
     ("a bool taken for a positive integer", GRAPH,
      "isinstance(v, int) and type(v) is not bool and v >= 1)", "isinstance(v, int) and v >= 1)",
-     ["tests/test_graph.py"]),
+     ["tests/test_graph.py::TestParamGoodPath"]),
     # frontier, threshold crossing and trends
     ("an equal total joins the frontier", TRENDS,
      "if not kept or r.total < kept[-1].total:", "if not kept or r.total <= kept[-1].total:",
      ["tests/test_trends.py::TestFrontier"]),
     ("the crossing needs accuracy above the threshold", "src/algoeff/curves.py",
      "if acc >= threshold.value:", "if acc > threshold.value:",
-     ["tests/test_curves.py"]),
+     ["tests/test_curves.py::TestEpochsToThreshold"]),
     # the record loader
     ("repeated record names accepted", TRENDS,
      'if len(set(map(attrgetter("name"), records))) < len(records):', "if False:",
      ["tests/test_trends.py::TestRecordJson"]),
     ("int and bool threshold values shared", TRENDS,
      "if type(value) is float and value > 0.0:", "if isinstance(value, (int, float)):",
-     ["tests/test_trends.py"]),
+     ["tests/test_trends.py::TestRecordJson"]),
     ("threshold objects shared in either key order", TRENDS,
      ' and next(iter(obj)) == "metric"', "",
-     ["tests/test_trends.py"]),
+     ["tests/test_trends.py::TestRecordJson"]),
     # reports and the command around them
     ("a three percent deviation from a quoted total not flagged", "src/algoeff/reports.py",
      "if abs(dev) > 0.02:", "if abs(dev) > 0.2:",
-     ["tests/test_reports.py"]),
+     ["tests/test_reports.py::TestComputeTable"]),
     ("the collector runs during a command", CLI,
      "    gc.disable()\n", "",
      ["tests/test_cli.py::TestCollectorPaused"]),
     ("a rewritten records file loses its permission bits", CLI,
-     "            shutil.copymode(path, tmp)", "            pass",
-     ["tests/test_cli.py::TestAnalyze"]),
+     "            shutil.copymode(real, tmp)", "            pass",
+     ["tests/test_cli.py::TestAnalyze::test_append_replaces_file_and_keeps_its_mode"]),
 ]
 
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")

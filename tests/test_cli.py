@@ -369,6 +369,22 @@ class TestAnalyze:
         assert sorted(os.listdir(tmp_path)) == ["data", "runs.json"]
         assert os.listdir(tmp_path / "data") == ["real.json"]
 
+    @pytest.mark.parametrize("path,message", [
+        ("./bad.json", "./bad.json: records file is not valid json: Expecting property name "
+                       "enclosed in double quotes: line 1 column 3 (char 2)"),
+        ("./ok.json", "record 'AlexNet' already exists in ./ok.json"),
+        ("./nodir/x.json", "[Errno 2] No such file or directory: './nodir/x.json'"),
+    ])
+    def test_append_names_the_file_as_typed(self, capsys, tmp_path, monkeypatch, path, message):
+        # before, the first two dropped the ./ and the third named the hidden temporary file
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text("[{")
+        argv = ("analyze", "AlexNet", "alexnet", "--date", "2012-06-01", "--append-records")
+        assert run(capsys, *argv, "./ok.json")[0] == 0
+        before = {name: Path(name).read_bytes() for name in ("bad.json", "ok.json")}
+        assert run(capsys, *argv, path) == (2, "", f"algoeff: {message}\n")
+        assert {name: Path(name).read_bytes() for name in sorted(os.listdir())} == before
+
     def test_recorded_flops_column_wins(self, capsys, tmp_path):
         curve_file = tmp_path / "run.csv"
         curve_file.write_text(CURVE_WITH_FLOPS)

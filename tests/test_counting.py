@@ -1,6 +1,8 @@
 """Operation counting against the loop-nest oracle and hand arithmetic."""
 import dataclasses
+import platform
 import random
+import sys
 
 import pytest
 
@@ -11,11 +13,13 @@ from algoeff.archflops import (
     GraphError,
     LayerNode,
     TensorShape,
+    arch_from_json,
     builtin_arch,
     count_flops,
+    infer_shapes,
 )
 
-from _generators import random_arch
+from _generators import chain_graph_json, random_arch, traced
 from _oracles import macs_oracle
 
 ALL_KINDS_COUNTED = frozenset({
@@ -288,3 +292,18 @@ class TestAgainstOracle:
             got = count_flops(arch, convention=convention)
             want = macs_oracle(arch, arch.default_input)
             assert dict(got.per_layer) == {k: 2 * v for k, v in want.items()}, f"graph {i}"
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="sizes are CPython's allocations")
+def test_count_allocates_one_per_layer_map():
+    # before, count_flops read a copy of the walk's shape map and FlopCount
+    # copied the per-layer dict count_flops had built: each a map alive only
+    # during the call
+    arch = arch_from_json(chain_graph_json(12_500))  # the loader walks it
+    one_map = sys.getsizeof(infer_shapes(arch))  # a copy is the size of the walk's map
+    count, held, peak = traced(lambda: count_flops(arch))
+    assert len(count.per_layer) == len(arch.nodes) == 50_000
+    assert held < 1.5 * one_map, (held, one_map)  # the per-layer map and its counts
+    # what is freed by the end: the per-layer dict's last resize, at most
+    assert peak - held < 0.75 * one_map, (peak, held, one_map)

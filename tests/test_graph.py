@@ -6,7 +6,6 @@ import pickle
 import platform
 import random
 import re
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +29,7 @@ from algoeff.archflops import (
     validate_arch,
 )
 
-from _generators import arch_file_text, random_arch
+from _generators import arch_file_text, chain_graph_json, random_arch, traced
 
 
 def tiny_arch(**overrides) -> ArchitectureSpec:
@@ -259,49 +258,19 @@ class TestLoadedNode:
         assert hash(wider) == hash(built) and wider not in {built}
 
     def test_one_shape_call_per_node_per_walk(self, node_shape_calls):
-        arch = arch_from_json(_chain_json(3))
+        arch = arch_from_json(chain_graph_json(3))
         assert node_shape_calls == [n.id for n in arch.nodes]
         infer_shapes(arch, TensorShape(8, 4, 4))
         assert node_shape_calls == 2 * [n.id for n in arch.nodes]
 
 
-def _chain_json(blocks: int) -> str:
-    """A residual chain of conv, batchnorm, activation and add, four nodes a block."""
-    nodes, prev = [], INPUT_ID
-    for b in range(blocks):
-        nodes += [
-            {"id": f"c{b}", "kind": "conv2d", "inputs": [prev],
-             "params": {"out_channels": 8, "kernel_h": 3, "kernel_w": 3, "padding": 1}},
-            {"id": f"b{b}", "kind": "batchnorm", "inputs": [f"c{b}"]},
-            {"id": f"a{b}", "kind": "activation", "inputs": [f"b{b}"]},
-            {"id": f"s{b}", "kind": "elementwise_add", "inputs": [f"a{b}", prev]} if b
-            else {"id": f"s{b}", "kind": "activation", "inputs": [f"a{b}"]},
-        ]
-        prev = f"s{b}"
-    return json.dumps({"name": "chain", "default_input": {"c": 8, "h": 8, "w": 8},
-                       "nodes": nodes, "output": prev})
-
-
-def _traced(call):
-    """(result, bytes still held after call, peak bytes during call) by tracemalloc."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = call()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, current - before, peak - before
-
-
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
                     reason="sizes are CPython's allocations")
 def test_loading_holds_one_copy_of_the_graph():
-    text = _chain_json(500)
-    tree, tree_bytes, _ = _traced(lambda: json.loads(text))
+    text = chain_graph_json(500)
+    tree, tree_bytes, _ = traced(lambda: json.loads(text))
     assert len(tree["nodes"]) == 2000
-    arch, _, peak = _traced(lambda: arch_from_json(text))
+    arch, _, peak = traced(lambda: arch_from_json(text))
     assert len(arch.nodes) == 2000
     # the parse tree and the spec would be both whole at 1.7x
     assert peak <= 1.1 * tree_bytes, (peak, tree_bytes)
@@ -311,9 +280,9 @@ def test_loading_holds_one_copy_of_the_graph():
                     reason="sizes are CPython's allocations")
 def test_nodes_are_built_while_the_parser_reads_them():
     # the parse tree's node objects are never all alive at once
-    text = _chain_json(2500)
-    _, _, tree_peak = _traced(lambda: json.loads(text))
-    arch, _, peak = _traced(lambda: arch_from_json(text))
+    text = chain_graph_json(2500)
+    _, _, tree_peak = traced(lambda: json.loads(text))
+    arch, _, peak = traced(lambda: arch_from_json(text))
     assert len(arch.nodes) == 10_000
     assert peak < 0.95 * tree_peak, (peak, tree_peak)
 

@@ -2,11 +2,14 @@
 import datetime
 import json
 import math
+import platform
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from algoeff.archflops import arch_from_json, infer_shapes
 from algoeff.curves import ComputeCurve
 from algoeff.datasets import REPORTED_TERAFLOP_S_DAYS, load_cross_domain, load_imagenet_records
 from algoeff.reports import (
@@ -24,11 +27,13 @@ from algoeff.reports import (
     render_csv,
     render_json,
     render_markdown,
+    shapes_table,
     table_warnings,
 )
 from algoeff.trends import EfficiencyRecord, TrendError, frontier
 
-from _oracles import markdown_oracle
+from _generators import chain_graph_json, traced
+from _oracles import json_oracle, markdown_oracle
 
 
 FRONTIER_NAMES = ("AlexNet", "GoogLeNet", "MobileNet_v1", "ShuffleNet_v1_1x",
@@ -109,6 +114,18 @@ class TestFmtCompute:
     def test_unknown_unit(self):
         with pytest.raises(TrendError, match="unknown unit"):
             fmt_compute(1.0, "petaflops")
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="sizes are CPython's allocations")
+def test_shapes_table_reads_the_walk_in_place():
+    # before, shapes_table read a copy of the walk's shape map
+    arch = arch_from_json(chain_graph_json(12_500))  # the loader walks it
+    one_map = sys.getsizeof(infer_shapes(arch))  # a copy is the size of the walk's map
+    table, held, peak = traced(lambda: shapes_table(arch, None))
+    assert len(table.rows) == len(arch.nodes) + 1 == 50_001
+    # what is freed by the end: the shape texts and the rows tuple before the input row
+    assert peak - held < 0.75 * one_map, (peak, held, one_map)
 
 
 class TestTable:
@@ -402,8 +419,9 @@ SMALL = Table(key="k", title="Small table", columns=("a", "b"),
               rows=(("1", "2"), ("3", "x,y")), warnings=("check row two",))
 
 
-# cells with pipes, newlines and non-ASCII text beside arbitrary characters
-_CELL = st.text(st.one_of(st.sampled_from("| \né€😀"), st.characters()), max_size=6)
+# cells with pipes, newlines, quotes, backslashes and non-ASCII text beside
+# arbitrary characters
+_CELL = st.text(st.one_of(st.sampled_from('| \né€😀"\\'), st.characters()), max_size=6)
 
 
 @st.composite
@@ -420,6 +438,15 @@ class TestRenderers:
     @given(st.lists(any_table(), max_size=3))
     def test_markdown_matches_oracle(self, tables):
         assert render_markdown(tables) == markdown_oracle(tables)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(any_table(), max_size=3))
+    @example([Table(key="k", title='é "q" \\ 😀', columns=("a\\", '"'), rows=(),
+                    warnings=())])
+    @example([])
+    def test_json_matches_oracle(self, tables):
+        # the renderer hands json its tuples, which it writes as the arrays of lists
+        assert render_json(tables) == json_oracle(tables)
 
     def test_markdown_of_no_tables_is_one_newline(self):
         assert render_markdown([]) == "\n"

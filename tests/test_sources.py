@@ -69,3 +69,39 @@ def test_name_imports_from_its_owner(module, name):
 @pytest.mark.parametrize("name", ["archflops", "curves", "datasets", "reports", "trends"])
 def test_module_imports_by_its_path(name):
     assert importlib.import_module(f"algoeff.{name}").__name__ == f"algoeff.{name}"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of every module that path imports from or imports, at any depth."""
+    package = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts[:-1])
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            names.add(module)
+            names.update(f"{module}.{a.name}" for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", ["archflops/counting.py", "reports.py"])
+def test_commands_read_shapes_from_the_walks_owner(name):
+    # graph.py owns the walk's shape map; the copying infer_shapes is for library callers
+    imported = _imported_modules(ROOT / "src" / "algoeff" / name)
+    assert "algoeff.archflops.graph.walked_shapes" in imported
+    assert not any(m.startswith("algoeff.archflops.shapes") or m.endswith(".infer_shapes")
+                   for m in imported), imported
+
+
+def test_shapes_module_keeps_only_infer_shapes():
+    from algoeff.archflops import ShapeError, infer_shapes
+
+    tree = ast.parse((ROOT / "src" / "algoeff" / "archflops" / "shapes.py").read_text("utf-8"))
+    defined = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    assert defined == ["infer_shapes"]
+    assert not any(isinstance(n, (ast.Assign, ast.AnnAssign)) for n in tree.body)
+    assert not any("_walked_shapes" in p.read_text(encoding="utf-8") for p in SOURCES)
+    assert (ShapeError.__module__, infer_shapes.__module__) == (
+        "algoeff.archflops.graph", "algoeff.archflops.shapes")
