@@ -21,6 +21,24 @@ Layout:
 
 Each name is imported from the module that defines it (graph names from
 ``algoeff.archflops``); importing the package itself loads no submodule.
+The package holds the three constants the command line's option defaults
+share with the modules: IMAGES_PER_EPOCH, BACKWARD_MULTIPLIER and
+UNIT_DIVISORS. curves and trends import them back, so the old paths work.
 """
 
 __version__ = "0.1.0"
+
+# One pass over the training set, in images. Matches the rounded size
+# of the classification set the bundled records assume.
+IMAGES_PER_EPOCH = 1.28e6
+
+# Training cost per image relative to a forward pass: one forward plus
+# a backward pass at twice the forward cost.
+BACKWARD_MULTIPLIER = 3.0
+
+# Raw flops per display unit.
+UNIT_DIVISORS = {
+    "raw": 1.0,
+    "stated": 8.64e16,  # one teraflop/s for 86400 seconds
+    "table": 1e15,
+}

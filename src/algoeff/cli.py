@@ -12,17 +12,29 @@ invalid inputs, 3 when a curve never reaches the requested threshold.
 
 main pauses the cyclic garbage collector for the command and restores
 it afterwards; the library functions it calls leave the collector alone.
+
+Importing this module executes algoeff.archflops and algoeff.reports,
+but not algoeff.curves, algoeff.trends or algoeff.datasets: those are
+registered through importlib's LazyLoader and execute on first
+attribute access, so flops and shapes never run them. The handlers,
+the except clauses and reports reach their names as curves.X,
+trends.X and datasets.X at call time. LazyLoader takes no lock on first
+use before Python 3.13, so main is a one-thread entry point: two
+threads touching a deferred module first at once can see it half
+executed. Other importers of the package get ordinary modules.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import gc
+import importlib.util
 import os
 import shutil
 import sys
 from pathlib import Path
 
+from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, UNIT_DIVISORS
 from .archflops import (
     ArchitectureSpec,
     CountingConvention,
@@ -35,26 +47,30 @@ from .archflops import (
 )
 from .archflops.counting import UNITS as COUNT_UNITS
 from .archflops.zoo import _normalize
-from .curves import (
-    BACKWARD_MULTIPLIER,
-    IMAGES_PER_EPOCH,
-    CurveError,
-    Threshold,
-    ThresholdNotReached,
-    compute_to_threshold,
-    epochs_to_threshold,
-    parse_curve,
-    to_compute_curve,
-)
-from .datasets import (
-    DatasetError,
-    REPORTED_TERAFLOP_S_DAYS,
-    curve_names,
-    load_cross_domain,
-    load_curve,
-    load_imagenet_records,
-)
-from .reports import (
+
+
+def _lazy(name: str):
+    """The submodule algoeff.<name>, executed on first attribute access.
+
+    The importlib docs' LazyLoader recipe. The module sits in sys.modules
+    and on the package at once, so `from . import name` and a lookup in
+    sys.modules find it without executing it. A module already imported
+    is returned as it is.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# Before reports is imported, so that its `from . import curves, trends` binds these.
+curves, datasets, trends = _lazy("curves"), _lazy("datasets"), _lazy("trends")
+
+from .reports import (  # noqa: E402
     FORMATS,
     Table,
     analysis_table,
@@ -75,17 +91,6 @@ from .reports import (
     shapes_table,
     table_warnings,
     trend_table,
-)
-from .trends import (
-    EfficiencyRecord,
-    TrendError,
-    UNIT_DIVISORS,
-    find_record,
-    fit_trend,
-    frontier,
-    parse_date,
-    records_from_json,
-    records_to_json,
 )
 
 
@@ -221,8 +226,8 @@ def _parse_file(path: str, parse):
         with open(path, encoding="utf-8") as f:  # an OSError names path as given
             return parse(f.read())
     except UnicodeDecodeError as e:
-        raise DatasetError(f"{path}: {e}") from None
-    except (GraphError, CurveError, TrendError) as e:
+        raise datasets.DatasetError(f"{path}: {e}") from None
+    except (GraphError, curves.CurveError, trends.TrendError) as e:
         raise type(e)(f"{path}: {e}") from None
 
 
@@ -235,39 +240,40 @@ def _load_arch(value: str) -> ArchitectureSpec:
 def _load_curve_arg(value: str, percent: bool):
     if _is_file(value, ".csv"):
         stem = Path(value).stem
-        return _parse_file(value, lambda text: parse_curve(text, name=stem, percent=percent))
-    names = curve_names()
+        return _parse_file(value,
+                           lambda text: curves.parse_curve(text, name=stem, percent=percent))
+    names = datasets.curve_names()
     if value in names:
         if percent:
-            raise CurveError("bundled curves are stored as fractions; drop --percent")
-        return load_curve(value)
-    raise CurveError(
+            raise curves.CurveError("bundled curves are stored as fractions; drop --percent")
+        return datasets.load_curve(value)
+    raise curves.CurveError(
         f"{value!r} is neither a readable csv path nor a bundled curve "
         f"(available: {', '.join(names)})"
     )
 
 
-def _parse_threshold(text: str) -> Threshold:
+def _parse_threshold(text: str) -> curves.Threshold:
     metric, sep, value = text.partition(":")
     if not sep:
         metric, value = "top5", text
     try:
         v = float(value)
     except ValueError:
-        raise CurveError(
+        raise curves.CurveError(
             f"threshold {text!r} is not a number or metric:value pair"
         ) from None
-    return Threshold(metric, v)
+    return curves.Threshold(metric, v)
 
 
 def _parse_input(value: str | None) -> TensorShape | None:
     return TensorShape.parse(value) if value else None
 
 
-def _load_records(path: str | None) -> tuple[EfficiencyRecord, ...]:
+def _load_records(path: str | None) -> tuple[trends.EfficiencyRecord, ...]:
     if path is None:
-        return load_imagenet_records()
-    return _parse_file(path, records_from_json)
+        return datasets.load_imagenet_records()
+    return _parse_file(path, trends.records_from_json)
 
 
 def _replace_file(path: str, text: str):
@@ -311,9 +317,9 @@ def _per_image_flops(arch: ArchitectureSpec, count: FlopCount) -> float:
         raise GraphError(f"{arch.name}: {e}") from None
 
 
-def _record_pair(args) -> tuple[EfficiencyRecord, EfficiencyRecord]:
+def _record_pair(args) -> tuple[trends.EfficiencyRecord, trends.EfficiencyRecord]:
     records = _load_records(args.records)
-    return find_record(records, args.baseline), find_record(records, args.improved)
+    return trends.find_record(records, args.baseline), trends.find_record(records, args.improved)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +342,8 @@ def _cmd_analyze(args) -> list[Table]:
     curve = _load_curve_arg(args.curve, args.percent)
     threshold = _parse_threshold(args.threshold)
     per_image = _per_image_flops(arch, count_flops(arch, input_shape=_parse_input(args.input)))
-    epoch = epochs_to_threshold(curve, threshold)
-    total = compute_to_threshold(
+    epoch = curves.epochs_to_threshold(curve, threshold)
+    total = curves.compute_to_threshold(
         curve, threshold, flops_per_image=per_image,
         images_per_epoch=args.images_per_epoch,
         backward_multiplier=args.backward_multiplier,
@@ -347,20 +353,20 @@ def _cmd_analyze(args) -> list[Table]:
     if args.append_records:
         if args.date is None:
             raise UsageError("algoeff analyze: --append-records requires --date")
-        run_date = parse_date(args.date, "--date", TrendError)
+        run_date = trends.parse_date(args.date, "--date", trends.TrendError)
         name = arch.name if args.name is None else args.name
         path = args.append_records
-        existing = _parse_file(path, records_from_json) if os.path.exists(path) else ()
+        existing = _parse_file(path, trends.records_from_json) if os.path.exists(path) else ()
         if any(r.name == name for r in existing):
-            raise TrendError(f"record {name!r} already exists in {path}")
+            raise trends.TrendError(f"record {name!r} already exists in {path}")
         if curve.cumulative_flops is not None:
             work = {"total_compute": total}
         else:
             work = {"flops_per_image": per_image, "epochs": float(epoch),
                     "images_per_epoch": args.images_per_epoch}
-        new = EfficiencyRecord(name=name, date=run_date, threshold=threshold,
-                               backward_multiplier=args.backward_multiplier, **work)
-        _replace_file(path, records_to_json(list(existing) + [new]))
+        new = trends.EfficiencyRecord(name=name, date=run_date, threshold=threshold,
+                                      backward_multiplier=args.backward_multiplier, **work)
+        _replace_file(path, trends.records_to_json(list(existing) + [new]))
     return [table]
 
 
@@ -385,17 +391,17 @@ def _cmd_doubling(args) -> list[Table]:
         if args.improved is None:
             raise UsageError("algoeff doubling: need both BASELINE and IMPROVED")
         return [pair_doubling_table(*_record_pair(args))]
-    return [doubling_table(load_cross_domain())]
+    return [doubling_table(datasets.load_cross_domain())]
 
 
 def _cmd_frontier(args) -> list[Table]:
-    return [frontier_table(frontier(_load_records(args.records)), args.unit)]
+    return [frontier_table(trends.frontier(_load_records(args.records)), args.unit)]
 
 
 def _cmd_trend(args) -> list[Table]:
     records = _load_records(args.records)
-    source = records if args.all_records else frontier(records)
-    return [trend_table(fit_trend(source, method=args.method))]
+    source = records if args.all_records else trends.frontier(records)
+    return [trend_table(trends.fit_trend(source, method=args.method))]
 
 
 def _cmd_effective(args) -> list[Table]:
@@ -404,9 +410,9 @@ def _cmd_effective(args) -> list[Table]:
 
 def _cmd_report(args) -> list[Table]:
     records = _load_records(args.records)
-    comparisons = load_cross_domain()
-    reported = REPORTED_TERAFLOP_S_DAYS if args.records is None else None
-    front = frontier(records)
+    comparisons = datasets.load_cross_domain()
+    reported = datasets.REPORTED_TERAFLOP_S_DAYS if args.records is None else None
+    front = trends.frontier(records)
     tables = [
         efficiency_table(front),
         doubling_table(comparisons),
@@ -414,15 +420,15 @@ def _cmd_report(args) -> list[Table]:
     ]
     if args.figures:
         tables.append(frontier_points(records, front, unit=args.unit))
-        bundled = records if args.records is None else load_imagenet_records()
-        curves = []
-        for cname in curve_names():
+        bundled = records if args.records is None else datasets.load_imagenet_records()
+        compute_curves = []
+        for cname in datasets.curve_names():
             match = [r for r in bundled if _normalize(r.name) == _normalize(cname)]
             if match and match[0].flops_per_image is not None:
-                curves.append(to_compute_curve(
-                    load_curve(cname), flops_per_image=match[0].flops_per_image,
+                compute_curves.append(curves.to_compute_curve(
+                    datasets.load_curve(cname), flops_per_image=match[0].flops_per_image,
                 ))
-        tables.append(curve_points(curves, unit=args.unit))
+        tables.append(curve_points(compute_curves, unit=args.unit))
         tables.append(effective_compute_points())
     return tables
 
@@ -445,10 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         except UsageError as e:
             print(str(e), file=sys.stderr)
             return 1
-        except ThresholdNotReached as e:
+        except curves.ThresholdNotReached as e:
             print(f"algoeff: {e}", file=sys.stderr)
             return 3
-        except (GraphError, CurveError, TrendError, DatasetError, OSError) as e:
+        except (GraphError, curves.CurveError, trends.TrendError, datasets.DatasetError,
+                OSError) as e:
             print(f"algoeff: {e}", file=sys.stderr)
             return 2
 

@@ -23,13 +23,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
-# One pass over the training set, in images. Matches the rounded size
-# of the classification set the bundled records assume.
-IMAGES_PER_EPOCH = 1.28e6
-
-# Training cost per image relative to a forward pass: one forward plus
-# a backward pass at twice the forward cost.
-BACKWARD_MULTIPLIER = 3.0
+from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH
 
 _FLOAT_MAX = sys.float_info.max
 

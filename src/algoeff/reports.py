@@ -11,34 +11,21 @@ the data implies) without failing the build.
 from __future__ import annotations
 
 import csv
-import decimal
 import io
 import json
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from . import UNIT_DIVISORS, curves, trends
 from .archflops import ArchitectureSpec, FlopCount, TensorShape
 from .archflops.graph import walked_shapes
-from .curves import ComputeCurve, LearningCurve, Threshold, positive_finite
-from .datasets import CrossDomainComparison
-from .trends import (
-    MONTH_DAYS,
-    UNIT_DIVISORS,
-    EffectiveComputeModel,
-    EfficiencyRecord,
-    Frontier,
-    TrendError,
-    TrendFit,
-    _unit_divisor,
-    date_to_months,
-    decompose,
-    doubling_time,
-    effective_compute,
-    efficiency_factor,
-    to_report_units,
-)
+
+if TYPE_CHECKING:
+    from .curves import ComputeCurve, LearningCurve, Threshold
+    from .datasets import CrossDomainComparison
+    from .trends import EfficiencyRecord, Frontier, TrendFit
 
 
 @dataclass(frozen=True)
@@ -69,6 +56,8 @@ def fmt_factor(x: float) -> str:
     values from ten to a hundred print as integers ("44"), larger
     values group thousands ("1,500").
     """
+    import decimal  # here, not at the top: only commands with ratio cells pay for it
+
     d = decimal.Decimal(repr(float(x)))
     q = d.quantize(decimal.Decimal(1).scaleb(d.adjusted() - 1),
                    rounding=decimal.ROUND_HALF_EVEN)
@@ -82,7 +71,7 @@ def fmt_compute(raw: float, unit: str) -> str:
 
 def _compute_formatter(unit: str):
     """fmt_compute at one unit, whose divisor is looked up once for a table's rows."""
-    divisor = _unit_divisor(unit)
+    divisor = trends._unit_divisor(unit)
     spec = ".1f" if unit == "table" else ".4g"
     return lambda raw: format(raw / divisor, spec)
 
@@ -186,7 +175,7 @@ def analysis_table(
 
 def factor_table(baseline: EfficiencyRecord, improved: EfficiencyRecord, unit: str) -> Table:
     """The efficiency factor between two records, the time between them and both totals."""
-    ef = efficiency_factor(baseline, improved)
+    ef = trends.efficiency_factor(baseline, improved)
     return _one_row("factor", f"Efficiency factor, {ef.baseline} to {ef.improved}", {
         "baseline": ef.baseline,
         "improved": ef.improved,
@@ -200,7 +189,7 @@ def factor_table(baseline: EfficiencyRecord, improved: EfficiencyRecord, unit: s
 
 def decomposition_table(baseline: EfficiencyRecord, improved: EfficiencyRecord) -> Table:
     """The efficiency factor between two records split into epoch and per-image terms."""
-    d = decompose(baseline, improved)
+    d = trends.decompose(baseline, improved)
     return _one_row("decomposition", f"Factor decomposition, {d.baseline} to {d.improved}", {
         "baseline": d.baseline,
         "improved": d.improved,
@@ -212,8 +201,8 @@ def decomposition_table(baseline: EfficiencyRecord, improved: EfficiencyRecord) 
 
 def pair_doubling_table(baseline: EfficiencyRecord, improved: EfficiencyRecord) -> Table:
     """The efficiency doubling time implied by two records."""
-    ef = efficiency_factor(baseline, improved)
-    d = doubling_time(ef.factor, ef.elapsed_months)
+    ef = trends.efficiency_factor(baseline, improved)
+    d = trends.doubling_time(ef.factor, ef.elapsed_months)
     return _one_row("doubling", f"Efficiency doubling time, {ef.baseline} to {ef.improved}", {
         "baseline": ef.baseline,
         "improved": ef.improved,
@@ -225,7 +214,7 @@ def pair_doubling_table(baseline: EfficiencyRecord, improved: EfficiencyRecord) 
 
 def factor_doubling_table(factor: float, period: float, period_unit: str) -> Table:
     """The efficiency doubling time of a factor gained over a period."""
-    d = doubling_time(factor, period)
+    d = trends.doubling_time(factor, period)
     return _one_row("doubling", "Efficiency doubling time", {
         "factor": fmt_factor(factor),
         "period": f"{period:g} {period_unit}",
@@ -259,9 +248,9 @@ def effective_table(factors: Sequence[float]) -> Table:
     if factors:
         title = "Combined effective-compute multiplier"
         cells = [(f"input {i}", f) for i, f in enumerate(factors, start=1)]
-        cells.append(("effective", effective_compute(factors)))  # checks them for _fmt_big
+        cells.append(("effective", trends.effective_compute(factors)))  # checks them for _fmt_big
     else:
-        model = EffectiveComputeModel()
+        model = trends.EffectiveComputeModel()
         title = f"Default effective-compute model over {model.period_months:g} months"
         cells = model.factors_at(model.period_months).items()
     return Table(
@@ -283,12 +272,12 @@ def efficiency_table(front: Frontier) -> Table:
     base = front.records[0]
     rows = []
     for r in front:
-        ef = efficiency_factor(base, r)
+        ef = trends.efficiency_factor(base, r)
         try:
-            d = decompose(base, r)
+            d = trends.decompose(base, r)
             epochs_cell = fmt_factor(d.epochs_ratio)
             image_cell = fmt_factor(d.flops_per_image_ratio)
-        except TrendError:
+        except trends.TrendError:
             epochs_cell = ""
             image_cell = ""
         rows.append((
@@ -330,7 +319,8 @@ def doubling_table(comparisons: Sequence[CrossDomainComparison]) -> Table:
             q_shown = "" if q is None else f"{q:g}" if q_unit is None else _fmt_period(q, q_unit)
             row += (shown, q_shown)
             if unit != q_unit:  # days against months or the reverse: compare in the quote's unit
-                value = value / MONTH_DAYS if q_unit == "months" else value * MONTH_DAYS
+                month_days = trends.MONTH_DAYS
+                value = value / month_days if q_unit == "months" else value * month_days
             if q is not None and (value == math.inf or round(value) != round(q)):  # days overflow
                 warnings.append(_quote_note(c.label, what, shown, "does not round to", q_shown))
         row.append("yes" if c.estimated else "")
@@ -373,9 +363,9 @@ def compute_table(
         deviation_cell = ""
         if reported and r.name in reported:
             q = reported[r.name]
-            if not (positive_finite(q)
-                    and positive_finite(quoted_raw := q * UNIT_DIVISORS["table"])):
-                raise TrendError(f"{r.name}: quoted total must be positive and finite "
+            if not (curves.positive_finite(q)
+                    and curves.positive_finite(quoted_raw := q * UNIT_DIVISORS["table"])):
+                raise trends.TrendError(f"{r.name}: quoted total must be positive and finite "
                                  f"in raw flops, got {q!r}")
             quoted_cell = fmt_total(quoted_raw)
             dev = (total - quoted_raw) / quoted_raw
@@ -423,8 +413,8 @@ def frontier_points(records: Sequence[EfficiencyRecord], front: Frontier,
     on_front = set(map(id, front.records))
     ordered = sorted(records, key=attrgetter("name"))
     ordered.sort(key=attrgetter("date"))  # stable: equal dates stay in name order
-    origin = date_to_months(ordered[0].date)
-    divisor = _unit_divisor(unit)
+    origin = trends.date_to_months(ordered[0].date)
+    divisor = trends._unit_divisor(unit)
     date_cells: dict = {}  # each distinct date's date and months cells, formatted once
     rows = []
     for r in ordered:
@@ -432,7 +422,7 @@ def frontier_points(records: Sequence[EfficiencyRecord], front: Frontier,
         cells = date_cells.get(date)
         if cells is None:
             cells = date_cells[date] = (date.isoformat(),
-                                        f"{date_to_months(date) - origin:.3f}")
+                                        f"{trends.date_to_months(date) - origin:.3f}")
         total = r.total_compute
         rows.append((
             r.name,
@@ -457,7 +447,7 @@ def curve_points(curves: Sequence[ComputeCurve], unit: str = "raw") -> Table:
             rows.append((
                 c.name,
                 c.metric,
-                f"{to_report_units(compute, unit):.6e}",
+                f"{trends.to_report_units(compute, unit):.6e}",
                 f"{acc:.5f}",
             ))
     return Table(
@@ -470,7 +460,7 @@ def curve_points(curves: Sequence[ComputeCurve], unit: str = "raw") -> Table:
 
 def effective_compute_points() -> Table:
     """The default effective-compute model's growth factors over month zero, every six months."""
-    model = EffectiveComputeModel()
+    model = trends.EffectiveComputeModel()
     rows = tuple(
         (f"{t:g}", *(f"{v:.4g}" for v in model.factors_at(t).values()))
         for t in range(0, int(model.period_months) + 1, 6)  # 0, 6, ..., 72

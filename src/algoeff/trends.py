@@ -32,9 +32,8 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Sequence
 
+from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, UNIT_DIVISORS
 from .curves import (
-    BACKWARD_MULTIPLIER,
-    IMAGES_PER_EPOCH,
     DEFAULT_THRESHOLD,
     CurveError,
     Threshold,
@@ -45,13 +44,6 @@ from .curves import (
 
 # Mean Gregorian month, used whenever dates become month counts.
 MONTH_DAYS = 30.436875
-
-# Raw flops per display unit.
-UNIT_DIVISORS = {
-    "raw": 1.0,
-    "stated": 8.64e16,  # one teraflop/s for 86400 seconds
-    "table": 1e15,
-}
 
 # Relative disagreement allowed between an explicit total and the
 # epochs * flops_per_image * images product when a record carries both.

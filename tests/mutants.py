@@ -144,6 +144,11 @@ MUTANTS = [
     ("a rewritten records file loses its permission bits", CLI,
      "            shutil.copymode(real, tmp)", "            pass",
      ["tests/test_cli.py::TestAnalyze::test_append_replaces_file_and_keeps_its_mode"]),
+    # cold start: a graph command executes no curve, record or dataset module
+    ("the CLI imports trends eagerly", CLI,
+     "from .archflops.zoo import _normalize\n",
+     "from .archflops.zoo import _normalize\nfrom .trends import frontier\n",
+     ["tests/test_cold_start.py::test_graph_commands_run_no_deferred_module"]),
 ]
 
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")

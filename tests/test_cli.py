@@ -1,6 +1,8 @@
 """End-to-end command line behavior: output, exit codes, file round trips."""
+import argparse
 import datetime
 import gc
+import hashlib
 import json
 import os
 import pathlib
@@ -15,6 +17,7 @@ import pytest
 import algoeff
 from algoeff.archflops import builtin_arch
 import algoeff.cli as cli_mod
+import algoeff.datasets as datasets_mod
 import algoeff.trends as trends_mod
 from algoeff.cli import _build_parser, main
 from algoeff.datasets import load_imagenet_records
@@ -820,8 +823,7 @@ class TestReport:
             calls.append(len(records))
             return frontier(records)
 
-        for mod in (cli_mod, trends_mod):
-            monkeypatch.setattr(mod, "frontier", counting)
+        monkeypatch.setattr(trends_mod, "frontier", counting)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "EfficientNet-b0" in out
         assert calls == [len(load_imagenet_records())]
@@ -837,7 +839,7 @@ class TestReport:
             calls.append(1)
             return load_imagenet_records()
 
-        monkeypatch.setattr(cli_mod, "load_imagenet_records", counting)
+        monkeypatch.setattr(datasets_mod, "load_imagenet_records", counting)
         code, out, _ = run(capsys, *(a.format(file=path) for a in argv))
         assert code == 0 and "alexnet" in out
         assert len(calls) == 1
@@ -891,6 +893,16 @@ class TestTopLevel:
 
     def test_one_parser_per_process(self):
         assert _build_parser() is _build_parser()
+
+    def test_help_texts_are_pinned(self):
+        # the strings behind every --help page; argparse's layout of them varies by version
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        texts = [(c.dest, c.help) for c in sub._choices_actions]
+        texts += [(name, a.option_strings or a.dest, a.metavar, a.choices, a.default, a.help)
+                  for name, p in sub.choices.items() for a in p._actions]
+        digest = hashlib.sha256(repr(texts).encode("utf-8")).hexdigest()
+        assert digest == "f93defcca459f9b94d7dcca710b4f9c5efb67506ca0be05066123a222be52274"
 
     def test_calls_share_no_flags_or_state(self, capsys):
         sequence = [

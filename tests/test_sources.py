@@ -39,6 +39,18 @@ def test_importing_the_package_loads_no_submodule():
     assert result.stdout == "['algoeff']\n"
 
 
+def test_shared_constants_keep_their_old_paths():
+    # the package holds them so that building the CLI's parser executes neither module
+    import algoeff
+    import algoeff.curves
+    import algoeff.trends
+
+    for module in (algoeff.curves, algoeff.trends):
+        assert module.IMAGES_PER_EPOCH is algoeff.IMAGES_PER_EPOCH
+        assert module.BACKWARD_MULTIPLIER is algoeff.BACKWARD_MULTIPLIER
+    assert algoeff.trends.UNIT_DIVISORS is algoeff.UNIT_DIVISORS
+
+
 # Every name the package once re-exported, under the one module that owns it.
 # Graph names keep their facade, algoeff.archflops.
 _OWNERS = {
