@@ -12,15 +12,14 @@ are available throughout: "stated" divides by one teraflop/s sustained
 for a day (8.64e16), "table" divides by 1e15, matching the units the
 bundled record set is usually quoted in.
 
-Memory: a records file is held once. ``records_from_json`` parses with
-a json object hook that keeps one object for each distinct metric/value
-threshold object, so the parse tree holds one per distinct threshold,
-not one per record. It drops the text once parsed and each parsed
-record object as soon as its ``EfficiencyRecord`` exists, so the text,
-the json tree and the records are never all whole. Records with equal
-date strings share one date, and records with equal threshold objects
-share one ``Threshold``. ``EfficiencyRecord`` is slotted and carries no
-``__dict__``.
+Memory: a records file is held once. ``records_from_json`` builds each
+record as the json parser closes the record's object, through the
+parser's object hook, so the record objects are freed during the parse
+and never all alive together. Records with equal date strings share one
+date, and records with equal metric/value threshold objects of a float
+value share one ``Threshold``. A file with an error is parsed twice: the
+second parse, without the hook, words the messages. ``EfficiencyRecord``
+is slotted and carries no ``__dict__``.
 """
 from __future__ import annotations
 
@@ -233,83 +232,70 @@ def _check_json_object(obj, where: str, known: frozenset, required: tuple,
             raise error(f"{where}: missing required field {req!r}")
 
 
-def _threshold_sharer(shared: dict):
-    """A json object hook that returns one object for each distinct metric/value object.
-
-    It shares objects {"metric": <str>, "value": <float above 0>}, keys in
-    that order: equal ones also print alike, so sharing them changes no
-    message that shows one, wherever in a record it sits. An int, bool,
-    NaN or zero value, or the keys the other way round, prints unlike
-    some equal object, and such an object is left alone. shared keeps
-    each shared object under (metric, value), which holds it for as long
-    as shared lives, and maps its id to None until _threshold_from_json
-    builds its Threshold.
-    """
-    def share(obj: dict) -> dict:
-        if len(obj) == 2:  # the cheap test first: most objects are records
-            value = obj.get("value")
-            if type(value) is float and value > 0.0:
-                metric = obj.get("metric")
-                if type(metric) is str and next(iter(obj)) == "metric":
-                    first = shared.get((metric, value))
-                    if first is None:
-                        first = shared[metric, value] = obj
-                        shared[id(obj)] = None
-                    return first
-        return obj
-
-    return share
-
-
-def _threshold_from_json(value, shared: dict) -> Threshold:
-    """A record's threshold: a number (a top5 value) or a metric/value object.
-
-    An object the parse shared (see _threshold_sharer) is looked up in
-    shared by its id, so its Threshold is built, and checked, once; any
-    other value is built every time.
-    """
-    threshold = shared.get(id(value))
-    if threshold is not None:
-        return threshold
+def _threshold_from_json(value) -> Threshold:
+    """A record's threshold: a number (a top5 value) or a metric/value object."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Threshold("top5", value)
     if isinstance(value, dict):
         if value.keys() != {"metric", "value"}:
             raise TrendError("threshold object must have exactly the keys metric and value")
-        threshold = Threshold(value["metric"], value["value"])
-        if id(value) in shared:
-            shared[id(value)] = threshold
-        return threshold
+        return Threshold(value["metric"], value["value"])
     raise TrendError("threshold must be a number or a metric/value object")
 
 
-def _record_from_object(obj, shared: dict) -> EfficiencyRecord:
-    """One record from its json object, whose date and threshold are replaced.
+def _record_from_object(obj) -> EfficiencyRecord:
+    """One record from its plain json object, whose date and threshold are replaced.
 
     Every message starts with ": " or " (name): ", for the caller to put
-    the record's position in front. shared holds what the parse and
-    earlier records of the same file built: the date of each date string
-    (keyed by the str) and the shared metric/value objects with their
-    Threshold (see _threshold_sharer), so equal ones are built once.
+    the record's position in front.
     """
-    if not (type(obj) is dict and obj.keys() <= _RECORD_FIELDS
-            and "name" in obj and "date" in obj):  # one test for a well-formed object
-        _check_json_object(obj, "", _RECORD_FIELDS, ("name", "date"), TrendError)
+    _check_json_object(obj, "", _RECORD_FIELDS, ("name", "date"), TrendError)
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise TrendError(": name must be a non-empty string")
-    text = obj["date"]
-    date = shared.get(text) if type(text) is str else None
-    if date is None:  # parse_date raises for a text that is not a str
-        date = shared[text] = parse_date(text, f" ({name}): date", TrendError)
-    obj["date"] = date
+    obj["date"] = parse_date(obj["date"], f" ({name}): date", TrendError)
     try:
         if "threshold" in obj:
-            obj["threshold"] = _threshold_from_json(obj["threshold"], shared)
+            obj["threshold"] = _threshold_from_json(obj["threshold"])
         return EfficiencyRecord._from_json_fields(obj)
     except (TrendError, CurveError) as e:  # a bad Threshold raises CurveError
         # record messages start with the name alone
         raise TrendError(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
+
+
+def _record_builder():
+    """A json object hook that builds each threshold and record as the parser closes it.
+
+    A metric/value object of a str metric and a float value becomes the one
+    Threshold of its pair, in either key order; only floats are cached, as an
+    equal int or bool prints apart. An object with a name, a date and no
+    unknown field becomes its EfficiencyRecord, and equal date strings share
+    one date. Other objects are left as they are; a failed check raises.
+    """
+    thresholds: dict[tuple[str, float], Threshold] = {}
+    dates: dict[str, datetime.date] = {}
+
+    def build(obj: dict):
+        if "name" in obj:
+            if obj.keys() <= _RECORD_FIELDS and "date" in obj:
+                text = obj["date"]
+                date = dates.get(text) if type(text) is str else None
+                if date is None:  # parse_date raises for a text that is not a str
+                    date = dates[text] = parse_date(text, "date", TrendError)
+                obj["date"] = date
+                if type(obj.get("threshold", DEFAULT_THRESHOLD)) is not Threshold:
+                    obj["threshold"] = _threshold_from_json(obj["threshold"])
+                return EfficiencyRecord._from_json_fields(obj)
+        elif len(obj) == 2:
+            metric, value = obj.get("metric"), obj.get("value")
+            if type(value) is float and type(metric) is str:
+                threshold = thresholds.get((metric, value))
+                if threshold is None:
+                    threshold = thresholds[metric, value] = Threshold(metric, value)
+                return threshold
+        return obj
+
+    return build
 
 
 def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
@@ -323,23 +309,25 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     Each record's slots are filled from its json object and field
     defaults, then EfficiencyRecord.__post_init__ checks them, so a
     loaded record equals EfficiencyRecord(**fields) of the same values.
-    Records with equal date strings share one date, and records with
-    equal metric/value threshold objects share one Threshold.
+    The parser's object hook builds each record as the parser closes its
+    object. A text with any error is parsed again without the hook, and
+    every message comes from the plain parse tree.
     """
-    shared: dict = {}
-    objs = _json_array(text, "records", TrendError, _threshold_sharer(shared))
-    del text  # freed here unless the caller holds it too
-    records = []
-    for i, obj in enumerate(objs):
-        try:
-            records.append(_record_from_object(obj, shared))
-        except TrendError as e:  # the position is written only into a message
-            raise TrendError(f"record {i}{e}") from None
-        # the parse tree and the records are never both whole: each parsed
-        # object is dropped once its record holds what it needs
-        objs[i] = None
-    # names are compared once the parse tree is freed, so the set of them
-    # does not add to the load's peak memory
+    try:
+        return _records_from_tree(_json_array(text, "records", TrendError, _record_builder()))
+    except (TrendError, CurveError):
+        pass
+    return _records_from_tree(_json_array(text, "records", TrendError))
+
+
+def _records_from_tree(records: list) -> tuple[EfficiencyRecord, ...]:
+    """The checked records of a parse tree whose elements are records or record objects."""
+    for i, obj in enumerate(records):
+        if type(obj) is not EfficiencyRecord:  # parsed without the hook, or declined by it
+            try:
+                records[i] = _record_from_object(obj)
+            except TrendError as e:  # the position is written only into a message
+                raise TrendError(f"record {i}{e}") from None
     if len(set(map(attrgetter("name"), records))) < len(records):
         first_of: dict[str, int] = {}
         for i, r in enumerate(records):

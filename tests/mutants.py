@@ -128,12 +128,20 @@ MUTANTS = [
     ("repeated record names accepted", TRENDS,
      'if len(set(map(attrgetter("name"), records))) < len(records):', "if False:",
      ["tests/test_trends.py::TestRecordJson"]),
-    ("int and bool threshold values shared", TRENDS,
-     "if type(value) is float and value > 0.0:", "if isinstance(value, (int, float)):",
+    ("the hook caches thresholds of int and bool values", TRENDS,
+     "if type(value) is float and type(metric) is str:",
+     "if isinstance(value, (int, float)) and type(metric) is str:",
      ["tests/test_trends.py::TestRecordJson"]),
-    ("threshold objects shared in either key order", TRENDS,
-     ' and next(iter(obj)) == "metric"', "",
+    ("the hook builds a record object with an unknown field", TRENDS,
+     'if obj.keys() <= _RECORD_FIELDS and "date" in obj:', 'if "date" in obj:',
      ["tests/test_trends.py::TestRecordJson"]),
+    ("the parser's object hook builds no record", TRENDS,
+     'TrendError, _record_builder()))', "TrendError))",
+     ["tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_valid_file_is_parsed_once"]),
+    ("a hook failure raised, not parsed again", TRENDS,
+     "    except (TrendError, CurveError):\n        pass\n",
+     "    except (TrendError, CurveError):\n        raise\n",
+     ["tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_bad_record_is_parsed_twice"]),
     # reports and the command around them
     ("a three percent deviation from a quoted total not flagged", "src/algoeff/reports.py",
      "if abs(dev) > 0.02:", "if abs(dev) > 0.2:",

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from algoeff import trends
 from algoeff.curves import CurveError, Threshold
 from algoeff.trends import (
     MONTH_DAYS,
@@ -520,6 +521,114 @@ class TestRecordJson:
 
     def test_records_to_json_omits_empty_notes(self):
         assert "notes" not in json.loads(records_to_json([rec()]))[0]
+
+
+def _counted_loads(monkeypatch) -> list:
+    """A list that grows by one for each json.loads call from here on."""
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("object_hook"))
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return calls
+
+
+class TestRecordsBuiltWhileParsed:
+    """The parser's object hook builds each record; only a text with an error is parsed again."""
+
+    def test_valid_files_never_reach_the_plain_path(self, monkeypatch):
+        def plain(obj):
+            raise AssertionError(f"the plain path built {obj!r}")
+
+        monkeypatch.setattr(trends, "_record_from_object", plain)
+        text = records_to_json(records_file_records(random.Random(3), 500))
+        assert len(records_from_json(text)) == 500
+        mixed = ('[{"name": "a", "date": "2015-01-02", "total_compute": 1, "threshold": 1},'
+                 ' {"date": "2015-01-02", "name": "b", "total_compute": 2.0,'
+                 ' "threshold": {"value": 1, "metric": "top1"}},'
+                 ' {"name": "c", "date": "2016-01-02", "flops_per_image": 3, "epochs": 2}]')
+        assert [r.name for r in records_from_json(mixed)] == ["a", "b", "c"]
+        assert len(load_imagenet_records()) == 16
+
+    def test_a_valid_file_is_parsed_once(self, monkeypatch):
+        calls = _counted_loads(monkeypatch)
+        records_from_json(records_to_json(records_file_records(random.Random(4), 50)))
+        assert len(calls) == 1 and calls[0] is not None
+
+    def test_a_bad_record_is_parsed_twice(self, monkeypatch):
+        calls = _counted_loads(monkeypatch)
+        text = ('[{"name": "a", "date": "2015-01-02", "total_compute": 1.0},'
+                ' {"name": "b", "date": "June 2015", "total_compute": 1.0}]')
+        with pytest.raises(TrendError) as info:
+            records_from_json(text)
+        assert str(info.value) == "record 1 (b): date 'June 2015' is not YYYY-MM-DD"
+        assert len(calls) == 2 and calls[0] is not None and calls[1] is None
+
+    def test_reversed_key_order_shares_one_threshold(self):
+        text = ('[{"name": "a", "date": "2015-01-02", "total_compute": 1.0,'
+                ' "threshold": {"metric": "top1", "value": 0.5}},'
+                ' {"name": "b", "date": "2015-01-02", "total_compute": 1.0,'
+                ' "threshold": {"value": 0.5, "metric": "top1"}}]')
+        a, b = records_from_json(text)
+        assert a.threshold is b.threshold == Threshold("top1", 0.5)
+
+
+_THRESHOLD_VALUE = st.one_of(st.sampled_from([0.5, 0.791, 1.0, 1]),
+                             st.floats(min_value=5e-324, max_value=1.0))
+
+
+@st.composite
+def valid_records_text(draw) -> str:
+    """A valid records file text in the forms a hand-written file may take.
+
+    Keys come in any order; thresholds are missing, bare numbers or
+    metric/value objects of either key order, with int or float values;
+    dates repeat.
+    """
+    dates = draw(st.lists(st.dates(), min_size=1, max_size=3))
+    objs = []
+    for i in range(draw(st.integers(0, 6))):
+        obj = {"name": f"r{i}", "date": draw(st.sampled_from(dates)).isoformat()}
+        form = draw(st.sampled_from(["missing", "number", "object"]))
+        if form == "number":
+            obj["threshold"] = draw(_THRESHOLD_VALUE)
+        elif form == "object":
+            pair = [("metric", draw(st.sampled_from(["top1", "top5"]))),
+                    ("value", draw(_THRESHOLD_VALUE))]
+            obj["threshold"] = dict(draw(st.permutations(pair)))
+        if draw(st.booleans()):
+            obj["total_compute"] = draw(st.sampled_from([1e17, 3, 2.5e15]))
+        else:
+            obj["flops_per_image"] = draw(st.sampled_from([7.7e8, 2]))
+            obj["epochs"] = draw(st.sampled_from([90, 1.5]))
+        objs.append(dict(draw(st.permutations(list(obj.items())))))
+    return json.dumps(objs)
+
+
+def _plain_oracle(text: str) -> tuple[EfficiencyRecord, ...]:
+    """EfficiencyRecord(**fields) of each object json.loads finds in a valid records text."""
+    records = []
+    for obj in json.loads(text):
+        obj["date"] = datetime.date.fromisoformat(obj["date"])
+        threshold = obj.get("threshold")
+        if isinstance(threshold, dict):
+            obj["threshold"] = Threshold(threshold["metric"], threshold["value"])
+        elif threshold is not None:
+            obj["threshold"] = Threshold("top5", threshold)
+        records.append(EfficiencyRecord(**obj))
+    return tuple(records)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_records_text())
+def test_hook_path_matches_the_plain_oracle(text):
+    loaded = records_from_json(text)
+    expected = _plain_oracle(text)
+    assert loaded == expected
+    assert list(map(repr, loaded)) == list(map(repr, expected))
 
 
 # strings with every kind of character json escapes: quotes, backslashes,
