@@ -26,10 +26,9 @@ Memory: a graph is held once. ``arch_from_json`` builds each node's
 parser's object hook, so the node objects and their ``inputs`` arrays
 are freed during the parse and never all alive together; a known kind
 string becomes the kind table's own key, one str per kind. A file with
-an error is parsed twice: the second parse, without the hook, words the
-messages. ``LayerNode`` and ``TensorShape`` are slotted and carry no
-``__dict__``; ``ArchitectureSpec`` keeps its ``__dict__``, which holds
-the walk memo.
+an error is parsed twice, by ``_jsonfile``'s rule. ``LayerNode`` and
+``TensorShape`` are slotted and carry no ``__dict__``;
+``ArchitectureSpec`` keeps its ``__dict__``, which holds the walk memo.
 
 Speed: the valid case is the cheap one, since every node of every graph
 passes through it. The walk tests a node's own parameters and then that
@@ -42,11 +41,12 @@ fields; a node built in Python goes through ``__post_init__``.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Any, Mapping
+
+from .. import _jsonfile
 
 
 class GraphError(ValueError):
@@ -569,25 +569,10 @@ def arch_from_json(text: str) -> ArchitectureSpec:
     """Parse and validate an architecture file's text. Raises GraphError.
 
     The parser's object hook builds each node as the parser closes its
-    object. A node-shaped object where no node belongs would then be
-    worded as a node, so a text with any error is parsed again without
-    the hook, and every message comes from the plain parse tree.
+    object; a node-shaped object where no node belongs is why a text with
+    an error is parsed again without the hook (``_jsonfile.load``).
     """
-    try:
-        return _arch_from_tree(_parse(text, _json_node))
-    except GraphError:
-        pass
-    return _arch_from_tree(_parse(text, None))
-
-
-def _parse(text: str, object_hook) -> Any:
-    """json.loads(text) with object_hook; text that is not JSON raises GraphError."""
-    try:
-        return json.loads(text, object_hook=object_hook)
-    except ValueError as exc:  # also a json int past the int-to-str digit limit
-        raise GraphError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise GraphError("not valid JSON: nested too deeply") from None
+    return _jsonfile.load(text, "not valid JSON", GraphError, _json_node, _arch_from_tree)
 
 
 def _arch_from_tree(obj: Any) -> ArchitectureSpec:

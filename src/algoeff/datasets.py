@@ -26,13 +26,12 @@ import datetime
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import _jsonfile
 from .curves import LearningCurve, parse_curve, positive_finite
 from .trends import (
     MONTH_DAYS,
     EfficiencyRecord,
     TrendError,
-    _check_json_object,
-    _json_array,
     doubling_time,
     parse_date,
     partial_run_factor,
@@ -179,8 +178,8 @@ _COMPARISON_FIELDS = frozenset(f.name for f in fields(CrossDomainComparison))
 
 
 def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainComparison:
-    _check_json_object(obj, where, _COMPARISON_FIELDS, ("task", "kind", "baseline", "improved"),
-                       DatasetError)
+    _jsonfile.check_object(obj, where, _COMPARISON_FIELDS,
+                           ("task", "kind", "baseline", "improved"), DatasetError)
     kwargs = dict(obj)
     for key in ("baseline_date", "improved_date"):
         if key in kwargs:
@@ -194,8 +193,9 @@ def comparison_from_dict(obj: dict, where: str = "comparison") -> CrossDomainCom
 
 
 def comparisons_from_json(text: str) -> tuple[CrossDomainComparison, ...]:
+    data = _jsonfile.parse(text, "comparisons file is not valid json", DatasetError)
     return tuple(comparison_from_dict(obj, where=f"comparison {i}")
-                 for i, obj in enumerate(_json_array(text, "comparisons", DatasetError)))
+                 for i, obj in enumerate(_jsonfile.array(data, "comparisons", DatasetError)))
 
 
 _DATA = Path(__file__).with_name("data")

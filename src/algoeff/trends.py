@@ -17,9 +17,9 @@ record as the json parser closes the record's object, through the
 parser's object hook, so the record objects are freed during the parse
 and never all alive together. Records with equal date strings share one
 date, and records with equal metric/value threshold objects of a float
-value share one ``Threshold``. A file with an error is parsed twice: the
-second parse, without the hook, words the messages. ``EfficiencyRecord``
-is slotted and carries no ``__dict__``.
+value share one ``Threshold``. A file with an error is parsed twice, by
+``_jsonfile``'s rule. ``EfficiencyRecord`` is slotted and carries no
+``__dict__``.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, UNIT_DIVISORS
+from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, UNIT_DIVISORS, _jsonfile
 from .curves import (
     DEFAULT_THRESHOLD,
     CurveError,
@@ -207,31 +207,6 @@ _SLOT_SETTERS = tuple((f.name, f.default, EfficiencyRecord.__dict__[f.name].__se
 _RECORD_FIELDS = frozenset(name for name, _, _ in _SLOT_SETTERS)
 
 
-def _json_array(text: str, noun: str, error: type[Exception], object_hook=None) -> list:
-    """The json array in text, parsed with object_hook; errors name the file by its noun."""
-    try:
-        data = json.loads(text, object_hook=object_hook)
-    except ValueError as e:  # also a json int past the int-to-str digit limit
-        raise error(f"{noun} file is not valid json: {e}") from None
-    except RecursionError:
-        raise error(f"{noun} file is not valid json: nested too deeply") from None
-    if not isinstance(data, list):
-        raise error(f"{noun} file must contain a json array")
-    return data
-
-
-def _check_json_object(obj, where: str, known: frozenset, required: tuple,
-                       error: type[Exception]) -> None:
-    """Raise error, led by where, unless obj is a dict of known fields with every required one."""
-    if not isinstance(obj, dict):
-        raise error(f"{where}: expected an object, got {type(obj).__name__}")
-    if not known.issuperset(obj):
-        raise error(f"{where}: unknown fields {sorted(set(obj) - known)}")
-    for req in required:
-        if req not in obj:
-            raise error(f"{where}: missing required field {req!r}")
-
-
 def _threshold_from_json(value) -> Threshold:
     """A record's threshold: a number (a top5 value) or a metric/value object."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -243,59 +218,29 @@ def _threshold_from_json(value) -> Threshold:
     raise TrendError("threshold must be a number or a metric/value object")
 
 
-def _record_from_object(obj) -> EfficiencyRecord:
-    """One record from its plain json object, whose date and threshold are replaced.
+def _record_from_object(obj, dates: dict) -> EfficiencyRecord:
+    """One record from its json object, whose date and threshold are replaced.
 
-    Every message starts with ": " or " (name): ", for the caller to put
-    the record's position in front.
+    Equal date strings share one date, through dates. Every message
+    starts with ": " or " (name): ", for the caller to put the record's
+    position in front.
     """
-    _check_json_object(obj, "", _RECORD_FIELDS, ("name", "date"), TrendError)
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
+    if not (type(obj) is dict and obj.keys() <= _RECORD_FIELDS and "date" in obj
+            and type(name := obj.get("name")) is str and name):
+        _jsonfile.check_object(obj, "", _RECORD_FIELDS, ("name", "date"), TrendError)
         raise TrendError(": name must be a non-empty string")
-    obj["date"] = parse_date(obj["date"], f" ({name}): date", TrendError)
+    text = obj["date"]
+    date = dates.get(text) if type(text) is str else None
+    if date is None:  # parse_date raises for a text that is not a str
+        date = dates[text] = parse_date(text, f" ({name}): date", TrendError)
+    obj["date"] = date
     try:
-        if "threshold" in obj:
+        if type(obj.get("threshold", DEFAULT_THRESHOLD)) is not Threshold:
             obj["threshold"] = _threshold_from_json(obj["threshold"])
         return EfficiencyRecord._from_json_fields(obj)
     except (TrendError, CurveError) as e:  # a bad Threshold raises CurveError
         # record messages start with the name alone
         raise TrendError(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
-
-
-def _record_builder():
-    """A json object hook that builds each threshold and record as the parser closes it.
-
-    A metric/value object of a str metric and a float value becomes the one
-    Threshold of its pair, in either key order; only floats are cached, as an
-    equal int or bool prints apart. An object with a name, a date and no
-    unknown field becomes its EfficiencyRecord, and equal date strings share
-    one date. Other objects are left as they are; a failed check raises.
-    """
-    thresholds: dict[tuple[str, float], Threshold] = {}
-    dates: dict[str, datetime.date] = {}
-
-    def build(obj: dict):
-        if "name" in obj:
-            if obj.keys() <= _RECORD_FIELDS and "date" in obj:
-                text = obj["date"]
-                date = dates.get(text) if type(text) is str else None
-                if date is None:  # parse_date raises for a text that is not a str
-                    date = dates[text] = parse_date(text, "date", TrendError)
-                obj["date"] = date
-                if type(obj.get("threshold", DEFAULT_THRESHOLD)) is not Threshold:
-                    obj["threshold"] = _threshold_from_json(obj["threshold"])
-                return EfficiencyRecord._from_json_fields(obj)
-        elif len(obj) == 2:
-            metric, value = obj.get("metric"), obj.get("value")
-            if type(value) is float and type(metric) is str:
-                threshold = thresholds.get((metric, value))
-                if threshold is None:
-                    threshold = thresholds[metric, value] = Threshold(metric, value)
-                return threshold
-        return obj
-
-    return build
 
 
 def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
@@ -310,31 +255,46 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     defaults, then EfficiencyRecord.__post_init__ checks them, so a
     loaded record equals EfficiencyRecord(**fields) of the same values.
     The parser's object hook builds each record as the parser closes its
-    object. A text with any error is parsed again without the hook, and
-    every message comes from the plain parse tree.
+    object, and a text with an error is parsed again without it
+    (``_jsonfile.load``).
     """
-    try:
-        return _records_from_tree(_json_array(text, "records", TrendError, _record_builder()))
-    except (TrendError, CurveError):
-        pass
-    return _records_from_tree(_json_array(text, "records", TrendError))
+    thresholds: dict[tuple[str, float], Threshold] = {}
+    dates: dict[str, datetime.date] = {}
 
+    def hook(obj: dict):
+        # In a valid file only records have a name; a named object that is
+        # not one raises. A metric/value object of a str metric and a float
+        # value becomes the one Threshold of its pair, in either key order;
+        # only floats are cached, as an equal int or bool prints apart.
+        if "name" in obj:
+            return _record_from_object(obj, dates)
+        if len(obj) == 2:
+            metric, value = obj.get("metric"), obj.get("value")
+            if type(value) is float and type(metric) is str:
+                threshold = thresholds.get((metric, value))
+                if threshold is None:
+                    threshold = thresholds[metric, value] = Threshold(metric, value)
+                return threshold
+        return obj
 
-def _records_from_tree(records: list) -> tuple[EfficiencyRecord, ...]:
-    """The checked records of a parse tree whose elements are records or record objects."""
-    for i, obj in enumerate(records):
-        if type(obj) is not EfficiencyRecord:  # parsed without the hook, or declined by it
-            try:
-                records[i] = _record_from_object(obj)
-            except TrendError as e:  # the position is written only into a message
-                raise TrendError(f"record {i}{e}") from None
-    if len(set(map(attrgetter("name"), records))) < len(records):
-        first_of: dict[str, int] = {}
-        for i, r in enumerate(records):
-            first = first_of.setdefault(r.name, i)
-            if first != i:
-                raise TrendError(f"record {i} ({r.name}): name repeats record {first}")
-    return tuple(records)
+    def checked(tree) -> tuple[EfficiencyRecord, ...]:
+        dates.clear()  # the parse is over: its date strings need not outlive it
+        records = _jsonfile.array(tree, "records", TrendError)
+        for i, obj in enumerate(records):
+            if type(obj) is not EfficiencyRecord:  # parsed without the hook, or not a record
+                try:
+                    records[i] = _record_from_object(obj, dates)
+                except TrendError as e:  # the position is written only into a message
+                    raise TrendError(f"record {i}{e}") from None
+        if len(set(map(attrgetter("name"), records))) < len(records):
+            first_of: dict[str, int] = {}
+            for i, r in enumerate(records):
+                first = first_of.setdefault(r.name, i)
+                if first != i:
+                    raise TrendError(f"record {i} ({r.name}): name repeats record {first}")
+        return tuple(records)
+
+    return _jsonfile.load(text, "records file is not valid json", TrendError, hook, checked)
 
 
 def find_record(records, name: str) -> EfficiencyRecord:

@@ -32,6 +32,7 @@ CLI = "src/algoeff/cli.py"
 GRAPH = "src/algoeff/archflops/graph.py"
 ZOO = "src/algoeff/archflops/zoo.py"
 TRENDS = "src/algoeff/trends.py"
+JSONFILE = "src/algoeff/_jsonfile.py"
 
 # Each mutant names the tests that kill it, by class or id, so the whole run stays short.
 PINNED = "tests/test_zoo.py::test_builtins_are_pinned_exactly"
@@ -54,27 +55,27 @@ MUTANTS = [
      "if type(params) is dict and type(inputs) is list:", "if type(params) is dict:",
      ["tests/test_graph.py::TestJsonFormat"]),
     ("record name not checked", TRENDS,
-     "if not isinstance(name, str) or not name:", "if False:",
+     'and type(name := obj.get("name")) is str and name):',
+     'and (name := obj.get("name")) is not None):',
      ["tests/test_trends.py::TestRecordJson"]),
     ("a Frontier of no records", TRENDS,
      "        if not self.records:", "        if False:",
      ["tests/test_trends.py::TestFrontier"]),
-    # graph files: nodes built as the parser reads them, messages from the plain parse
+    # json files: objects built as the parser reads them, messages from the plain parse
     ("the parser's object hook builds no node", GRAPH,
-     "return _arch_from_tree(_parse(text, _json_node))",
-     "return _arch_from_tree(_parse(text, None))",
+     '"not valid JSON", GraphError, _json_node, _arch_from_tree)',
+     '"not valid JSON", GraphError, None, _arch_from_tree)',
      ["tests/test_graph.py::test_nodes_are_built_while_the_parser_reads_them"]),
-    ("no second parse after an error", GRAPH,
-     "    except GraphError:\n        pass\n", "    except GraphError:\n        raise\n",
-     ["tests/test_graph.py::TestNodeShapedObjects"]),
+    ("no second parse after an error", JSONFILE,
+     "    except ValueError:\n        pass\n", "    except ValueError:\n        raise\n",
+     ["tests/test_graph.py::TestNodeShapedObjects",
+      "tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_bad_record_is_parsed_twice"]),
     # input edges: deep nesting and long curve headers end in one short line
-    ("a graph file nested too deeply is not caught", GRAPH,
+    ("a json file nested too deeply is not caught", JSONFILE,
      "except RecursionError:", "except ZeroDivisionError:",
      ["tests/test_graph.py::test_json_nested_too_deeply",
-      "tests/test_cli.py::TestInputEdges::test_nested_too_deeply"]),
-    ("a records file nested too deeply is not caught", TRENDS,
-     "except RecursionError:", "except ZeroDivisionError:",
-     ["tests/test_cli.py::TestInputEdges::test_nested_too_deeply"]),
+      "tests/test_cli.py::TestInputEdges::test_nested_too_deeply",
+      "tests/test_datasets.py::TestComparisonFromDict::test_json_nested_too_deeply"]),
     ("a long curve header value quoted whole", "src/algoeff/curves.py",
      "    if len(value) <= _QUOTED_CHARS:", "    if True:",
      ["tests/test_curves.py::TestParseCurve::test_header_quotes_at_most_sixty_characters",
@@ -133,15 +134,12 @@ MUTANTS = [
      "if isinstance(value, (int, float)) and type(metric) is str:",
      ["tests/test_trends.py::TestRecordJson"]),
     ("the hook builds a record object with an unknown field", TRENDS,
-     'if obj.keys() <= _RECORD_FIELDS and "date" in obj:', 'if "date" in obj:',
+     'type(obj) is dict and obj.keys() <= _RECORD_FIELDS and "date" in obj',
+     'type(obj) is dict and "date" in obj',
      ["tests/test_trends.py::TestRecordJson"]),
     ("the parser's object hook builds no record", TRENDS,
-     'TrendError, _record_builder()))', "TrendError))",
+     "TrendError, hook, checked)", "TrendError, None, checked)",
      ["tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_valid_file_is_parsed_once"]),
-    ("a hook failure raised, not parsed again", TRENDS,
-     "    except (TrendError, CurveError):\n        pass\n",
-     "    except (TrendError, CurveError):\n        raise\n",
-     ["tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_bad_record_is_parsed_twice"]),
     # reports and the command around them
     ("a three percent deviation from a quoted total not flagged", "src/algoeff/reports.py",
      "if abs(dev) > 0.02:", "if abs(dev) > 0.2:",

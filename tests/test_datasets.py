@@ -371,6 +371,11 @@ class TestComparisonFromDict:
         with pytest.raises(DatasetError, match="not valid json: Exceeds the limit"):
             comparisons_from_json("[" + "1" * 5000 + "]")
 
+    def test_json_nested_too_deeply(self):
+        with pytest.raises(DatasetError,
+                           match="^comparisons file is not valid json: nested too deeply$"):
+            comparisons_from_json("[" * 100_000)
+
 
 class TestBundledCurves:
     def test_names(self):

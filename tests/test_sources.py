@@ -117,3 +117,19 @@ def test_shapes_module_keeps_only_infer_shapes():
     assert not any("_walked_shapes" in p.read_text(encoding="utf-8") for p in SOURCES)
     assert (ShapeError.__module__, infer_shapes.__module__) == (
         "algoeff.archflops.graph", "algoeff.archflops.shapes")
+
+
+def _calls_json_loads(path: Path) -> bool:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return "json.loads" in _imported_modules(path) or any(
+        isinstance(n, ast.Attribute) and n.attr == "loads"
+        and isinstance(n.value, ast.Name) and n.value.id == "json" for n in ast.walk(tree))
+
+
+def test_one_module_parses_json_inputs():
+    # _jsonfile owns the parser call and the retry; no module reaches into trends' privates
+    parsers = [p.relative_to(ROOT / "src").as_posix() for p in SOURCES if _calls_json_loads(p)]
+    assert parsers == ["algoeff/_jsonfile.py"]
+    private = {p.name: m for p in SOURCES for m in _imported_modules(p)
+               if m.startswith("algoeff.trends._")}
+    assert not private, private

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algoeff import trends
+from algoeff import _jsonfile
 from algoeff.curves import CurveError, Threshold
 from algoeff.trends import (
     MONTH_DAYS,
@@ -540,10 +540,10 @@ class TestRecordsBuiltWhileParsed:
     """The parser's object hook builds each record; only a text with an error is parsed again."""
 
     def test_valid_files_never_reach_the_plain_path(self, monkeypatch):
-        def plain(obj):
-            raise AssertionError(f"the plain path built {obj!r}")
+        def wording(obj, *args):
+            raise AssertionError(f"the wording path saw {obj!r}")
 
-        monkeypatch.setattr(trends, "_record_from_object", plain)
+        monkeypatch.setattr(_jsonfile, "check_object", wording)
         text = records_to_json(records_file_records(random.Random(3), 500))
         assert len(records_from_json(text)) == 500
         mixed = ('[{"name": "a", "date": "2015-01-02", "total_compute": 1, "threshold": 1},'
