@@ -7,29 +7,61 @@ The parse-twice rule: a graph or records loader parses with an object
 hook that builds each node or record as the parser closes its object,
 so the parsed objects are freed during the parse and never all alive
 together. The hook may build an object where none belongs, which would
-then be worded as built, so ``load`` parses a text with any error again
-without the hook, and every message comes from the plain parse tree. A
+then be worded as built, so when the hook or the loader's checker
+raises, ``load`` parses the text again without the hook, and every
+message comes from the plain parse tree. Text the parser itself rejects
+(a syntax error, an int past the int-to-str digit limit, nesting too
+deep) raises at once, with the message the plain parse would give. A
 valid text is parsed once.
 """
 import json
 
 
+class _HookRaised(Exception):
+    """The object hook raised during a parse: ``load`` parses the text again without it."""
+
+
+def _parser_raised(e: BaseException) -> bool:
+    """Whether the json parser raised e itself, not the object hook it called.
+
+    A hook's error passes through the hook's frame, so only the parser's
+    own error has a json frame innermost. Calling the hook one level past
+    the recursion limit also raises in a json frame, but only the parser
+    says it was decoding JSON.
+    """
+    tb = e.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return (tb.tb_frame.f_globals.get("__name__", "").partition(".")[0] == "json"
+            and not (isinstance(e, RecursionError) and "JSON" not in str(e)))
+
+
 def parse(text: str, lead: str, error: type[Exception], object_hook=None):
-    """json.loads(text) with object_hook; text that is not JSON raises error, led by lead."""
+    """json.loads(text) with object_hook; text that is not JSON raises error, led by lead.
+
+    An error the hook raises becomes _HookRaised.
+    """
     try:
         return json.loads(text, object_hook=object_hook)
-    except ValueError as e:  # also a json int past the int-to-str digit limit
-        raise error(f"{lead}: {e}") from None
-    except RecursionError:
-        raise error(f"{lead}: nested too deeply") from None
+    except (ValueError, RecursionError) as e:
+        if object_hook is not None and not _parser_raised(e):
+            raise _HookRaised from None
+        if isinstance(e, RecursionError):
+            raise error(f"{lead}: nested too deeply") from None
+        raise error(f"{lead}: {e}") from None  # also a json int past the int-to-str digit limit
 
 
 def load(text: str, lead: str, error: type[Exception], object_hook, build):
-    """build of text's parse tree, parsed with object_hook and, after a ValueError, without it."""
+    """build of text's parse tree, parsed with object_hook and, if it or build raised, without it."""
     try:
-        return build(parse(text, lead, error, object_hook))
-    except ValueError:
+        tree = parse(text, lead, error, object_hook)
+    except _HookRaised:
         pass
+    else:
+        try:
+            return build(tree)
+        except ValueError:
+            pass
     return build(parse(text, lead, error))
 
 

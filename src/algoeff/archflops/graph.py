@@ -31,13 +31,19 @@ an error is parsed twice, by ``_jsonfile``'s rule. ``LayerNode`` and
 ``ArchitectureSpec`` keeps its ``__dict__``, which holds the walk memo.
 
 Speed: the valid case is the cheap one, since every node of every graph
-passes through it. The walk tests a node's own parameters and then that
-none required is missing, and words problems by the kind's schema only
-when one of those tests fails. ``TensorShape`` tests its three dimensions
-as plain positive ints in one expression. ``arch_from_json`` fills each
-node's slots directly with the parsed params object and a tuple of its
-inputs, which is what ``LayerNode.__post_init__`` makes of checked
-fields; a node built in Python goes through ``__post_init__``.
+passes through it. The walk first tries a good path that checks and
+shapes each distinct layer once: nodes of one kind, equal params of
+equal value types and equal input shapes share one check and one output
+shape. On any problem the good path gives up, and the full walk runs to
+word every problem, so a graph with a problem is walked twice. The full
+walk, and the good path for each new layer, tests a node's own
+parameters and then that none required is missing, and words problems
+by the kind's schema only when one of those tests fails. ``TensorShape``
+tests its three dimensions as plain positive ints in one expression.
+``arch_from_json`` fills each node's slots directly with the parsed
+params object and a tuple of its inputs, which is what
+``LayerNode.__post_init__`` makes of checked fields; a node built in
+Python goes through ``__post_init__``.
 """
 from __future__ import annotations
 
@@ -406,18 +412,79 @@ class ArchitectureSpec:
 # successful walk. Not a dataclass field, so equality, repr and dataclasses.replace ignore it.
 _MEMO_ATTR = "_inferred_shapes"
 
+# The value types a layer signature may hold: equal values of one of these
+# types pass the same tests and give the same shapes.
+_PLAIN_TYPES = frozenset({int, float, bool, str})
+
+
+def _good_walk(arch: ArchitectureSpec, input_shape: TensorShape) -> dict | None:
+    """The walk's shape map if the walk would find no problem, else None.
+
+    A layer's signature is its kind, its params with their value types and
+    its input shapes. The arity test, the parameter check and the shape
+    rule run once per signature, and the nodes of one signature share its
+    output shape. Anything else gives None, for the walk to word: an id,
+    kind or input that is not an exact str, a repeated or reserved id, a
+    value of a type outside _PLAIN_TYPES, an input shape of int
+    subclasses, any problem or error.
+    """
+    if not (type(input_shape.channels) is int and type(input_shape.height) is int
+            and type(input_shape.width) is int):
+        return None
+    shapes = {INPUT_ID: input_shape}
+    outputs: dict[tuple, TensorShape] = {}  # signature -> output shape
+    # one object per shape value, so a signature holds its input shapes by id
+    canonical = {input_shape: input_shape}
+    try:
+        for node in arch.nodes:
+            kind_name, params, refs = node.kind, node.params, node.inputs
+            if type(node.id) is not str or node.id in shapes or type(kind_name) is not str:
+                return None
+            ins = [shapes[r] for r in refs if type(r) is str]
+            if len(ins) != len(refs):
+                return None
+            types = tuple(map(type, params.values()))
+            signature = (kind_name, tuple(params.items()), types, *map(id, ins))
+            out = outputs.get(signature)
+            if out is None:
+                kind = _KINDS.get(kind_name)
+                if kind is None or not _PLAIN_TYPES.issuperset(types):
+                    return None
+                lo, hi = kind.arity
+                if len(ins) < lo or (hi is not None and len(ins) > hi):
+                    return None
+                problems: list[str] = []
+                resolved = _check_params(node, kind, problems)
+                if resolved is None or problems:
+                    return None
+                out = kind.shape(resolved, ins)
+                out = outputs[signature] = canonical.setdefault(out, out)
+            shapes[node.id] = out
+    except (KeyError, TypeError, ValueError):  # a dangling input, an unhashable value, a misfit
+        return None
+    output = arch.output
+    if type(output) is not str or output == INPUT_ID or output not in shapes:
+        return None
+    return shapes
+
 
 def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], dict]:
     """Check every node and, while nothing is wrong, infer its shape.
 
     Returns (problems, shapes), shapes complete when problems is empty:
     the structural problems of every node, else the first shape problem.
+    The good path runs first; the loop below walks a graph it declines,
+    which words the problems.
     """
     if not isinstance(input_shape, TensorShape):
         return [f"input shape {input_shape!r} is not a TensorShape"], {}
     memo_input, memo_shapes = arch.__dict__.get(_MEMO_ATTR, (None, None))
     if memo_input == input_shape:
         return [], memo_shapes
+    shapes = _good_walk(arch, input_shape)
+    if shapes is not None:
+        arch.__dict__[_MEMO_ATTR] = (input_shape, shapes)
+        return [], shapes
     problems: list[str] = [] if arch.nodes else ["architecture has no nodes"]
     shapes, seen, shape_problem = {INPUT_ID: input_shape}, set(), None
     for node in arch.nodes:

@@ -71,7 +71,7 @@ def fmt_compute(raw: float, unit: str) -> str:
 
 def _compute_formatter(unit: str):
     """fmt_compute at one unit, whose divisor is looked up once for a table's rows."""
-    divisor = trends._unit_divisor(unit)
+    divisor = trends.unit_divisor(unit)
     spec = ".1f" if unit == "table" else ".4g"
     return lambda raw: format(raw / divisor, spec)
 
@@ -414,7 +414,7 @@ def frontier_points(records: Sequence[EfficiencyRecord], front: Frontier,
     ordered = sorted(records, key=attrgetter("name"))
     ordered.sort(key=attrgetter("date"))  # stable: equal dates stay in name order
     origin = trends.date_to_months(ordered[0].date)
-    divisor = trends._unit_divisor(unit)
+    divisor = trends.unit_divisor(unit)
     date_cells: dict = {}  # each distinct date's date and months cells, formatted once
     rows = []
     for r in ordered:

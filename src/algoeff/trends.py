@@ -53,7 +53,7 @@ class TrendError(ValueError):
     """Invalid record data or an invalid trend operation."""
 
 
-def _unit_divisor(unit: str) -> float:
+def unit_divisor(unit: str) -> float:
     """Raw flops per display unit; TrendError for a unit that is not raw, stated or table."""
     if unit not in UNIT_DIVISORS:
         raise TrendError(f"unknown unit {unit!r}; expected one of {sorted(UNIT_DIVISORS)}")
@@ -62,7 +62,7 @@ def _unit_divisor(unit: str) -> float:
 
 def to_report_units(value: float, unit: str = "raw") -> float:
     """Convert raw flops to one of the display units: raw, stated, table."""
-    return value / _unit_divisor(unit)
+    return value / unit_divisor(unit)
 
 
 def date_to_months(d: datetime.date) -> float:

@@ -121,6 +121,27 @@ def shapes_oracle(arch, input_shape) -> dict[str, tuple[int, int, int]]:
     return shapes
 
 
+def layer_signatures(arch, input_shape) -> list[list[str]]:
+    """Node ids grouped by layer signature, groups in order of first node.
+
+    A signature is a node's kind, its params with their value types and
+    its input shapes by shapes_oracle: True, 1 and 1.0 are three values.
+    """
+    shapes = shapes_oracle(arch, input_shape)
+    groups: dict[tuple, list[str]] = {}
+    for node in arch.nodes:
+        params = node.params
+        signature = (node.kind, tuple(params.items()), tuple(type(v) for v in params.values()),
+                     tuple(shapes[i] for i in node.inputs))
+        groups.setdefault(signature, []).append(node.id)
+    return list(groups.values())
+
+
+def first_of_each_signature(arch, input_shape) -> list[str]:
+    """The node whose shape rule a valid graph's walk runs, one per layer signature."""
+    return [ids[0] for ids in layer_signatures(arch, input_shape)]
+
+
 def macs_oracle(arch, input_shape, counted_kinds=("conv2d", "linear"),
                 include_bias=False) -> dict[str, int]:
     """Multiply-accumulate counts by looping over output positions."""

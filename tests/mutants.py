@@ -66,13 +66,20 @@ MUTANTS = [
      '"not valid JSON", GraphError, _json_node, _arch_from_tree)',
      '"not valid JSON", GraphError, None, _arch_from_tree)',
      ["tests/test_graph.py::test_nodes_are_built_while_the_parser_reads_them"]),
-    ("no second parse after an error", JSONFILE,
-     "    except ValueError:\n        pass\n", "    except ValueError:\n        raise\n",
-     ["tests/test_graph.py::TestNodeShapedObjects",
-      "tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_bad_record_is_parsed_twice"]),
+    ("no second parse after the checker raised", JSONFILE,
+     "        except ValueError:\n            pass\n",
+     "        except ValueError:\n            raise\n",
+     ["tests/test_graph.py::TestNodeShapedObjects"]),
+    ("no second parse after the hook raised", JSONFILE,
+     "    except _HookRaised:\n        pass\n", "    except _HookRaised:\n        raise\n",
+     ["tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_bad_record_is_parsed_twice"]),
+    ("text the parser rejects is parsed again", JSONFILE,
+     "if object_hook is not None and not _parser_raised(e):", "if object_hook is not None:",
+     ["tests/test_trends.py::TestRecordsBuiltWhileParsed::"
+      "test_text_the_parser_rejects_is_parsed_once"]),
     # input edges: deep nesting and long curve headers end in one short line
     ("a json file nested too deeply is not caught", JSONFILE,
-     "except RecursionError:", "except ZeroDivisionError:",
+     "except (ValueError, RecursionError) as e:", "except ValueError as e:",
      ["tests/test_graph.py::test_json_nested_too_deeply",
       "tests/test_cli.py::TestInputEdges::test_nested_too_deeply",
       "tests/test_datasets.py::TestComparisonFromDict::test_json_nested_too_deeply"]),
@@ -118,6 +125,18 @@ MUTANTS = [
     ("a bool taken for a positive integer", GRAPH,
      "isinstance(v, int) and type(v) is not bool and v >= 1)", "isinstance(v, int) and v >= 1)",
      ["tests/test_graph.py::TestParamGoodPath"]),
+    # the walk's good path: one check per layer signature, anything else worded by the full walk
+    ("the memo key drops the value types", GRAPH,
+     "(kind_name, tuple(params.items()), types, *map(id, ins))",
+     "(kind_name, tuple(params.items()), *map(id, ins))",
+     ["tests/test_graph.py::TestLayerSignatures::test_an_equal_value_of_another_type_is_checked"]),
+    ("the walk's good path skips the arity test", GRAPH,
+     "if len(ins) < lo or (hi is not None and len(ins) > hi):", "if False:",
+     ["tests/test_graph.py::TestValidation::test_concat_arity"]),
+    ("the walk's good path accepts an output named input", GRAPH,
+     "or output == INPUT_ID or output not in shapes:", "or output not in shapes:",
+     ["tests/test_graph.py::TestLayerSignatures::"
+      "test_an_output_naming_the_network_input_is_refused"]),
     # frontier, threshold crossing and trends
     ("an equal total joins the frontier", TRENDS,
      "if not kept or r.total < kept[-1].total:", "if not kept or r.total <= kept[-1].total:",

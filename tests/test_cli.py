@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import algoeff
-from algoeff.archflops import builtin_arch
+from algoeff.archflops import TensorShape, builtin_arch
 import algoeff.cli as cli_mod
 import algoeff.datasets as datasets_mod
 import algoeff.trends as trends_mod
@@ -31,7 +31,7 @@ from algoeff.trends import (
 )
 
 from _generators import arch_file_text, records_file_records
-from _oracles import records_json_oracle
+from _oracles import first_of_each_signature, records_json_oracle
 
 
 def run(capsys, *argv):
@@ -144,11 +144,14 @@ class TestShapeInferenceOncePerCommand:
         ("shapes", "{file}"),
         ("flops", "ResNet-50", "--per-layer"),
     ])
-    def test_once_per_node(self, capsys, node_shape_calls, graph_file, argv):
+    def test_once_per_signature(self, capsys, node_shape_calls, graph_file, argv):
+        # one walk, whose shape rule runs for 55 of ResNet-50's 175 nodes
         code, out, _ = run(capsys, *(a.format(file=graph_file) for a in argv))
         assert code == 0
         assert "2048x7x7" in out
-        assert sorted(node_shape_calls) == sorted(n.id for n in builtin_arch("ResNet-50").nodes)
+        arch = builtin_arch("ResNet-50")
+        assert node_shape_calls == first_of_each_signature(arch, arch.default_input)
+        assert len(node_shape_calls) == 55
 
     def test_input_override_is_inferred_again(self, capsys, node_shape_calls, graph_file):
         code, out, _ = run(capsys, "flops", graph_file, "--per-layer",
@@ -156,7 +159,10 @@ class TestShapeInferenceOncePerCommand:
         assert code == 0
         assert "head.pool,global_avgpool,2048x1x1" in out
         assert "2048x9x9" in out and "2048x7x7" not in out
-        assert len(node_shape_calls) == 2 * len(builtin_arch("ResNet-50").nodes)
+        # the file is validated at its default input, then walked at the override
+        arch = builtin_arch("ResNet-50")
+        assert node_shape_calls == (first_of_each_signature(arch, arch.default_input)
+                                    + first_of_each_signature(arch, TensorShape(3, 288, 288)))
 
 
 class TestShapes:

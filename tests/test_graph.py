@@ -6,6 +6,7 @@ import pickle
 import platform
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from algoeff.archflops import (
 )
 
 from _generators import arch_file_text, chain_graph_json, random_arch, traced
+from _oracles import first_of_each_signature, layer_signatures
 
 
 def tiny_arch(**overrides) -> ArchitectureSpec:
@@ -257,11 +259,13 @@ class TestLoadedNode:
         wider = _with_params(built, "fc", out_features=11)
         assert hash(wider) == hash(built) and wider not in {built}
 
-    def test_one_shape_call_per_node_per_walk(self, node_shape_calls):
+    def test_one_shape_call_per_signature_per_walk(self, node_shape_calls):
+        # every block after the first repeats the first block's signatures
         arch = arch_from_json(chain_graph_json(3))
-        assert node_shape_calls == [n.id for n in arch.nodes]
+        first = first_of_each_signature(arch, arch.default_input)
+        assert node_shape_calls == first == ["c0", "b0", "a0", "s1"]
         infer_shapes(arch, TensorShape(8, 4, 4))
-        assert node_shape_calls == 2 * [n.id for n in arch.nodes]
+        assert node_shape_calls == first + first_of_each_signature(arch, TensorShape(8, 4, 4))
 
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
@@ -896,3 +900,122 @@ class TestParamGoodPath:
             assert (resolved is None) == bool(kind.required)
             assert problems == [f"missing required parameter {n!r}" for n in kind.params
                                 if n in kind.required]
+
+
+class _Str(str):
+    """A str subclass, which the walk takes for a str."""
+
+
+class _StrLike:
+    """Equal to a str and hashed as it, but not a str, which the walk refuses."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __eq__(self, other):
+        return self.text == other
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __repr__(self):
+        return f"_StrLike({self.text!r})"
+
+
+class _Tagged(int):
+    """An int subclass whose repr shows a tag that equality ignores."""
+
+    def __new__(cls, value, tag):
+        self = super().__new__(cls, value)
+        self.tag = tag
+        return self
+
+    def __repr__(self):
+        return f"{int(self)}{self.tag}"
+
+
+def _validated(arch: ArchitectureSpec):
+    """validate_arch and infer_shapes, or its message, each on its own copy so no memo serves it."""
+    problems = validate_arch(dataclasses.replace(arch))
+    try:
+        return problems, infer_shapes(dataclasses.replace(arch))
+    except ShapeError as e:
+        return problems, str(e)
+
+
+def _wording_walk_only():
+    """The walk with its good path off: the full walk alone, which the good path must match."""
+    return mock.patch.object(graph_mod, "_good_walk", lambda arch, input_shape: None)
+
+
+class TestLayerSignatures:
+    """A valid graph's walk checks and shapes each layer signature once, and every
+    graph gets what the walk that words problems gives alone."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.integers(0, 2**32 - 1).map(lambda seed: random_arch(random.Random(seed))),
+                     one_mutation()))
+    def test_agrees_with_the_wording_walk(self, arch):
+        got = _validated(arch)
+        with _wording_walk_only():
+            assert got == _validated(arch)
+
+    @pytest.mark.parametrize("name,value", [("stride", True), ("kernel_h", 3.0)])
+    def test_an_equal_value_of_another_type_is_checked(self, name, value):
+        # True == 1 and 3.0 == 3 hash alike, but only the int is a positive integer
+        params = {"out_channels": 4, "kernel_h": 3, "kernel_w": 3, "stride": 1}
+        arch = ArchitectureSpec(name="twins", default_input=TensorShape(3, 8, 8), output="c2",
+                                nodes=(LayerNode("c1", "conv2d", params, ("input",)),
+                                       LayerNode("c2", "conv2d", {**params, name: value},
+                                                 ("input",))))
+        problem = f"node 'c2': parameter {name!r} must be a positive integer, got {value!r}"
+        assert validate_arch(arch) == [problem]
+        for build in (lambda: require_valid(arch), lambda: arch_from_json(arch_file_text(arch))):
+            with pytest.raises(GraphError) as raised:
+                build()
+            assert str(raised.value) == f"twins: {problem}"
+
+    @pytest.mark.parametrize("wrap", [_Str, _StrLike])
+    @pytest.mark.parametrize("field", ["id", "kind", "inputs"])
+    def test_python_built_strings_get_the_wording_walks_result(self, wrap, field):
+        # r2 repeats r1's signature, with one str field wrapped
+        r1 = LayerNode("r1", "activation", {}, ("c1",))
+        r2 = dataclasses.replace(r1, id="r2")
+        r2 = dataclasses.replace(r2, **{field: (wrap("c1"),) if field == "inputs"
+                                        else wrap(getattr(r2, field))})
+        conv = LayerNode("c1", "conv2d", {"out_channels": 4, "kernel_h": 3, "kernel_w": 3},
+                         ("input",))
+        arch = tiny_arch(nodes=(conv, r1, r2), output="r2")
+        got = _validated(arch)
+        with _wording_walk_only():
+            assert got == _validated(arch)
+
+    @pytest.mark.parametrize("tagged", ["input shape", "params"])
+    def test_int_subclasses_keep_their_own_objects(self, tagged):
+        # equal values that print apart are never shared between nodes
+        def conv(node_id, channels):
+            return LayerNode(node_id, "conv2d", {"out_channels": channels, "kernel_h": 1,
+                                                 "kernel_w": 1}, ("input",))
+
+        if tagged == "input shape":
+            nodes = (LayerNode("r", "activation", {}, ("input",)), conv("c", 3))
+            default_input = TensorShape(_Tagged(3, "t"), 8, 8)
+        else:
+            nodes = (conv("a", _Tagged(4, "a")), conv("b", _Tagged(4, "b")))
+            default_input = TensorShape(3, 8, 8)
+        arch = ArchitectureSpec(name="t", default_input=default_input, nodes=nodes,
+                                output=nodes[-1].id)
+        got = repr(infer_shapes(dataclasses.replace(arch)))
+        with _wording_walk_only():
+            assert got == repr(infer_shapes(dataclasses.replace(arch)))
+
+    def test_equal_signatures_share_one_shape(self):
+        arch = builtin_arch("ResNet-50")
+        shapes = infer_shapes(arch)
+        groups = layer_signatures(arch, arch.default_input)
+        assert (len(groups), len(arch.nodes)) == (55, 175)
+        for ids in groups:
+            assert len({id(shapes[i]) for i in ids}) == 1, ids
+
+    def test_an_output_naming_the_network_input_is_refused(self):
+        assert validate_arch(tiny_arch(output=INPUT_ID)) == ["output 'input' does not name a node"]

@@ -18,7 +18,13 @@ from algoeff.archflops import (
 )
 
 from _generators import random_arch
-from _oracles import out_dim_by_bisection, shapes_oracle, window_positions_floor
+from _oracles import (
+    first_of_each_signature,
+    layer_signatures,
+    out_dim_by_bisection,
+    shapes_oracle,
+    window_positions_floor,
+)
 import random
 
 
@@ -290,7 +296,7 @@ class TestMemo:
         first = infer_shapes(arch)
         assert infer_shapes(arch) == first
         assert infer_shapes(arch, TensorShape(3, 224, 224)) == first
-        assert len(node_shape_calls) == len(arch.nodes)
+        assert node_shape_calls == first_of_each_signature(arch, arch.default_input)
 
     def test_each_input_shape_is_inferred_separately(self, node_shape_calls):
         # a repeated input reuses the walk; a new input walks again and replaces it
@@ -303,7 +309,8 @@ class TestMemo:
             for node in arch.nodes:
                 s = got[node.id]
                 assert (s.channels, s.height, s.width) == want[node.id]
-        assert len(node_shape_calls) == 3 * len(arch.nodes)
+        default = first_of_each_signature(arch, arch.default_input)
+        assert node_shape_calls == default + first_of_each_signature(arch, big) + default
 
     def test_a_sweep_over_inputs_retains_one_shape_map(self):
         # before, every input's shape map stayed on the spec
@@ -337,7 +344,8 @@ class TestMemo:
         for _ in range(3):
             with pytest.raises(ShapeError, match="cbig"):
                 infer_shapes(arch)
-        assert node_shape_calls == ["cbig"] * 3
+        # each call tries the good path, then walks again to word the problem
+        assert node_shape_calls == ["cbig"] * 6
 
     def test_equal_specs_still_compare_equal(self):
         a = builtin_arch("AlexNet")

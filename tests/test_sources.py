@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,24 @@ def test_one_module_parses_json_inputs():
     private = {p.name: m for p in SOURCES for m in _imported_modules(p)
                if m.startswith("algoeff.trends._")}
     assert not private, private
+
+
+def _private_reaches(path: Path) -> list[str]:
+    """Each ``module._name`` in path whose module is another algoeff module.
+
+    The module's namespace at run time tells which names are modules, so the
+    CLI's deferred modules count too.
+    """
+    name = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts).removesuffix(".__init__")
+    modules = {k for k, v in vars(importlib.import_module(name)).items()
+               if isinstance(v, types.ModuleType) and v.__name__.startswith("algoeff.")
+               and v.__name__ != name}
+    return [f"{n.value.id}.{n.attr}" for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id in modules and n.attr.startswith("_") and not n.attr.startswith("__")]
+
+
+def test_no_module_reaches_another_modules_private_names():
+    reaches = {p.relative_to(ROOT / "src").as_posix(): r for p in SOURCES
+               if (r := _private_reaches(p))}
+    assert not reaches, reaches

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algoeff import _jsonfile
+from algoeff.archflops import arch_from_json
 from algoeff.curves import CurveError, Threshold
 from algoeff.trends import (
     MONTH_DAYS,
@@ -566,6 +567,23 @@ class TestRecordsBuiltWhileParsed:
             records_from_json(text)
         assert str(info.value) == "record 1 (b): date 'June 2015' is not YYYY-MM-DD"
         assert len(calls) == 2 and calls[0] is not None and calls[1] is None
+
+    @pytest.mark.parametrize("load,lead", [(arch_from_json, "not valid JSON"),
+                                           (records_from_json, "records file is not valid json")])
+    @pytest.mark.parametrize("text,detail", [
+        ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[" * 100_000, "nested too deeply"),
+        ("[" + "1" * 5000 + "]", "Exceeds the limit (4300 digits) for integer string conversion: "
+                                 "value has 5000 digits; use sys.set_int_max_str_digits() "
+                                 "to increase the limit"),
+    ], ids=["syntax", "nesting", "digits"])
+    def test_text_the_parser_rejects_is_parsed_once(self, monkeypatch, load, lead, text, detail):
+        # the plain parse would fail at the same place with the same message
+        calls = _counted_loads(monkeypatch)
+        with pytest.raises(ValueError) as raised:
+            load(text)
+        assert str(raised.value) == f"{lead}: {detail}"
+        assert len(calls) == 1
 
     def test_reversed_key_order_shares_one_threshold(self):
         text = ('[{"name": "a", "date": "2015-01-02", "total_compute": 1.0,'
