@@ -21,9 +21,9 @@ Layout:
 
 Each name is imported from the module that defines it (graph names from
 ``algoeff.archflops``); importing the package itself loads no submodule.
-The package holds the three constants the command line's option defaults
-share with the modules: IMAGES_PER_EPOCH, BACKWARD_MULTIPLIER and
-UNIT_DIVISORS. curves and trends import them back, so the old paths work.
+The package holds what the command line shares with the modules: the
+constants IMAGES_PER_EPOCH, BACKWARD_MULTIPLIER and UNIT_DIVISORS, which
+curves and trends import back, and the error bases InputError and ResultError.
 """
 
 __version__ = "0.1.0"
@@ -42,3 +42,11 @@ UNIT_DIVISORS = {
     "stated": 8.64e16,  # one teraflop/s for 86400 seconds
     "table": 1e15,
 }
+
+
+class InputError(ValueError):
+    """Base of GraphError, CurveError, TrendError and DatasetError; the CLI exits 2."""
+
+
+class ResultError(Exception):
+    """Base of ThresholdNotReached, a valid input with no answer; the CLI exits 3."""

@@ -21,29 +21,17 @@ place after a walk keeps reporting its earlier state.
 Equal specs and nodes hash equal, so a spec can key a dict: the hash skips
 the ``params`` and ``metadata`` dicts, which equality still compares.
 
-Memory: a graph is held once. ``arch_from_json`` builds each node's
-``LayerNode`` as the JSON parser closes the node's object, through the
-parser's object hook, so the node objects and their ``inputs`` arrays
-are freed during the parse and never all alive together; a known kind
-string becomes the kind table's own key, one str per kind. A file with
-an error is parsed twice, by ``_jsonfile``'s rule. ``LayerNode`` and
-``TensorShape`` are slotted and carry no ``__dict__``;
-``ArchitectureSpec`` keeps its ``__dict__``, which holds the walk memo.
+Memory: a graph is held once. ``arch_from_json`` builds each node as
+the JSON parser closes its object (see ``_jsonfile``), and a known kind
+string becomes the kind table's own key. ``LayerNode`` and
+``TensorShape`` are slotted; ``ArchitectureSpec``'s ``__dict__`` holds
+the walk memo.
 
 Speed: the valid case is the cheap one, since every node of every graph
-passes through it. The walk first tries a good path that checks and
-shapes each distinct layer once: nodes of one kind, equal params of
-equal value types and equal input shapes share one check and one output
-shape. On any problem the good path gives up, and the full walk runs to
-word every problem, so a graph with a problem is walked twice. The full
-walk, and the good path for each new layer, tests a node's own
-parameters and then that none required is missing, and words problems
-by the kind's schema only when one of those tests fails. ``TensorShape``
-tests its three dimensions as plain positive ints in one expression.
-``arch_from_json`` fills each node's slots directly with the parsed
-params object and a tuple of its inputs, which is what
-``LayerNode.__post_init__`` makes of checked fields; a node built in
-Python goes through ``__post_init__``.
+passes through it. ``_good_walk`` checks and shapes each distinct layer
+once, and a graph it declines is walked again to word its problems;
+``_check_params``, ``TensorShape`` and ``_json_node`` each test the
+common case first and word a problem only when that test fails.
 """
 from __future__ import annotations
 
@@ -52,10 +40,10 @@ from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Any, Mapping
 
-from .. import _jsonfile
+from .. import InputError, _jsonfile
 
 
-class GraphError(ValueError):
+class GraphError(InputError):
     """Structural problem in an architecture description."""
 
 
@@ -99,6 +87,8 @@ class TensorShape:
         if len(parts) != 3:
             raise GraphError(f"expected CxHxW, got {text!r}")
         try:
+            if not text.isascii() or "_" in text:  # int() reads "_" separators, non-ASCII digits
+                raise ValueError
             c, h, w = (int(p) for p in parts)
         except ValueError:
             raise GraphError(f"expected integer dimensions in {text!r}") from None

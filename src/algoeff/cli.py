@@ -16,12 +16,12 @@ it afterwards; the library functions it calls leave the collector alone.
 Importing this module executes algoeff.archflops and algoeff.reports,
 but not algoeff.curves, algoeff.trends or algoeff.datasets: those are
 registered through importlib's LazyLoader and execute on first
-attribute access, so flops and shapes never run them. The handlers,
-the except clauses and reports reach their names as curves.X,
-trends.X and datasets.X at call time. LazyLoader takes no lock on first
-use before Python 3.13, so main is a one-thread entry point: two
-threads touching a deferred module first at once can see it half
-executed. Other importers of the package get ordinary modules.
+attribute access, so flops, shapes and --help never run them. The
+handlers and reports reach their names as curves.X, trends.X and
+datasets.X at call time; main's except clauses name root classes only.
+LazyLoader takes no lock on first use before Python 3.13, so main is a
+one-thread entry point: two threads touching a deferred module first at
+once can see it half executed. Other importers get ordinary modules.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, UNIT_DIVISORS
+from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, UNIT_DIVISORS, InputError, ResultError
 from .archflops import (
     ArchitectureSpec,
     CountingConvention,
@@ -221,14 +221,12 @@ def _is_file(value: str, suffix: str) -> bool:
 
 
 def _parse_file(path: str, parse):
-    """A user's file read as UTF-8 and parsed; every error found in it is led by the path."""
+    """A user's file, read as UTF-8 and parsed; bad content raises InputError, led by the path."""
     try:
         with open(path, encoding="utf-8") as f:  # an OSError names path as given
             return parse(f.read())
-    except UnicodeDecodeError as e:
-        raise datasets.DatasetError(f"{path}: {e}") from None
-    except (GraphError, curves.CurveError, trends.TrendError) as e:
-        raise type(e)(f"{path}: {e}") from None
+    except (InputError, UnicodeDecodeError) as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def _load_arch(value: str) -> ArchitectureSpec:
@@ -258,6 +256,8 @@ def _parse_threshold(text: str) -> curves.Threshold:
     if not sep:
         metric, value = "top5", text
     try:
+        if not value.isascii() or "_" in value:  # float() reads "_" separators, non-ASCII digits
+            raise ValueError
         v = float(value)
     except ValueError:
         raise curves.CurveError(
@@ -451,11 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         except UsageError as e:
             print(str(e), file=sys.stderr)
             return 1
-        except curves.ThresholdNotReached as e:
+        except ResultError as e:
             print(f"algoeff: {e}", file=sys.stderr)
             return 3
-        except (GraphError, curves.CurveError, trends.TrendError, datasets.DatasetError,
-                OSError) as e:
+        except (InputError, OSError) as e:
             print(f"algoeff: {e}", file=sys.stderr)
             return 2
 

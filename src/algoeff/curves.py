@@ -23,16 +23,16 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH
+from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, InputError, ResultError
 
 _FLOAT_MAX = sys.float_info.max
 
 
-class CurveError(ValueError):
+class CurveError(InputError):
     """Malformed curve data or an invalid curve operation."""
 
 
-class ThresholdNotReached(Exception):
+class ThresholdNotReached(ResultError):
     """The curve never attains the requested accuracy."""
 
     def __init__(self, name: str, threshold: "Threshold", best: float):
@@ -246,8 +246,17 @@ def parse_curve(text: str, name: str = "curve", percent: bool = False) -> Learni
     if header is None:
         raise CurveError(f"{name}: no header line found")
     columns = list(zip(*rows)) or [()] * len(header)
+    to_accuracy = (lambda t: float(t) / 100.0) if percent else float
+    if not text.isascii() or text.count("_") > "".join(header).count("_"):
+        # int() and float() also read "_" separators and non-ASCII digits. Outside the column
+        # names such a value stays text here, so the check fails at the first bad value.
+        def plain(kind):
+            return lambda t: kind(t) if t.isascii() and "_" not in t else t
+        _check_series(name, metric, _numbers(columns[0], plain(int)),
+                      _numbers(columns[1], plain(to_accuracy)),
+                      _numbers(columns[2], plain(float)) if has_flops else None, lines)
     epochs = _numbers(columns[0], int)
-    accuracies = _numbers(columns[1], lambda t: float(t) / 100.0) if percent else columns[1]
+    accuracies = _numbers(columns[1], to_accuracy) if percent else columns[1]
     compute = columns[2] if has_flops else None
     try:
         return LearningCurve(name=name, metric=metric, epochs=epochs,

@@ -26,7 +26,7 @@ import datetime
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import _jsonfile
+from . import InputError, _jsonfile
 from .curves import LearningCurve, parse_curve, positive_finite
 from .trends import (
     MONTH_DAYS,
@@ -39,7 +39,7 @@ from .trends import (
 )
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     """Malformed bundled or user-supplied data set content."""
 
 

@@ -13,13 +13,9 @@ for a day (8.64e16), "table" divides by 1e15, matching the units the
 bundled record set is usually quoted in.
 
 Memory: a records file is held once. ``records_from_json`` builds each
-record as the json parser closes the record's object, through the
-parser's object hook, so the record objects are freed during the parse
-and never all alive together. Records with equal date strings share one
-date, and records with equal metric/value threshold objects of a float
-value share one ``Threshold``. A file with an error is parsed twice, by
-``_jsonfile``'s rule. ``EfficiencyRecord`` is slotted and carries no
-``__dict__``.
+record as the json parser closes its object (see ``_jsonfile``), and
+records with equal date strings or equal float thresholds share one
+date or ``Threshold``. ``EfficiencyRecord`` is slotted.
 """
 from __future__ import annotations
 
@@ -31,7 +27,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, UNIT_DIVISORS, _jsonfile
+from . import BACKWARD_MULTIPLIER, IMAGES_PER_EPOCH, UNIT_DIVISORS, InputError, _jsonfile
 from .curves import (
     DEFAULT_THRESHOLD,
     CurveError,
@@ -49,7 +45,7 @@ MONTH_DAYS = 30.436875
 TOTAL_AGREEMENT_RTOL = 1e-6
 
 
-class TrendError(ValueError):
+class TrendError(InputError):
     """Invalid record data or an invalid trend operation."""
 
 

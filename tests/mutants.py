@@ -41,7 +41,7 @@ AS_TYPED = "tests/test_cli.py::TestAnalyze::test_append_names_the_file_as_typed"
 MUTANTS = [
     # input files: the CLI names the file, and only a / or a suffix makes an argument one
     ("no path prefix on a file's errors", CLI,
-     'raise type(e)(f"{path}: {e}") from None', "raise",
+     'raise InputError(f"{path}: {e}") from None', "raise",
      ["tests/test_cli.py::TestInputEdges"]),
     ("a curve argument is a file whenever the entry exists", CLI,
      'if _is_file(value, ".csv"):', 'if _is_file(value, ".csv") or Path(value).exists():',
@@ -174,6 +174,17 @@ MUTANTS = [
      "from .archflops.zoo import _normalize\n",
      "from .archflops.zoo import _normalize\nfrom .trends import frontier\n",
      ["tests/test_cold_start.py::test_graph_commands_run_no_deferred_module"]),
+    ("an exit-2 clause names a curve error", CLI,
+     "except (InputError, OSError) as e:", "except (InputError, curves.CurveError, OSError) as e:",
+     ["tests/test_cold_start.py::test_help_and_graph_errors_run_no_deferred_module"]),
+    # exit codes and numeric text
+    ("a threshold never reached exits 2", CLI,
+     "            return 3\n", "            return 2\n",
+     ["tests/test_cli.py::TestAnalyze::test_threshold_never_reached_is_exit_3"]),
+    ("a curve's numbers read with Python's literal syntax", "src/algoeff/curves.py",
+     '    if not text.isascii() or text.count("_") > "".join(header).count("_"):',
+     "    if False:",
+     ["tests/test_curves.py::TestParseCurve::test_numbers_are_ascii_decimals"]),
 ]
 
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")

@@ -15,15 +15,17 @@ from pathlib import Path
 import pytest
 
 import algoeff
-from algoeff.archflops import TensorShape, builtin_arch
+from algoeff.archflops import GraphError, ShapeError, TensorShape, builtin_arch
 import algoeff.cli as cli_mod
 import algoeff.datasets as datasets_mod
 import algoeff.trends as trends_mod
 from algoeff.cli import _build_parser, main
-from algoeff.datasets import load_imagenet_records
+from algoeff.curves import CurveError, ThresholdNotReached
+from algoeff.datasets import DatasetError, load_imagenet_records
 from algoeff.reports import fmt_compute
 from algoeff.trends import (
     EfficiencyRecord,
+    TrendError,
     fit_trend,
     frontier,
     records_from_json,
@@ -772,6 +774,22 @@ class TestInputEdges:
         assert (code, out, err) == (2, "", f"algoeff: {bad}: {message}\n")
         assert (tmp_path / "records.json").read_text() == "[{"
 
+    # int() and float() read these as 224, 3 and 0.791; a flag or file takes ASCII decimals only
+    @pytest.mark.parametrize("argv,message", [
+        (("flops", "AlexNet", "--input", "3x2_24x224"),
+         "expected integer dimensions in '3x2_24x224'"),
+        (("shapes", "AlexNet", "--input", "\uff13x224x224"),
+         "expected integer dimensions in '\uff13x224x224'"),
+        (("analyze", "AlexNet", "alexnet", "--threshold", "0.7_91"),
+         "threshold '0.7_91' is not a number or metric:value pair"),
+        (("analyze", "AlexNet", "{dir}/run.csv"), "{dir}/run.csv: run line 3: epoch '2_0' is "
+                                                  "not an integer"),
+    ])
+    def test_numbers_are_ascii_decimals(self, capsys, tmp_path, argv, message):
+        (tmp_path / "run.csv").write_text("epoch,top5_accuracy\n1,0.5\n2_0,0.8\n")
+        code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert (code, out, err) == (2, "", f"algoeff: {message.format(dir=tmp_path)}\n")
+
     @pytest.mark.parametrize("argv", [("shapes",), ("flops", "--per-layer", "--counted-kinds",
                                                   "concat")])
     def test_shape_too_long_to_print(self, capsys, tmp_path, argv):
@@ -896,6 +914,21 @@ class TestTopLevel:
         code, _, err = run(capsys, "flops", "AlexNet", "--format", "xml")
         assert code == 1
         assert "--format" in err
+
+    @pytest.mark.parametrize("error", [GraphError, ShapeError, CurveError, TrendError,
+                                       DatasetError])
+    def test_input_errors_share_one_base(self, error):
+        # main maps the base to exit 2
+        assert issubclass(error, algoeff.InputError) and issubclass(error, ValueError)
+
+    def test_threshold_not_reached_is_a_result_error(self, capsys, tmp_path):
+        # a curve that stops short is an answer about valid input, not bad input
+        assert issubclass(ThresholdNotReached, algoeff.ResultError)
+        assert not issubclass(ThresholdNotReached, (algoeff.InputError, ValueError))
+        path = tmp_path / "slow.csv"
+        path.write_text("epoch,top5_accuracy\n1,0.5\n")
+        assert run(capsys, "analyze", "AlexNet", str(path)) == (
+            3, "", "algoeff: slow: best top5 accuracy 0.50000 never reaches 0.79100\n")
 
     def test_one_parser_per_process(self):
         assert _build_parser() is _build_parser()

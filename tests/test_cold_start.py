@@ -1,7 +1,8 @@
 """Which modules a fresh process executes for a command.
 
 The CLI loads curves, trends and datasets on first use, so a graph
-command (flops, shapes) runs none of them and no decimal import either.
+command (flops, shapes), --help, a usage error and a graph command's
+error exit run none of them and no decimal import either.
 Each check runs in its own interpreter, because pytest's process has
 long since imported everything. A module's dict is read with
 object.__getattribute__, which does not trigger a deferred load; the
@@ -22,12 +23,15 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
 DEFERRED = ("curves", "datasets", "trends")
 
-# Runs main on argv, then prints on stderr's last line which deferred modules
-# have executed and whether decimal was imported.
+# Runs main on argv, then prints on stderr's last line its exit code, which
+# deferred modules have executed and whether decimal was imported.
 CHILD = f"""
 import json, sys
 from algoeff.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as e:  # --help
+    code = e.code
 ran = [n for n in {DEFERRED!r} if f"algoeff.{{n}}" in sys.modules and "__builtins__" in
        object.__getattribute__(sys.modules[f"algoeff.{{n}}"], "__dict__")]
 print(json.dumps([code, ran, "decimal" in sys.modules]), file=sys.stderr)
@@ -49,6 +53,27 @@ def test_graph_commands_run_no_deferred_module(tmp_path, argv):
     path = tmp_path / "g.json"
     path.write_text(chain_graph_json(4), encoding="utf-8")
     assert _executed(*(a.format(file=path) for a in argv)) == (0, [], False)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("--help",), 0),
+    (("flops", "--help"), 0),
+    (("frobnicate",), 1),
+    (("flops", "{dir}/missing.json"), 2),
+    (("flops", "{dir}/text.json"), 2),
+    (("shapes", "{dir}/latin1.json"), 2),
+    (("flops", "{dir}/invalid.json"), 2),
+    (("shapes", "LeNet"), 2),
+    (("flops", "AlexNet", "--input", "3x0x8"), 2),
+    (("flops", "AlexNet", "--counted-kinds", "bogus"), 2),
+], ids=["help", "flops-help", "usage", "missing", "not-json", "not-utf8", "invalid-graph",
+        "unknown-builtin", "bad-input", "bad-counted-kinds"])
+def test_help_and_graph_errors_run_no_deferred_module(tmp_path, argv, code):
+    # the except clauses that map an error to its exit code name no deferred module's class
+    (tmp_path / "text.json").write_text("not json", encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
+    (tmp_path / "invalid.json").write_text('{"name": "g", "nodes": []}', encoding="utf-8")
+    assert _executed(*(a.format(dir=tmp_path) for a in argv)) == (code, [], False)
 
 
 def test_report_figures_runs_every_deferred_module():

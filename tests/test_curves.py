@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algoeff.curves as curves_mod
 from algoeff.curves import (
     BACKWARD_MULTIPLIER,
     IMAGES_PER_EPOCH,
@@ -300,6 +301,35 @@ class TestParseCurve:
     def test_first_bad_line_in_file_order(self, header, rows, message):
         with pytest.raises(CurveError, match=message):
             parse_curve("epoch,top5_accuracy" + header + "\n" + rows, name="c")
+
+    # int() and float() read these as 20, 2, 0.81 and 2e15; a curve file takes ASCII decimals only
+    @pytest.mark.parametrize("header,rows,message", [
+        ("", "1,0.5\n2_0,0.6\n", "^c line 3: epoch '2_0' is not an integer$"),
+        ("", "1,0.5\n\uff12,0.6\n", "^c line 3: epoch '\uff12' is not an integer$"),
+        ("", "1,0.5\n2,0.8_1\n", "^c line 3: accuracy '0.8_1' is not a number$"),
+        ("", "1,0.5\n2,0.\u0668\n", "^c line 3: accuracy '0.\u0668' is not a number$"),
+        (",cumulative_flops", "1,0.5,1e15\n2,0.6,2_0e15\n",
+         "^c line 3: compute must be finite"),
+        ("", "1,-1\n2_0,0.6\n", "^c line 2: accuracy -.* outside"),  # still file order
+    ])
+    @pytest.mark.parametrize("percent", [False, True])
+    def test_numbers_are_ascii_decimals(self, header, rows, message, percent):
+        if percent:
+            rows = rows.replace("0.5", "50").replace("0.6", "60")
+        with pytest.raises(CurveError, match=message):
+            parse_curve("epoch,top5_accuracy" + header + "\n" + rows, name="c", percent=percent)
+
+    def test_a_plain_file_is_checked_once(self, monkeypatch):
+        # the "_" of the column names sends no file down the value-by-value path
+        calls = []
+        monkeypatch.setattr(curves_mod, "_check_series",
+                            lambda *a: calls.append(a) or _check_series(*a))
+        parse_curve("# demo\nepoch,top5_accuracy,cumulative_flops\n1,0.5,1e15\n2,0.6,2e15\n")
+        assert len(calls) == 1
+
+    def test_non_ascii_outside_numbers_is_read(self):
+        curve = parse_curve("# caf\u00e9, \u2116 1\nepoch,top5_accuracy\n1,0.5\n2,0.6\n")
+        assert (curve.epochs, curve.accuracies) == ((1, 2), (0.5, 0.6))
 
 
 class TestTrainingCompute:
