@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graph import (
-    _KINDS, LAYER_KINDS, ArchitectureSpec, GraphError, TensorShape, _resolve, walked_shapes,
+    _KINDS, LAYER_KINDS, ArchitectureSpec, GraphError, TensorShape, _resolve, walked_layers,
 )
 
 UNITS = ("mac", "flop2")
@@ -97,21 +97,26 @@ def count_flops(
     """Count per-image operations for every node.
 
     The per-layer map carries every node id (zeros included), so the total
-    always equals the sum of the breakdown. Shapes are read in place from
-    graph.walked_shapes; a malformed spec raises ShapeError.
+    always equals the sum of the breakdown. Shapes and layer signatures
+    are read in place from graph.walked_layers; a malformed spec raises
+    ShapeError. The mac rule runs once per signature, at its first node,
+    and the signature's other nodes share that node's count.
     """
     convention = convention or CountingConvention()
-    shapes = walked_shapes(arch, input_shape)
+    shapes, layers = walked_layers(arch, input_shape)
     scale = 2 if convention.unit == "flop2" else 1
 
     per_layer: dict[str, int] = {}
-    for node in arch.nodes:
-        macs = 0
-        if node.kind in convention.counted_kinds:
-            kind = _KINDS[node.kind]
-            ins = [shapes[ref] for ref in node.inputs]
-            macs = kind.macs(_resolve(node, kind), ins, shapes[node.id], convention.include_bias)
-        per_layer[node.id] = macs * scale
+    for node, first in zip(arch.nodes, layers):
+        macs = per_layer.get(first.id)
+        if macs is None:
+            macs = 0
+            if node.kind in convention.counted_kinds:
+                kind = _KINDS[node.kind]
+                ins = [shapes[ref] for ref in node.inputs]
+                macs = kind.macs(_resolve(node, kind), ins, shapes[node.id],
+                                 convention.include_bias) * scale
+        per_layer[node.id] = macs
 
     return FlopCount(
         total_per_image=sum(per_layer.values()),

@@ -8,8 +8,9 @@ What the package knows about each layer kind sits in one entry of
 ``_KINDS``: its parameters with their defaults and accepted values, its
 input arity, any rule across its parameters, its shape rule and its mac
 rule. One walk here checks every node and infers its shape; validation
-reads its problems and ``walked_shapes`` its shape map, which ``counting``
-and the reports read in place and ``shapes.infer_shapes`` copies.
+reads its problems, the reports read its shape map in place through
+``walked_shapes``, ``counting`` reads the map and the walk's layer list
+through ``walked_layers``, and ``shapes.infer_shapes`` copies the map.
 
 Everything here is immutable. Treat specs as values: helpers return new
 objects and never mutate their arguments, so sharing instances across
@@ -29,7 +30,10 @@ the walk memo.
 
 Speed: the valid case is the cheap one, since every node of every graph
 passes through it. ``_good_walk`` checks and shapes each distinct layer
-once, and a graph it declines is walked again to word its problems;
+once, keyed by one flat tuple per node, and its layer list names each
+node's first node of the same signature, so ``count_flops`` runs a mac
+rule once per distinct layer too. A graph it declines is walked again
+to word its problems, and there each node is its own first node;
 ``_check_params``, ``TensorShape`` and ``_json_node`` each test the
 common case first and word a problem only when that test fails.
 """
@@ -38,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .. import InputError, _jsonfile
 
@@ -398,7 +402,7 @@ class ArchitectureSpec:
             ) from None
 
 
-# Instance attribute of an ArchitectureSpec holding (input shape, shapes) of its latest
+# Instance attribute of an ArchitectureSpec holding (input shape, shapes, layers) of its latest
 # successful walk. Not a dataclass field, so equality, repr and dataclasses.replace ignore it.
 _MEMO_ATTR = "_inferred_shapes"
 
@@ -407,22 +411,24 @@ _MEMO_ATTR = "_inferred_shapes"
 _PLAIN_TYPES = frozenset({int, float, bool, str})
 
 
-def _good_walk(arch: ArchitectureSpec, input_shape: TensorShape) -> dict | None:
-    """The walk's shape map if the walk would find no problem, else None.
+def _good_walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[dict, list] | None:
+    """The walk's shape map and layer list if the walk would find no problem, else None.
 
     A layer's signature is its kind, its params with their value types and
     its input shapes. The arity test, the parameter check and the shape
     rule run once per signature, and the nodes of one signature share its
-    output shape. Anything else gives None, for the walk to word: an id,
-    kind or input that is not an exact str, a repeated or reserved id, a
-    value of a type outside _PLAIN_TYPES, an input shape of int
-    subclasses, any problem or error.
+    output shape. The layer list holds, for each node in order, the first
+    node of its signature, whose count the others share. Anything else
+    gives None, for the walk to word: an id, kind or input that is not an
+    exact str, a repeated or reserved id, a value of a type outside
+    _PLAIN_TYPES, an input shape of int subclasses, any problem or error.
     """
     if not (type(input_shape.channels) is int and type(input_shape.height) is int
             and type(input_shape.width) is int):
         return None
     shapes = {INPUT_ID: input_shape}
-    outputs: dict[tuple, TensorShape] = {}  # signature -> output shape
+    layers: list[LayerNode] = []
+    outputs: dict[tuple, tuple] = {}  # signature -> (output shape, first node)
     # one object per shape value, so a signature holds its input shapes by id
     canonical = {input_shape: input_shape}
     try:
@@ -433,12 +439,18 @@ def _good_walk(arch: ArchitectureSpec, input_shape: TensorShape) -> dict | None:
             ins = [shapes[r] for r in refs if type(r) is str]
             if len(ins) != len(refs):
                 return None
-            types = tuple(map(type, params.values()))
-            signature = (kind_name, tuple(params.items()), types, *map(id, ins))
-            out = outputs.get(signature)
-            if out is None:
+            # flat, so a key is one tuple: the input count and the param count
+            # (a third of the rest) tell its parts apart
+            if params:
+                values = params.values()
+                signature = (kind_name, len(ins), *map(id, ins),
+                             *params, *values, *map(type, values))
+            else:
+                signature = (kind_name, len(ins), *map(id, ins))
+            layer = outputs.get(signature)
+            if layer is None:
                 kind = _KINDS.get(kind_name)
-                if kind is None or not _PLAIN_TYPES.issuperset(types):
+                if kind is None or not _PLAIN_TYPES.issuperset(map(type, params.values())):
                     return None
                 lo, hi = kind.arity
                 if len(ins) < lo or (hi is not None and len(ins) > hi):
@@ -448,33 +460,40 @@ def _good_walk(arch: ArchitectureSpec, input_shape: TensorShape) -> dict | None:
                 if resolved is None or problems:
                     return None
                 out = kind.shape(resolved, ins)
-                out = outputs[signature] = canonical.setdefault(out, out)
+                layer = outputs[signature] = (canonical.setdefault(out, out), node)
+            out, first = layer
             shapes[node.id] = out
+            layers.append(first)
     except (KeyError, TypeError, ValueError):  # a dangling input, an unhashable value, a misfit
         return None
     output = arch.output
     if type(output) is not str or output == INPUT_ID or output not in shapes:
         return None
-    return shapes
+    return shapes, layers
 
 
-def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], dict]:
+def _walk(
+    arch: ArchitectureSpec, input_shape: TensorShape
+) -> tuple[list[str], dict, Sequence[LayerNode]]:
     """Check every node and, while nothing is wrong, infer its shape.
 
-    Returns (problems, shapes), shapes complete when problems is empty:
-    the structural problems of every node, else the first shape problem.
-    The good path runs first; the loop below walks a graph it declines,
-    which words the problems.
+    Returns (problems, shapes, layers), shapes and layers complete when
+    problems is empty: the structural problems of every node, else the
+    first shape problem. layers holds each node's first node of its layer
+    signature (see _good_walk). The good path runs first; the loop below
+    walks a graph it declines, which words the problems, and its layers
+    are arch.nodes itself: each node its own first node.
     """
     if not isinstance(input_shape, TensorShape):
-        return [f"input shape {input_shape!r} is not a TensorShape"], {}
-    memo_input, memo_shapes = arch.__dict__.get(_MEMO_ATTR, (None, None))
+        return [f"input shape {input_shape!r} is not a TensorShape"], {}, ()
+    memo_input, memo_shapes, memo_layers = arch.__dict__.get(_MEMO_ATTR, (None, None, None))
     if memo_input == input_shape:
-        return [], memo_shapes
-    shapes = _good_walk(arch, input_shape)
-    if shapes is not None:
-        arch.__dict__[_MEMO_ATTR] = (input_shape, shapes)
-        return [], shapes
+        return [], memo_shapes, memo_layers
+    walked = _good_walk(arch, input_shape)
+    if walked is not None:
+        shapes, layers = walked
+        arch.__dict__[_MEMO_ATTR] = (input_shape, shapes, layers)
+        return [], shapes, layers
     problems: list[str] = [] if arch.nodes else ["architecture has no nodes"]
     shapes, seen, shape_problem = {INPUT_ID: input_shape}, set(), None
     for node in arch.nodes:
@@ -514,17 +533,24 @@ def _walk(arch: ArchitectureSpec, input_shape: TensorShape) -> tuple[list[str], 
     if not isinstance(arch.output, str) or arch.output not in seen:
         problems.append(f"output {arch.output!r} does not name a node")
     if problems or shape_problem is not None:
-        return problems or [shape_problem], shapes
-    arch.__dict__[_MEMO_ATTR] = (input_shape, shapes)
-    return problems, shapes
+        return problems or [shape_problem], shapes, arch.nodes
+    arch.__dict__[_MEMO_ATTR] = (input_shape, shapes, arch.nodes)
+    return problems, shapes, arch.nodes
+
+
+def walked_layers(
+    arch: ArchitectureSpec, input_shape: TensorShape | None
+) -> tuple[dict, Sequence[LayerNode]]:
+    """The walk's own shape map and layer list (see _walk), which callers must not change."""
+    problems, shapes, layers = _walk(arch, input_shape or arch.default_input)
+    if problems:
+        raise ShapeError("; ".join(problems))
+    return shapes, layers
 
 
 def walked_shapes(arch: ArchitectureSpec, input_shape: TensorShape | None) -> dict:
     """shapes.infer_shapes without the copy: the walk's own dict, which callers must not change."""
-    problems, shapes = _walk(arch, input_shape or arch.default_input)
-    if problems:
-        raise ShapeError("; ".join(problems))
-    return shapes
+    return walked_layers(arch, input_shape)[0]
 
 
 def _check_params(node: LayerNode, kind: _Kind, problems: list[str]) -> dict[str, Any] | None:

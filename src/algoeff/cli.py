@@ -104,6 +104,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _float(text: str) -> float:
+    """A float flag's value, or a threshold's: float() of ASCII text with no "_".
+
+    float() alone also reads "_" separators and non-ASCII digits; anything
+    else gets argparse's own usage error, "invalid float value: '1_0'".
+    """
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 @functools.cache  # parse_args keeps no state between calls, so one parser serves them all
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -156,8 +170,8 @@ def _build_parser() -> _Parser:
                    help="accuracy target, top5 unless written metric:value (default 0.791)")
     p.add_argument("--percent", action="store_true",
                    help="curve accuracies are percentages, not fractions")
-    p.add_argument("--images-per-epoch", type=float, default=IMAGES_PER_EPOCH)
-    p.add_argument("--backward-multiplier", type=float, default=BACKWARD_MULTIPLIER)
+    p.add_argument("--images-per-epoch", type=_float, default=IMAGES_PER_EPOCH)
+    p.add_argument("--backward-multiplier", type=_float, default=BACKWARD_MULTIPLIER)
     p.add_argument("--name", default=None, help="record name (default: architecture name)")
     p.add_argument("--date", default=None, metavar="YYYY-MM-DD",
                    help="run date, required with --append-records")
@@ -182,9 +196,9 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("baseline", nargs="?")
     p.add_argument("improved", nargs="?")
-    p.add_argument("--factor", type=float, default=None,
+    p.add_argument("--factor", type=_float, default=None,
                    help="efficiency factor gained over --period")
-    p.add_argument("--period", type=float, default=None, help="elapsed time")
+    p.add_argument("--period", type=_float, default=None, help="elapsed time")
     p.add_argument("--period-unit", choices=("months", "days"), default="months")
     common(p, _cmd_doubling, records=True)
 
@@ -198,7 +212,7 @@ def _build_parser() -> _Parser:
     common(p, _cmd_trend, records=True)
 
     p = sub.add_parser("effective", help="combined multiplier of stacked gain factors")
-    p.add_argument("factors", nargs="*", type=float,
+    p.add_argument("factors", nargs="*", type=_float,
                    help="gain factors to multiply; none shows the default "
                         "hardware/spending/efficiency model")
     common(p, _cmd_effective)
@@ -256,10 +270,8 @@ def _parse_threshold(text: str) -> curves.Threshold:
     if not sep:
         metric, value = "top5", text
     try:
-        if not value.isascii() or "_" in value:  # float() reads "_" separators, non-ASCII digits
-            raise ValueError
-        v = float(value)
-    except ValueError:
+        v = _float(value)
+    except argparse.ArgumentTypeError:
         raise curves.CurveError(
             f"threshold {text!r} is not a number or metric:value pair"
         ) from None

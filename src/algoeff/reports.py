@@ -121,10 +121,28 @@ def flops_tables(
             key="flops_per_layer",
             title=f"Per-layer counts for {arch.name}",
             columns=("node", "kind", "output_shape", unit),
-            rows=tuple((n.id, n.kind, text, f"{count.per_layer[n.id]:,d}")
-                       for n, text in zip(arch.nodes, texts)),
+            rows=tuple((n.id, n.kind, text, cell)
+                       for n, text, cell in zip(arch.nodes, texts, _count_cells(arch, count))),
         ))
     return tables
+
+
+def _count_cells(arch: ArchitectureSpec, count: FlopCount) -> list[str]:
+    """Each node's count as text, formatted once per distinct count.
+
+    The nodes of one layer signature share one count (count_flops), and
+    most counts of a deep graph repeat: zeros, and equal blocks.
+    """
+    cells: dict[int, str] = {}
+    out = []
+    per_layer = count.per_layer
+    for n in arch.nodes:
+        macs = per_layer[n.id]
+        cell = cells.get(macs)
+        if cell is None:
+            cell = cells[macs] = f"{macs:,d}"
+        out.append(cell)
+    return out
 
 
 def _node_shape_texts(arch: ArchitectureSpec, shapes: dict[str, TensorShape]) -> list[str]:

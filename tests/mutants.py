@@ -96,9 +96,19 @@ MUTANTS = [
      '"act": "relu6", "dropout": True, "plan"', [PINNED]),
     # counting and shapes: the commands read the walk's shape map in place
     ("count_flops reads shapes through infer_shapes", "src/algoeff/archflops/counting.py",
-     "    shapes = walked_shapes(arch, input_shape)\n",
-     "    from .shapes import infer_shapes\n    shapes = infer_shapes(arch, input_shape)\n",
+     "    shapes, layers = walked_layers(arch, input_shape)\n",
+     "    from .shapes import infer_shapes\n"
+     "    shapes, layers = infer_shapes(arch, input_shape), walked_layers(arch, input_shape)[1]\n",
      ["tests/test_counting.py::test_count_allocates_one_per_layer_map"]),
+    # counting and the per-layer table: one mac rule run and one cell per distinct count
+    ("count_flops counts every node", "src/algoeff/archflops/counting.py",
+     "macs = per_layer.get(first.id)", "macs = None",
+     ["tests/test_counting.py::TestOncePerSignature::test_mac_rule_runs_once_per_signature"]),
+    ("the per-layer cell cache is keyed by node kind", "src/algoeff/reports.py",
+     "        cell = cells.get(macs)\n        if cell is None:\n            cell = cells[macs] = ",
+     "        cell = cells.get(n.kind)\n"
+     "        if cell is None:\n            cell = cells[n.kind] = ",
+     ["tests/test_reports.py::test_per_layer_cells_format_each_distinct_count_once"]),
     ("FlopCount copies its per-layer map", "src/algoeff/archflops/counting.py",
      "    input: TensorShape\n\n    @property",
      "    input: TensorShape\n\n    def __post_init__(self):\n"
@@ -127,8 +137,7 @@ MUTANTS = [
      ["tests/test_graph.py::TestParamGoodPath"]),
     # the walk's good path: one check per layer signature, anything else worded by the full walk
     ("the memo key drops the value types", GRAPH,
-     "(kind_name, tuple(params.items()), types, *map(id, ins))",
-     "(kind_name, tuple(params.items()), *map(id, ins))",
+     "*params, *values, *map(type, values))", "*params, *values)",
      ["tests/test_graph.py::TestLayerSignatures::test_an_equal_value_of_another_type_is_checked"]),
     ("the walk's good path skips the arity test", GRAPH,
      "if len(ins) < lo or (hi is not None and len(ins) > hi):", "if False:",

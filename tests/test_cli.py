@@ -790,6 +790,34 @@ class TestInputEdges:
         code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
         assert (code, out, err) == (2, "", f"algoeff: {message.format(dir=tmp_path)}\n")
 
+    # float() reads these as 10, 2, 24, 1281167 and 3; a float flag takes ASCII text only
+    @pytest.mark.parametrize("argv,bad", [
+        (("effective", "1_0", "2"), "argument factors: invalid float value: '1_0'"),
+        (("effective", "10", "\uff12"), "argument factors: invalid float value: '\uff12'"),
+        (("doubling", "--factor", "1_0", "--period", "24"),
+         "argument --factor: invalid float value: '1_0'"),
+        (("doubling", "--factor", "4", "--period", "2_4"),
+         "argument --period: invalid float value: '2_4'"),
+        (("analyze", "AlexNet", "alexnet", "--images-per-epoch", "1_281_167"),
+         "argument --images-per-epoch: invalid float value: '1_281_167'"),
+        (("analyze", "AlexNet", "alexnet", "--backward-multiplier", "\uff13"),
+         "argument --backward-multiplier: invalid float value: '\uff13'"),
+        (("doubling", "--factor", "four", "--period", "24"),
+         "argument --factor: invalid float value: 'four'"),
+    ])
+    def test_float_flags_are_ascii(self, capsys, argv, bad):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"algoeff {argv[0]}: {bad}\n")
+
+    def test_float_flags_take_ascii_float_forms(self, capsys):
+        code, out, _ = run(capsys, "effective", "1e1", " 2.0 ", "--format", "csv")
+        assert code == 0
+        assert out.endswith("effective,20\n")
+        code, out, _ = run(capsys, "doubling", "--factor", "4", "--period", "24.0",
+                           "--format", "csv")
+        assert code == 0
+        assert "4.0,24 months,12.00 months" in out
+
     @pytest.mark.parametrize("argv", [("shapes",), ("flops", "--per-layer", "--counted-kinds",
                                                   "concat")])
     def test_shape_too_long_to_print(self, capsys, tmp_path, argv):

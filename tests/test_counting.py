@@ -5,7 +5,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import algoeff.archflops.graph as graph_mod
 from algoeff.archflops import (
     DEFAULT_COUNTED_KINDS,
     ArchitectureSpec,
@@ -18,9 +21,11 @@ from algoeff.archflops import (
     count_flops,
     infer_shapes,
 )
+from algoeff.archflops.counting import UNITS
+from algoeff.cli import main
 
 from _generators import chain_graph_json, random_arch, traced
-from _oracles import macs_oracle
+from _oracles import first_of_each_signature, macs_oracle
 
 ALL_KINDS_COUNTED = frozenset({
     "conv2d", "linear", "maxpool", "avgpool", "global_avgpool", "batchnorm",
@@ -292,6 +297,92 @@ class TestAgainstOracle:
             got = count_flops(arch, convention=convention)
             want = macs_oracle(arch, arch.default_input)
             assert dict(got.per_layer) == {k: 2 * v for k, v in want.items()}, f"graph {i}"
+
+
+def _with_twins(arch: ArchitectureSpec, rng: random.Random) -> ArchitectureSpec:
+    """arch with a twin after about half its nodes: the same kind, params and inputs
+    under another id, so one layer signature. Nothing reads a twin."""
+    nodes = []
+    for node in arch.nodes:
+        nodes.append(node)
+        if rng.random() < 0.5:
+            nodes.append(dataclasses.replace(node, id=f"{node.id}.twin"))
+    return dataclasses.replace(arch, nodes=tuple(nodes))
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class TestOncePerSignature:
+    """The mac rule runs at the first node of each layer signature of a counted
+    kind, and the signature's other nodes share that node's count."""
+
+    @staticmethod
+    def counted_firsts(arch, input_shape, kinds=DEFAULT_COUNTED_KINDS):
+        kind_of = {n.id: n.kind for n in arch.nodes}
+        return [i for i in first_of_each_signature(arch, input_shape) if kind_of[i] in kinds]
+
+    @pytest.mark.parametrize("kinds", [DEFAULT_COUNTED_KINDS, ALL_KINDS_COUNTED],
+                             ids=["default kinds", "every kind"])
+    @pytest.mark.parametrize("graph", ["ResNet-50", "a chain of 4,000 nodes"])
+    def test_mac_rule_runs_once_per_signature(self, node_mac_calls, graph, kinds):
+        arch = (builtin_arch(graph) if graph == "ResNet-50"
+                else arch_from_json(chain_graph_json(1_000)))
+        convention = CountingConvention(counted_kinds=kinds)
+        first = count_flops(arch, convention=convention)
+        firsts = self.counted_firsts(arch, arch.default_input, kinds)
+        assert node_mac_calls == firsts
+        # each call counts again, at the same nodes
+        assert count_flops(arch, convention=convention) == first
+        assert node_mac_calls == firsts + firsts
+        assert dict(first.per_layer) == macs_oracle(arch, arch.default_input, kinds)
+        if graph == "ResNet-50":
+            assert len(arch.nodes) == 175 and len(firsts) == (24 if len(kinds) == 2 else 55)
+        else:
+            assert len(arch.nodes) == 4_000 and firsts == (["c0"] if len(kinds) == 2
+                                                           else ["c0", "b0", "a0", "s1"])
+
+    def test_an_input_override_counts_its_own_signatures(self, capsys, node_mac_calls):
+        assert main(["flops", "ResNet-50", "--per-layer", "--input", "3x288x288"]) == 0
+        assert "2048x9x9" in capsys.readouterr().out
+        arch = builtin_arch("ResNet-50")
+        assert node_mac_calls == self.counted_firsts(arch, TensorShape(3, 288, 288))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), include_bias=st.booleans(),
+           unit=st.sampled_from(UNITS))
+    def test_shared_counts_match_the_oracle(self, seed, include_bias, unit):
+        rng = random.Random(seed)
+        arch = _with_twins(random_arch(rng), rng)
+        convention = CountingConvention(unit=unit, counted_kinds=ALL_KINDS_COUNTED,
+                                        include_bias=include_bias)
+        want = macs_oracle(arch, arch.default_input, ALL_KINDS_COUNTED, include_bias)
+        scale = 2 if unit == "flop2" else 1
+        got = count_flops(arch, convention=convention)
+        assert dict(got.per_layer) == {i: scale * macs for i, macs in want.items()}
+        assert got.total_per_image == scale * sum(want.values())
+
+    @pytest.mark.parametrize("declined", ["an int-subclass param", "a str-subclass id"])
+    def test_a_graph_the_good_path_declines_counts_alike(self, declined):
+        arch = builtin_arch("ResNet-50")
+        if declined == "an int-subclass param":
+            nodes = [dataclasses.replace(n, params={**n.params,
+                                                    "out_channels": _Int(n.params["out_channels"])})
+                     if n.kind == "conv2d" else n for n in arch.nodes]
+        else:
+            nodes = [*arch.nodes[:-1], dataclasses.replace(arch.nodes[-1], id=_Str(arch.output))]
+        arch = dataclasses.replace(arch, nodes=tuple(nodes))
+        assert graph_mod._good_walk(arch, arch.default_input) is None
+        for include_bias in (False, True):
+            convention = CountingConvention(counted_kinds=ALL_KINDS_COUNTED,
+                                            include_bias=include_bias)
+            want = macs_oracle(arch, arch.default_input, ALL_KINDS_COUNTED, include_bias)
+            assert dict(count_flops(arch, convention=convention).per_layer) == want
 
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython",

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algoeff.archflops import arch_from_json, infer_shapes
+from algoeff.archflops import (
+    LAYER_KINDS, CountingConvention, arch_from_json, builtin_arch, count_flops, infer_shapes,
+)
 from algoeff.curves import ComputeCurve
 from algoeff.datasets import REPORTED_TERAFLOP_S_DAYS, load_cross_domain, load_imagenet_records
 from algoeff.reports import (
@@ -20,6 +22,7 @@ from algoeff.reports import (
     doubling_table,
     effective_compute_points,
     efficiency_table,
+    flops_tables,
     fmt_compute,
     fmt_factor,
     frontier_points,
@@ -126,6 +129,16 @@ def test_shapes_table_reads_the_walk_in_place():
     assert len(table.rows) == len(arch.nodes) + 1 == 50_001
     # what is freed by the end: the shape texts and the rows tuple before the input row
     assert peak - held < 0.75 * one_map, (peak, held, one_map)
+
+
+@pytest.mark.parametrize("name", ["ResNet-50", "DenseNet121"])
+def test_per_layer_cells_format_each_distinct_count_once(name):
+    # nodes of one kind have counts of their own; equal counts share one cell
+    arch = builtin_arch(name)
+    count = count_flops(arch, convention=CountingConvention(counted_kinds=LAYER_KINDS))
+    _, table = flops_tables(arch, count, float(count.total_per_image), per_layer=True)
+    assert [row[3] for row in table.rows] == [f"{count.per_layer[n.id]:,d}" for n in arch.nodes]
+    assert len({id(row[3]) for row in table.rows}) == len(set(count.per_layer.values()))
 
 
 class TestTable:

@@ -101,9 +101,11 @@ def _imported_modules(path: Path) -> set[str]:
 
 @pytest.mark.parametrize("name", ["archflops/counting.py", "reports.py"])
 def test_commands_read_shapes_from_the_walks_owner(name):
-    # graph.py owns the walk's shape map; the copying infer_shapes is for library callers
+    # graph.py owns the walk's shape map, and counting's layer list with it; the
+    # copying infer_shapes is for library callers
     imported = _imported_modules(ROOT / "src" / "algoeff" / name)
-    assert "algoeff.archflops.graph.walked_shapes" in imported
+    reader = "walked_layers" if name == "archflops/counting.py" else "walked_shapes"
+    assert f"algoeff.archflops.graph.{reader}" in imported
     assert not any(m.startswith("algoeff.archflops.shapes") or m.endswith(".infer_shapes")
                    for m in imported), imported
 
