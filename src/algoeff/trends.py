@@ -15,7 +15,8 @@ bundled record set is usually quoted in.
 Memory: a records file is held once. ``records_from_json`` builds each
 record as the json parser closes its object (see ``_jsonfile``), and
 records with equal date strings or equal float thresholds share one
-date or ``Threshold``. ``EfficiencyRecord`` is slotted.
+date or ``Threshold``. ``EfficiencyRecord`` is slotted, and each slot of
+a loaded record is set once.
 """
 from __future__ import annotations
 
@@ -83,10 +84,56 @@ def parse_date(text, what: str, error: type[Exception]) -> datetime.date:
     raise error(f"{what} {text!r} is not YYYY-MM-DD")
 
 
-# the numeric fields, in the order __post_init__ names the first bad one
+# the numeric fields, in field order, which is the order _checked names the first bad one in
 _NUMBER_FIELDS = ("total_compute", "flops_per_image", "epochs", "images_per_epoch",
                   "backward_multiplier")
 _numbers = attrgetter(*_NUMBER_FIELDS)
+
+
+def _checked(name, date, threshold, notes, t, f, e, i, b):
+    """The numbers a record stores; TrendError for the first field that breaks a rule.
+
+    The one owner of the EfficiencyRecord field rules. t, f, e, i and b are the numeric
+    fields in field order; they come back as floats, a triple's images_per_epoch and total filled.
+    """
+    if not isinstance(name, str) or not name:
+        raise TrendError("record name must be a non-empty string")
+    if not isinstance(date, datetime.date) or isinstance(date, datetime.datetime):
+        raise TrendError(f"{name}: date must be a datetime.date")
+    if not isinstance(threshold, Threshold):
+        raise TrendError(f"{name}: threshold must be a Threshold")
+    if not isinstance(notes, str):
+        raise TrendError(f"{name}: notes must be a string")
+    # positive_finite's float case, inlined as one test because it runs for
+    # every loaded record; the loop words the first bad number, then ints become floats
+    if not (type(b) is float and 0.0 < b < math.inf
+            and (t is None or type(t) is float and 0.0 < t < math.inf)
+            and (f is None or type(f) is float and 0.0 < f < math.inf)
+            and (e is None or type(e) is float and 0.0 < e < math.inf)
+            and (i is None or type(i) is float and 0.0 < i < math.inf)):
+        for label, v in zip(_NUMBER_FIELDS, (t, f, e, i, b)):
+            if (v is not None or label == "backward_multiplier") and not positive_finite(v):
+                raise TrendError(f"{name}: {label} must be positive and finite, got {v!r}")
+        t, f, e, i, b = (None if v is None else float(v) for v in (t, f, e, i, b))
+    if (f is None) != (e is None):
+        raise TrendError(f"{name}: flops_per_image and epochs must be given together")
+    if e is None:
+        if i is not None:
+            raise TrendError(f"{name}: images_per_epoch is meaningless without "
+                             "flops_per_image and epochs")
+        if t is None:
+            raise TrendError(f"{name}: needs total_compute or flops_per_image with epochs")
+        return t, f, e, i, b
+    if i is None:
+        i = IMAGES_PER_EPOCH
+    derived = _checked_product(b * e * f * i, TrendError, f"{name}: training_compute: ")
+    if t is None:
+        return derived, f, e, i, b
+    rel = abs(t - derived) / derived
+    if rel > TOTAL_AGREEMENT_RTOL:
+        raise TrendError(f"{name}: total_compute {t!r} disagrees with epochs * flops_per_image "
+                         f"product {derived!r} (relative difference {rel:.3e})")
+    return t, f, e, i, b
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,9 +148,9 @@ class EfficiencyRecord:
     holds images_per_epoch and total_compute as used, so it reloads equal.
 
     The class is slotted: an instance has no __dict__, so vars() fails
-    and dataclasses.asdict reads its fields. __post_init__ owns every
-    field rule; records_from_json fills the slots directly and then runs
-    it, which gives the record the generated __init__ would build.
+    and dataclasses.asdict reads its fields. _checked owns every field
+    rule: __post_init__ stores the numbers it returns, and records_from_json
+    sets each slot of a loaded record once, so both build one record.
     """
 
     name: str
@@ -117,74 +164,9 @@ class EfficiencyRecord:
     notes: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise TrendError("record name must be a non-empty string")
-        if not isinstance(self.date, datetime.date) or isinstance(self.date, datetime.datetime):
-            raise TrendError(f"{self.name}: date must be a datetime.date")
-        if not isinstance(self.threshold, Threshold):
-            raise TrendError(f"{self.name}: threshold must be a Threshold")
-        if not isinstance(self.notes, str):
-            raise TrendError(f"{self.name}: notes must be a string")
-        t, f, e, i, b = _numbers(self)
-        # positive_finite's float case, inlined as one test because it runs
-        # for every loaded record; the loop converts ints and words errors
-        if not (type(b) is float and 0.0 < b < math.inf
-                and (t is None or type(t) is float and 0.0 < t < math.inf)
-                and (f is None or type(f) is float and 0.0 < f < math.inf)
-                and (e is None or type(e) is float and 0.0 < e < math.inf)
-                and (i is None or type(i) is float and 0.0 < i < math.inf)):
-            for label, v in zip(_NUMBER_FIELDS, _numbers(self)):
-                if v is None and label != "backward_multiplier":
-                    continue
-                if not positive_finite(v):
-                    raise TrendError(f"{self.name}: {label} must be positive and finite, "
-                                     f"got {v!r}")
-                object.__setattr__(self, label, float(v))
-            t, f, e, i, b = _numbers(self)
-        if (f is None) != (e is None):
-            raise TrendError(
-                f"{self.name}: flops_per_image and epochs must be given together"
-            )
-        if e is None:
-            if i is not None:
-                raise TrendError(
-                    f"{self.name}: images_per_epoch is meaningless without "
-                    "flops_per_image and epochs"
-                )
-            if t is None:
-                raise TrendError(
-                    f"{self.name}: needs total_compute or flops_per_image with epochs"
-                )
-            return
-        if i is None:
-            i = IMAGES_PER_EPOCH
-            object.__setattr__(self, "images_per_epoch", i)
-        derived = _checked_product(b * e * f * i, TrendError,
-                                   f"{self.name}: training_compute: ")
-        if t is None:
-            object.__setattr__(self, "total_compute", derived)
-        else:
-            rel = abs(t - derived) / derived
-            if rel > TOTAL_AGREEMENT_RTOL:
-                raise TrendError(
-                    f"{self.name}: total_compute {t!r} disagrees with "
-                    f"epochs * flops_per_image product {derived!r} "
-                    f"(relative difference {rel:.3e})"
-                )
-
-    @classmethod
-    def _from_json_fields(cls, obj: dict) -> EfficiencyRecord:
-        """The record of obj, a dict of field values by name, checked by __post_init__.
-
-        Each slot is set through its descriptor, to obj's value or the
-        field's default, which skips the generated __init__'s one
-        object.__setattr__ call per field.
-        """
-        record = cls.__new__(cls)
-        for name, default, set_slot in _SLOT_SETTERS:
-            set_slot(record, obj.get(name, default))
-        record.__post_init__()
-        return record
+        numbers = _checked(self.name, self.date, self.threshold, self.notes, *_numbers(self))
+        for label, v in zip(_NUMBER_FIELDS, numbers):
+            object.__setattr__(self, label, v)
 
     @property
     def total(self) -> float:
@@ -196,11 +178,11 @@ class EfficiencyRecord:
 # record json
 # ---------------------------------------------------------------------------
 
-# (name, default, slot setter) of each field, in field order; a required
-# field's default is dataclasses.MISSING, which the loader never reaches
-_SLOT_SETTERS = tuple((f.name, f.default, EfficiencyRecord.__dict__[f.name].__set__)
-                      for f in fields(EfficiencyRecord))
-_RECORD_FIELDS = frozenset(name for name, _, _ in _SLOT_SETTERS)
+# each field's slot setter, in field order: it skips the frozen class's __setattr__
+(_set_name, _set_date, _set_threshold, _set_total_compute, _set_flops_per_image, _set_epochs,
+ _set_images_per_epoch, _set_backward_multiplier, _set_notes) = (
+    EfficiencyRecord.__dict__[f.name].__set__ for f in fields(EfficiencyRecord))
+_RECORD_FIELDS = frozenset(f.name for f in fields(EfficiencyRecord))
 
 
 def _threshold_from_json(value) -> Threshold:
@@ -215,7 +197,7 @@ def _threshold_from_json(value) -> Threshold:
 
 
 def _record_from_object(obj, dates: dict) -> EfficiencyRecord:
-    """One record from its json object, whose date and threshold are replaced.
+    """One record from its json object, which is left as parsed.
 
     Equal date strings share one date, through dates. Every message
     starts with ": " or " (name): ", for the caller to put the record's
@@ -229,14 +211,29 @@ def _record_from_object(obj, dates: dict) -> EfficiencyRecord:
     date = dates.get(text) if type(text) is str else None
     if date is None:  # parse_date raises for a text that is not a str
         date = dates[text] = parse_date(text, f" ({name}): date", TrendError)
-    obj["date"] = date
+    get = obj.get
     try:
-        if type(obj.get("threshold", DEFAULT_THRESHOLD)) is not Threshold:
-            obj["threshold"] = _threshold_from_json(obj["threshold"])
-        return EfficiencyRecord._from_json_fields(obj)
-    except (TrendError, CurveError) as e:  # a bad Threshold raises CurveError
+        threshold = get("threshold", DEFAULT_THRESHOLD)
+        if type(threshold) is not Threshold:
+            threshold = _threshold_from_json(threshold)
+        notes = get("notes", "")
+        t, f, e, i, b = _checked(name, date, threshold, notes, get("total_compute"),
+                                 get("flops_per_image"), get("epochs"), get("images_per_epoch"),
+                                 get("backward_multiplier", BACKWARD_MULTIPLIER))
+    except (TrendError, CurveError) as error:  # a bad Threshold raises CurveError
         # record messages start with the name alone
-        raise TrendError(f" ({name}): {str(e).removeprefix(f'{name}: ')}") from None
+        raise TrendError(f" ({name}): {str(error).removeprefix(f'{name}: ')}") from None
+    record = EfficiencyRecord.__new__(EfficiencyRecord)
+    _set_name(record, name)
+    _set_date(record, date)
+    _set_threshold(record, threshold)
+    _set_total_compute(record, t)
+    _set_flops_per_image(record, f)
+    _set_epochs(record, e)
+    _set_images_per_epoch(record, i)
+    _set_backward_multiplier(record, b)
+    _set_notes(record, notes)
+    return record
 
 
 def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
@@ -247,9 +244,9 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     first one whose name an earlier record already has raises TrendError
     naming both positions.
 
-    Each record's slots are filled from its json object and field
-    defaults, then EfficiencyRecord.__post_init__ checks them, so a
-    loaded record equals EfficiencyRecord(**fields) of the same values.
+    Each record's fields pass once through the checker that
+    EfficiencyRecord's __post_init__ calls, and each slot is set once, so
+    a loaded record equals EfficiencyRecord(**fields) of the same values.
     The parser's object hook builds each record as the parser closes its
     object, and a text with an error is parsed again without it
     (``_jsonfile.load``).
@@ -293,12 +290,15 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     return _jsonfile.load(text, "records file is not valid json", TrendError, hook, checked)
 
 
-def find_record(records, name: str) -> EfficiencyRecord:
-    """The record called name; raises TrendError, listing the known names, if none is."""
+def find_record(records: Sequence[EfficiencyRecord], name: str) -> EfficiencyRecord:
+    """The record called name; raises TrendError, listing the first 20 known names, if none is."""
     for r in records:
         if r.name == name:
             return r
-    known = ", ".join(r.name for r in records)
+    if not records:
+        raise TrendError(f"no record named {name!r}; the records file holds no records")
+    more = len(records) - 20
+    known = ", ".join(r.name for r in records[:20]) + (f" and {more} more" if more > 0 else "")
     raise TrendError(f"no record named {name!r}; known records: {known}")
 
 

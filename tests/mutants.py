@@ -165,6 +165,24 @@ MUTANTS = [
      'type(obj) is dict and obj.keys() <= _RECORD_FIELDS and "date" in obj',
      'type(obj) is dict and "date" in obj',
      ["tests/test_trends.py::TestRecordJson"]),
+    ("the loader stores the parsed numbers, not the checker's", TRENDS,
+     '        t, f, e, i, b = _checked(name, date, threshold, notes, get("total_compute"),\n'
+     '                                 get("flops_per_image"), get("epochs"), '
+     'get("images_per_epoch"),\n'
+     '                                 get("backward_multiplier", BACKWARD_MULTIPLIER))\n',
+     '        t, f, e, i, b = (get("total_compute"), get("flops_per_image"), get("epochs"),\n'
+     '                         get("images_per_epoch"), '
+     'get("backward_multiplier", BACKWARD_MULTIPLIER))\n'
+     "        _checked(name, date, threshold, notes, t, f, e, i, b)\n",
+     ["tests/test_trends.py::TestLoadedEqualsConstructed"]),
+    ("__post_init__ drops the numbers the checker returns", TRENDS,
+     "        for label, v in zip(_NUMBER_FIELDS, numbers):\n"
+     "            object.__setattr__(self, label, v)\n", "        del numbers\n",
+     ["tests/test_trends.py::TestEfficiencyRecord::test_numbers_stored_as_floats",
+      "tests/test_trends.py::TestEfficiencyRecord::test_total_from_triple"]),
+    ("an unknown name's message lists every record", TRENDS,
+     "r.name for r in records[:20]", "r.name for r in records",
+     ["tests/test_trends.py::TestFindRecord"]),
     ("the parser's object hook builds no record", TRENDS,
      "TrendError, hook, checked)", "TrendError, None, checked)",
      ["tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_valid_file_is_parsed_once"]),

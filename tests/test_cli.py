@@ -694,6 +694,17 @@ class TestInputEdges:
                                            "record 0\n")
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("n,known", [
+        (0, "the records file holds no records"),
+        (25, "known records: " + ", ".join(f"r{i}" for i in range(20)) + " and 5 more"),
+    ], ids=["empty", "capped"])
+    def test_unknown_record_name_lists_at_most_twenty(self, capsys, tmp_path, n, known):
+        path = tmp_path / "r.json"
+        path.write_text(_records_text(n))
+        code, out, err = run(capsys, "factor", "r0", "zz", "--records", str(path))
+        first = "zz" if n else "r0"
+        assert (code, out, err) == (2, "", f"algoeff: no record named {first!r}; {known}\n")
+
     @pytest.mark.parametrize("argv,message", [
         (("flops", "{file}"), "algoeff: not valid JSON: Exceeds the limit"),
         (("frontier", "--records", "{file}"), "algoeff: records file is not valid json: "

@@ -39,7 +39,7 @@ from algoeff.trends import (
     to_report_units,
 )
 
-from algoeff.datasets import load_imagenet_records
+from algoeff.datasets import _data_text, load_imagenet_records
 
 from _generators import random_records, records_file_records
 from _oracles import frontier_oracle, records_json_oracle, regression_oracle
@@ -262,6 +262,29 @@ class TestLoadedEqualsConstructed:
         for f in dataclasses.fields(EfficiencyRecord):
             assert type(getattr(loaded, f.name)) is type(getattr(built, f.name)), f.name
         assert loaded.total == built.total
+
+    # one bad field each: every rule, in the loader and the constructor alike
+    @pytest.mark.parametrize("obj", [
+        {"total_compute": 0}, {"total_compute": -1.0}, {"total_compute": True},
+        {"total_compute": math.inf}, {"total_compute": math.nan}, {"total_compute": 10**400},
+        {"flops_per_image": 0.0, "epochs": 1.0}, {"flops_per_image": 1.0, "epochs": -math.inf},
+        {"flops_per_image": 1.0, "epochs": 1.0, "images_per_epoch": False},
+        {"flops_per_image": 1.0, "epochs": 1.0, "images_per_epoch": 10**309},
+        {"total_compute": 1.0, "backward_multiplier": 0},
+        {"total_compute": 1.0, "backward_multiplier": None},
+        {"epochs": 2.0}, {"flops_per_image": 2}, {"total_compute": 1.0, "images_per_epoch": 5.0},
+        {"images_per_epoch": 5.0}, {},
+        {"total_compute": 1.0, "flops_per_image": 7.7e8, "epochs": 90.0},
+        {"flops_per_image": 1e300, "epochs": 1e10}, {"total_compute": 1.0, "notes": 5},
+    ])
+    def test_a_bad_field_gives_the_constructors_message(self, obj):
+        with pytest.raises(TrendError) as built:
+            EfficiencyRecord(name="x", date=datetime.date(2015, 1, 2), **obj)
+        message = str(built.value)
+        assert message.startswith("x: ")
+        with pytest.raises(TrendError) as loaded:
+            one_record({"name": "x", "date": "2015-01-02", **obj})
+        assert str(loaded.value) == "record 0 (x): " + message.removeprefix("x: ")
 
 
 def one_record(obj) -> EfficiencyRecord:
@@ -584,6 +607,16 @@ class TestRecordsBuiltWhileParsed:
             load(text)
         assert str(raised.value) == f"{lead}: {detail}"
         assert len(calls) == 1
+
+    def test_a_record_is_built_without_post_init(self, monkeypatch):
+        text = records_to_json(records_file_records(random.Random(5), 500))
+        expected = _plain_oracle(text), _plain_oracle(_data_text("imagenet_records.json"))
+
+        def refused(record):
+            raise AssertionError("the loader ran __post_init__")
+
+        monkeypatch.setattr(EfficiencyRecord, "__post_init__", refused)
+        assert (records_from_json(text), load_imagenet_records()) == expected
 
     def test_reversed_key_order_shares_one_threshold(self):
         text = ('[{"name": "a", "date": "2015-01-02", "total_compute": 1.0,'
@@ -1162,6 +1195,20 @@ class TestFindRecord:
     def test_unknown_name_lists_known(self):
         with pytest.raises(TrendError, match="^no record named 'c'; known records: a, b$"):
             find_record([rec("a"), rec("b")], "c")
+
+    @pytest.mark.parametrize("n,tail", [(20, "r19"), (21, "r19 and 1 more"),
+                                        (1_000, "r19 and 980 more")])
+    def test_unknown_name_lists_at_most_twenty(self, n, tail):
+        records = [rec(f"r{i}") for i in range(n)]
+        with pytest.raises(TrendError) as info:
+            find_record(records, "zz")
+        names = ", ".join(f"r{i}" for i in range(19))
+        assert str(info.value) == f"no record named 'zz'; known records: {names}, {tail}"
+
+    def test_unknown_name_among_no_records(self):
+        with pytest.raises(TrendError) as info:
+            find_record((), "a")
+        assert str(info.value) == "no record named 'a'; the records file holds no records"
 
 
 class TestUnitInvariance:
