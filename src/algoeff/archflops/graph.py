@@ -33,9 +33,9 @@ passes through it. ``_good_walk`` checks and shapes each distinct layer
 once, keyed by one flat tuple per node, and its layer list names each
 node's first node of the same signature, so ``count_flops`` runs a mac
 rule once per distinct layer too. A graph it declines is walked again
-to word its problems, and there each node is its own first node;
-``_check_params``, ``TensorShape`` and ``_json_node`` each test the
-common case first and word a problem only when that test fails.
+to word its problems, and there each node is its own first node. Only
+``_json_node`` runs per node of a valid graph, and it tests the common
+case first.
 """
 from __future__ import annotations
 
@@ -68,17 +68,11 @@ class TensorShape:
     width: int
 
     def __post_init__(self) -> None:
-        c, h, w = self.channels, self.height, self.width
-        # one test for plain positive ints, since the walk builds a shape per
-        # node; otherwise _POSITIVE, which also accepts an int subclass,
-        # words the first field it rejects
-        if not (type(c) is int and type(h) is int and type(w) is int
-                and c >= 1 and h >= 1 and w >= 1):
-            accepted, test = _POSITIVE
-            for name in ("channels", "height", "width"):
-                v = getattr(self, name)
-                if not test(v):
-                    raise GraphError(f"TensorShape.{name} must be {accepted}, got {v!r}")
+        accepted, test = _POSITIVE  # which also accepts an int subclass
+        for name in ("channels", "height", "width"):
+            v = getattr(self, name)
+            if not test(v):
+                raise GraphError(f"TensorShape.{name} must be {accepted}, got {v!r}")
 
     @property
     def elements(self) -> int:
@@ -297,12 +291,10 @@ class _Kind:
     shape:  shape rule; macs: mac rule (see above).
     check:  None, or a rule across well-formed resolved parameters: a problem or None.
 
-    defaults, tests and required are views of params built once, for the
-    walk's good path: name -> default, name -> test, and the names with
-    no default.
+    defaults is name -> default of the params that have one, built once for _resolve.
     """
 
-    __slots__ = ("params", "arity", "shape", "macs", "check", "defaults", "tests", "required")
+    __slots__ = ("params", "arity", "shape", "macs", "check", "defaults")
 
     def __init__(self, params, shape, macs, arity=(1, 1), check=None):
         self.params = params
@@ -311,8 +303,6 @@ class _Kind:
         self.macs = macs
         self.check = check
         self.defaults = {n: d for n, (d, _) in params.items() if d is not _REQUIRED}
-        self.tests = {n: test for n, (_, (_, test)) in params.items()}
-        self.required = frozenset(n for n, (d, _) in params.items() if d is _REQUIRED)
 
 
 _POOL_PARAMS = {
@@ -556,22 +546,10 @@ def walked_shapes(arch: ArchitectureSpec, input_shape: TensorShape | None) -> di
 def _check_params(node: LayerNode, kind: _Kind, problems: list[str]) -> dict[str, Any] | None:
     """Append the node's parameter problems; resolve its parameters if there are none.
 
-    The good path tests only the node's own parameters, then that none
-    required is missing; the loop over the kind's schema runs only to
-    word the problems, in schema order.
+    Problems come in schema order, then the unknown names; only a node
+    with none is resolved and has its kind's cross-parameter check run.
     """
-    tests = kind.tests
-    for name, value in node.params.items():
-        test = tests.get(name)
-        if test is None or not test(value):
-            break
-    else:
-        if node.params.keys() >= kind.required:
-            params = _resolve(node, kind)
-            problem = kind.check and kind.check(params)
-            if problem:
-                problems.append(problem)
-            return params
+    start = len(problems)
     for name, (default, (accepted, test)) in kind.params.items():
         if name in node.params:
             if not test(node.params[name]):
@@ -581,7 +559,13 @@ def _check_params(node: LayerNode, kind: _Kind, problems: list[str]) -> dict[str
     if not node.params.keys() <= kind.params.keys():
         unknown = [name for name in node.params if name not in kind.params]
         problems.append(f"unknown parameter(s) {unknown}; {node.kind} takes {sorted(kind.params)}")
-    return None
+    if len(problems) > start:
+        return None
+    params = _resolve(node, kind)
+    problem = kind.check and kind.check(params)
+    if problem:
+        problems.append(problem)
+    return params
 
 
 def validate_arch(arch: ArchitectureSpec) -> list[str]:

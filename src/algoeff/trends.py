@@ -255,19 +255,22 @@ def records_from_json(text: str) -> tuple[EfficiencyRecord, ...]:
     dates: dict[str, datetime.date] = {}
 
     def hook(obj: dict):
-        # In a valid file only records have a name; a named object that is
-        # not one raises. A metric/value object of a str metric and a float
-        # value becomes the one Threshold of its pair, in either key order;
-        # only floats are cached, as an equal int or bool prints apart.
-        if "name" in obj:
-            return _record_from_object(obj, dates)
-        if len(obj) == 2:
-            metric, value = obj.get("metric"), obj.get("value")
-            if type(value) is float and type(metric) is str:
-                threshold = thresholds.get((metric, value))
-                if threshold is None:
-                    threshold = thresholds[metric, value] = Threshold(metric, value)
-                return threshold
+        # In a valid file only records have a name. A metric/value object of
+        # a str metric and a float value becomes the one Threshold of its
+        # pair, in either key order; only floats are cached, as an equal int
+        # or bool prints apart. Anything else, or what raises, is left as parsed.
+        try:
+            if "name" in obj:
+                return _record_from_object(obj, dates)
+            if len(obj) == 2:
+                metric, value = obj.get("metric"), obj.get("value")
+                if type(value) is float and type(metric) is str:
+                    threshold = thresholds.get((metric, value))
+                    if threshold is None:
+                        threshold = thresholds[metric, value] = Threshold(metric, value)
+                    return threshold
+        except InputError:
+            pass
         return obj
 
     def checked(tree) -> tuple[EfficiencyRecord, ...]:

@@ -4,12 +4,15 @@
 
 Each row of ``GOLDEN`` runs as ``PYTHON -c ...`` in a child process of
 every interpreter given, with ``src/`` on its import path. The exit code
-and the sha256 of stdout and of stderr must equal the pinned values. The
-script imports ``GOLDEN`` from test_golden.py, so it needs pytest itself;
-the children need only the interpreter. It prints one line per
-interpreter and one per mismatch, and exits 1 if any command differs or
-an interpreter cannot run. pytest does not collect this file: its name
-does not start with ``test_``.
+and the sha256 of stdout and of stderr must equal the pinned values.
+Beside the rows, each interpreter runs ``_nesting.py``, the scan of the
+JSON loaders at the depth where calling their object hook overflows,
+which differs by interpreter. The script imports ``GOLDEN`` from
+test_golden.py, so it needs pytest itself; the children need only the
+interpreter. It prints one line per interpreter, one per mismatch and
+the scan's lines, and exits 1 if any command differs, the scan finds a
+problem or an interpreter cannot run. pytest does not collect this file:
+its name does not start with ``test_``.
 """
 from __future__ import annotations
 
@@ -66,7 +69,11 @@ def main(pythons: list[str]) -> int:
         print(f"{python} ({version}): {len(GOLDEN) - len(bad)} of {len(GOLDEN)} commands match")
         for line in bad:
             print(line)
-        failed = failed or bool(bad)
+        scan = subprocess.run([python, str(TESTS / "_nesting.py")], capture_output=True,
+                              text=True, env=ENV)
+        for line in (scan.stdout + scan.stderr).splitlines():
+            print(f"  {line}")
+        failed = failed or bool(bad) or scan.returncode != 0
     return 1 if failed else 0
 
 

@@ -4,10 +4,10 @@
 
 ``MUTANTS`` lists each planted bug as (name, file under the repository
 root, exact old text, new text, tests that must fail). The script copies
-``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory and,
-one mutant at a time, replaces the old text in the copy, runs only that
-mutant's tests there with pytest (stopping at the first failure) and
-puts the file back. A mutant is killed when pytest reports a failed
+``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` (which
+``test_docs.py`` reads) to a temporary directory and, one mutant at a
+time, replaces the old text in the copy, runs only that mutant's tests
+there with pytest (stopping at the first failure) and puts the file back. A mutant is killed when pytest reports a failed
 test and survives when every test passes; old text that is not found
 exactly once, or a pytest run that ends any other way, marks it broken.
 The named tests first run once with no mutant, and must all pass. It
@@ -70,13 +70,17 @@ MUTANTS = [
      "        except ValueError:\n            pass\n",
      "        except ValueError:\n            raise\n",
      ["tests/test_graph.py::TestNodeShapedObjects"]),
-    ("no second parse after the hook raised", JSONFILE,
+    ("no second parse after calling the hook overflowed", JSONFILE,
      "    except _HookRaised:\n        pass\n", "    except _HookRaised:\n        raise\n",
-     ["tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_bad_record_is_parsed_twice"]),
-    ("text the parser rejects is parsed again", JSONFILE,
-     "if object_hook is not None and not _parser_raised(e):", "if object_hook is not None:",
+     ["tests/test_trends.py::test_at_the_hook_call_boundary_the_plain_parse_words_the_error"]),
+    ("text nested too deeply for the parser is parsed again", JSONFILE,
+     'if object_hook is not None and "JSON" not in str(e):', "if object_hook is not None:",
      ["tests/test_trends.py::TestRecordsBuiltWhileParsed::"
       "test_text_the_parser_rejects_is_parsed_once"]),
+    ("the records hook lets a record's error out", TRENDS,
+     "        except InputError:\n            pass\n",
+     "        except InputError:\n            raise\n",
+     ["tests/test_trends.py::TestRecordsBuiltWhileParsed::test_a_bad_record_is_parsed_twice"]),
     # input edges: deep nesting and long curve headers end in one short line
     ("a json file nested too deeply is not caught", JSONFILE,
      "except (ValueError, RecursionError) as e:", "except ValueError as e:",
@@ -129,9 +133,12 @@ MUTANTS = [
     ("no ceil-mode guard on the last window", GRAPH,
      "if ceil and (out - 1) * stride >= in_dim + padding:", "if False:",
      ["tests/test_shapes.py::TestWindowOutDim"]),
-    ("a missing required parameter passes the good path", GRAPH,
-     "if node.params.keys() >= kind.required:", "if True:",
+    ("a missing required parameter is no problem", GRAPH,
+     "        elif default is _REQUIRED:\n", "        elif False:\n",
      ["tests/test_graph.py::TestParamGoodPath", "tests/test_graph.py::TestValidation"]),
+    ("a parameter default in _KINDS changes", GRAPH,
+     '{"size": (5, _POSITIVE)}', '{"size": (3, _POSITIVE)}',
+     ["tests/test_docs.py::test_parameter_table_states_the_kind_table"]),
     ("a bool taken for a positive integer", GRAPH,
      "isinstance(v, int) and type(v) is not bool and v >= 1)", "isinstance(v, int) and v >= 1)",
      ["tests/test_graph.py::TestParamGoodPath"]),
@@ -250,7 +257,8 @@ def main(names: list[str]) -> int:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for sub in ("src", "tests"):
             shutil.copytree(ROOT / sub, work / sub, ignore=skip)
-        shutil.copy2(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, work)
         # a test that fails with no mutant in place would kill every mutant it is named for
         if _pytest(work, sorted({t for m in chosen for t in m[4]})) != 0:
             print("the named tests do not all pass without a mutant; no mutant was run")

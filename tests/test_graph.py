@@ -868,7 +868,7 @@ def _drawn_params(draw) -> tuple[str, dict]:
 
 
 class TestParamGoodPath:
-    """_check_params's good path and its schema loop agree on every kind."""
+    """_check_params resolves a node's parameters exactly when its schema loop finds no problem."""
 
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(_drawn_params())
@@ -895,11 +895,12 @@ class TestParamGoodPath:
                     problems = []
                     assert graph_mod._check_params(node, kind, problems) is None
                     assert f"parameter {name!r} must be {accepted}, got True" in problems
+            required = [n for n, (default, _) in kind.params.items()
+                        if default is graph_mod._REQUIRED]
             problems = []
             resolved = graph_mod._check_params(LayerNode(id="n", kind=kind_name), kind, problems)
-            assert (resolved is None) == bool(kind.required)
-            assert problems == [f"missing required parameter {n!r}" for n in kind.params
-                                if n in kind.required]
+            assert (resolved is None) == bool(required)
+            assert problems == [f"missing required parameter {n!r}" for n in required]
 
 
 class _Str(str):

@@ -42,6 +42,7 @@ from algoeff.trends import (
 from algoeff.datasets import _data_text, load_imagenet_records
 
 from _generators import random_records, records_file_records
+from _nesting import scan as nesting_scan
 from _oracles import frontier_oracle, records_json_oracle, regression_oracle
 
 
@@ -625,6 +626,16 @@ class TestRecordsBuiltWhileParsed:
                 ' "threshold": {"value": 0.5, "metric": "top1"}}]')
         a, b = records_from_json(text)
         assert a.threshold is b.threshold == Threshold("top1", 0.5)
+
+
+@pytest.mark.parametrize("load,lead", [(arch_from_json, "not valid JSON"),
+                                       (records_from_json, "records file is not valid json")])
+def test_at_the_hook_call_boundary_the_plain_parse_words_the_error(load, lead):
+    # one depth overflows in calling the hook, where the plain parse, from the
+    # same frame, passes: the text is parsed again from load, and it is
+    # "nested too deeply" only where the plain parse fails too
+    boundary, problems = nesting_scan(load, lead)
+    assert boundary is not None and problems == []
 
 
 _THRESHOLD_VALUE = st.one_of(st.sampled_from([0.5, 0.791, 1.0, 1]),
